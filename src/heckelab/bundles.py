@@ -16,6 +16,7 @@ chart, and closed-form results depend only on d).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .qcalc import QPoly, QRat, RAT_ONE
 
@@ -23,7 +24,6 @@ __all__ = [
     "BundleType",
     "ProjBundleClass",
     "ClosedPoint",
-    "normalize",
     "proj_class",
     "q_factor",
     "aut_order",
@@ -99,11 +99,6 @@ class BundleType:
     @staticmethod
     def from_json(obj: dict) -> "BundleType":
         return BundleType(obj["degrees"])
-
-
-def normalize(degrees) -> BundleType:
-    """Sorted canonical splitting type; idempotent."""
-    return BundleType(degrees)
 
 
 class ProjBundleClass:
@@ -238,15 +233,26 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2; n itself when n is prime."""
+    return next((k for k in range(2, isqrt(n) + 1) if n % k == 0), n)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+    return n >= 2 and _smallest_prime_factor(n) == n
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e and p prime; ValueError when q is no prime power."""
+    if q >= 2:
+        p = _smallest_prime_factor(q)
+        e, m = 0, q
+        while m % p == 0:
+            m //= p
+            e += 1
+        if m == 1:
+            return p, e
+    raise ValueError(f"{q} is not a prime power")
 
 
 class ClosedPoint:

@@ -16,27 +16,18 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
 
-from . import __version__
-from .bundles import BundleType, ClosedPoint, ext1_dim
+from . import __version__, verify
+from .bundles import BundleType, ClosedPoint, _is_prime, _prime_power
 from .deltas import enumerate_deltas, omega, schubert_count, weight
 from .forms import (
     EigenQuery,
     TheoremViolation,
     cusp_defect,
     eigenform_solve,
-    eigenvalue_of_balanced_relation,
-    extension_middle_distribution,
     toroidal_sum,
 )
-from .hall import (
-    HallIntegrityError,
-    bundle_product,
-    hall_multiplicity,
-    kx_times,
-    word_product,
-)
+from .hall import HallIntegrityError, bundle_product, kx_times
 from .hecke import ModificationQuery, exists_modification, multiplicity_detail, neighbors
 from .oracle import BudgetExceeded, Field, brute_multiplicity, smith_normal_form
 from .qcalc import QPoly, gaussian_binomial
@@ -52,6 +43,24 @@ def _degrees(text: str) -> tuple:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad degree list {text!r}; want e.g. 0,0 or -1,2")
+
+
+def _field_size(text: str) -> int:
+    """--q where it names the field F_q: a prime power."""
+    q = int(text)
+    try:
+        _prime_power(q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"q must be a prime power, got {q}")
+    return q
+
+
+def _prime(text: str) -> int:
+    """--q where arithmetic is done mod q: a prime."""
+    q = int(text)
+    if not _is_prime(q):
+        raise argparse.ArgumentTypeError(f"q must be a prime, got {q}")
+    return q
 
 
 def _coeffs(text: str) -> tuple:
@@ -75,10 +84,6 @@ def _rationals(text: str) -> tuple:
         return tuple(Fraction(p) for p in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad rational list {text!r}; want e.g. 3 or 7,11/2")
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _poly_doc(p: QPoly) -> dict:
@@ -112,7 +117,7 @@ def _element_doc(elem, q0) -> list:
     terms = elem.to_json()
     if q0 is not None:
         for entry, (term, coeff) in zip(terms, elem.items()):
-            entry["at_q"] = _frac_str(coeff.evaluate(q0))
+            entry["at_q"] = str(coeff.evaluate(q0))
     return terms
 
 
@@ -346,7 +351,7 @@ def cmd_forms_eigen(args) -> int:
                 "command": "forms eigen",
                 "n": args.n,
                 "q": args.q,
-                "lambda": [_frac_str(l) for l in query.lams],
+                "lambda": [str(l) for l in query.lams],
                 "depth": args.depth,
             }
         )
@@ -370,9 +375,9 @@ def cmd_forms_toroidal(args) -> int:
                 "command": "forms toroidal",
                 "n": args.n,
                 "q": args.q,
-                "lambda": [_frac_str(l) for l in query.lams],
+                "lambda": [str(l) for l in query.lams],
                 "depth": args.depth,
-                "toroidal_sum": _frac_str(total),
+                "toroidal_sum": str(total),
                 "is_zero": total == 0,
             }
         )
@@ -394,7 +399,7 @@ def cmd_forms_cusp(args) -> int:
         {
             "quotient": list(F.degrees),
             "sub": list(G.degrees),
-            "defect": _frac_str(v),
+            "defect": str(v),
         }
         for (F, G), v in sorted(defects.items())
     ]
@@ -404,7 +409,7 @@ def cmd_forms_cusp(args) -> int:
                 "command": "forms cusp",
                 "n": args.n,
                 "q": args.q,
-                "lambda": [_frac_str(l) for l in query.lams],
+                "lambda": [str(l) for l in query.lams],
                 "depth": args.depth,
                 "n1": n1,
                 "defects": rows,
@@ -421,304 +426,17 @@ def cmd_forms_cusp(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: the cross-check grid
-
-def _shifted_candidates(E: BundleType, d: int, r: int):
-    """All sorted degree tuples reachable by drops eps_i in [0, d], sum rd."""
-    seen = set()
-    for eps in product(range(d + 1), repeat=E.rank):
-        if sum(eps) == r * d:
-            dropped = tuple(sorted(a - e for a, e in zip(E.degrees, eps)))
-            seen.add(dropped)
-    return sorted(seen)
-
-
-def _check_worked_example(mode, rng):
-    E = BundleType((0, 0))
-    x = ClosedPoint(2, 2, (1, 1, 1))
-    expected = {BundleType((-2, 0)): 3, BundleType((-1, -1)): 2}
-    census = brute_multiplicity(E, x, 1)
-    if census != expected:
-        return f"oracle census {census}"
-    for E_prime, count in expected.items():
-        h = hall_multiplicity(E_prime, E, 2, 1).evaluate(2)
-        m = multiplicity_detail(ModificationQuery(E, E_prime, x, 1))[0].evaluate(2)
-        if h != count or m != count:
-            return f"{E_prime.pretty()}: hall {h}, closed {m}, oracle {count}"
-    return None
-
-
-def _check_rank2_table(mode, rng):
-    top, ds = (4, (1, 2, 3)) if mode == "full" else (3, (1, 2))
-    for d1 in range(top + 1):
-        for d2 in range(d1, top + 1):
-            E = BundleType((d1, d2))
-            for d in ds:
-                x = ClosedPoint(2, d)
-                total = QPoly(())
-                for dropped in _shifted_candidates(E, d, 1):
-                    E_prime = BundleType(dropped)
-                    got = multiplicity_detail(ModificationQuery(E, E_prime, x, 1), cross_check=False)[0]
-                    want = hall_multiplicity(E_prime, E, d, 1)
-                    if got != want:
-                        return (
-                            f"{E_prime.pretty()} -> {E.pretty()} d={d}: "
-                            f"table {got.pretty()}, hall {want.pretty()}"
-                        )
-                    total = total + got
-                mass = QPoly.monomial(d) + 1
-                if total != mass:
-                    return f"{E.pretty()} d={d}: mass {total.pretty()} != {mass.pretty()}"
-    return None
-
-
-def _check_deg1_classification(mode, rng):
-    nmax, top = (4, 3) if mode == "full" else (3, 2)
-    for n in range(1, nmax + 1):
-        for degrees in combinations_with_replacement(range(top + 1), n):
-            E = BundleType(degrees)
-            x = ClosedPoint(2, 1, (0, 1))
-            for r in range(1, n + 1):
-                total = QPoly(())
-                for dropped in _shifted_candidates(E, 1, r):
-                    E_prime = BundleType(dropped)
-                    got = multiplicity_detail(ModificationQuery(E, E_prime, x, r), cross_check=False)[0]
-                    want = hall_multiplicity(E_prime, E, 1, r)
-                    if got != want:
-                        return f"{E_prime.pretty()} -> {E.pretty()} r={r}"
-                    total = total + got
-                if total != gaussian_binomial(n - r, n):
-                    return f"{E.pretty()} r={r}: census sum {total.pretty()}"
-    return None
-
-
-def _check_oracle_equivalence(mode, rng):
-    if mode == "full":
-        qs, nmax, top = (2, 3), 3, 2
-    else:
-        qs, nmax, top = (2,), 2, 1
-    for q0 in qs:
-        for d in (1, 2):
-            field = Field(q0, d)
-            x = ClosedPoint(q0, d, field.poly)
-            for n in range(1, nmax + 1):
-                for degrees in combinations_with_replacement(range(top + 1), n):
-                    E = BundleType(degrees)
-                    for r in range(1, n + 1):
-                        census = brute_multiplicity(E, x, r)
-                        for dropped in _shifted_candidates(E, d, r):
-                            E_prime = BundleType(dropped)
-                            want = multiplicity_detail(
-                                ModificationQuery(E, E_prime, x, r), cross_check=False
-                            )[0].evaluate(q0)
-                            got = census.get(E_prime, 0)
-                            if got != want:
-                                return (
-                                    f"{E_prime.pretty()} -> {E.pretty()} q={q0} d={d} "
-                                    f"r={r}: oracle {got}, closed {want}"
-                                )
-    return None
-
-
-def _check_weight_one_criterion(mode, rng):
-    nmax, dmax, top = (4, 3, 4) if mode == "full" else (3, 2, 3)
-    for n in range(1, nmax + 1):
-        for degrees in combinations_with_replacement(range(top + 1), n):
-            E = BundleType(degrees)
-            for d in range(1, dmax + 1):
-                x = ClosedPoint(2, d)
-                for dropped in _shifted_candidates(E, d, 1):
-                    E_prime = BundleType(dropped)
-                    query = ModificationQuery(E, E_prime, x, 1)
-                    chain = exists_modification(query)
-                    hall = not hall_multiplicity(E_prime, E, d, 1).is_zero()
-                    if chain != hall:
-                        return f"{E_prime.pretty()} -> {E.pretty()} d={d}: chain {chain}, hall {hall}"
-    return None
-
-
-def _check_spaced_factorization(mode, rng):
-    es = (0, 1, 2) if mode == "full" else (0, 1)
-    for d in (1, 2):
-        for e in es:
-            for gap in (d, d + 1):
-                E = BundleType((0, e, e + gap))
-                x = ClosedPoint(2, d)
-                for r in range(1, 4):
-                    for dropped in _shifted_candidates(E, d, r):
-                        E_prime = BundleType(dropped)
-                        got = multiplicity_detail(
-                            ModificationQuery(E, E_prime, x, r), cross_check=True
-                        )[0]
-                        want = hall_multiplicity(E_prime, E, d, r)
-                        if got != want:
-                            return f"{E_prime.pretty()} -> {E.pretty()} d={d} r={r}"
-    return None
-
-
-def _element_mul(a, b):
-    """Bilinear product of two torsion-free hall elements."""
-    from .hall import HallElement
-
-    acc = HallElement({})
-    for t1, c1 in a.items():
-        assert t1.torsion_weight == 0
-        for t2, c2 in b.items():
-            assert t2.torsion_weight == 0
-            acc = acc + bundle_product(t1.bundle, t2.bundle).scale(c1 * c2)
-    return acc
-
-
-def _check_hall_integrity(mode, rng):
-    seeds = 200 if mode == "full" else 30
-    for _ in range(seeds):
-        length = rng.randint(2, 4)
-        word = tuple(rng.randint(-2, 3) for _ in range(length))
-        full = word_product(word)
-        for cut in range(1, length):
-            left = word_product(word[:cut])
-            right = word_product(word[cut:])
-            if _element_mul(left, right) != full:
-                return f"associativity fails on word {word} at cut {cut}"
-    shapes = [(0,), (0, 0), (0, 1), (0, 0, 1)]
-    if mode == "full":
-        shapes += [(0, 1, 3), (0, 0, 0)]
-    for degrees in shapes:
-        E = BundleType(degrees)
-        for d in (1, 2, 3):
-            for r in range(1, 4):
-                closed = kx_times(r, E, d, method="closed")
-                recursive = kx_times(r, E, d, method="recursive")
-                if closed != recursive:
-                    return f"kx closed != recursive on {E.pretty()} d={d} r={r}"
-    return None
-
-
-_PHI_MATRICES = [
-    [[(0, 1), (1, 1)], [(1,), (0, 1)]],
-    [[(1,), (1, 1)], [(0, 1), (1,)]],
-    [[(1, 1, 1), ()], [(), (1,)]],
-    [[(1, 1, 1), (1,)], [(), (1,)]],
-    [[(1, 1, 1), ()], [(1, 1, 1), (1,)]],
-]
-
-
-def _random_modification_matrix(rng, field, n, r):
-    """Rejection-sample an n x n matrix over F_q[t] with cokernel K_x^r.
-
-    Accept when det = unit * pi^r and the mod-pi reduction has rank n - r,
-    which characterizes the skyscraper quotient exactly.
-    """
-    from .oracle import _fp_monic, _fp_mul, fp_poly_det, matrix_rank
-
-    q0, d = field.q, field.d
-    pi = field.poly
-    max_deg = r * d + 1
-    target = (1,)
-    for _ in range(r):
-        target = _fp_mul(target, pi, q0)
-    target = _fp_monic(target, q0)
-    for _ in range(4000):
-        M = [
-            [
-                tuple(rng.randrange(q0) for _ in range(rng.randint(0, max_deg) + 1))
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-        det = fp_poly_det(M, q0)
-        if not det or _fp_monic(det, q0) != target:
-            continue
-        reduced = [[field.reduce(e) for e in row] for row in M]
-        if matrix_rank(field, reduced) == n - r:
-            return M
-    raise RuntimeError("sampler failed to find a modification matrix")
-
-
-def _check_snf(mode, rng):
-    pi = (1, 1, 1)
-    for M in _PHI_MATRICES:
-        diag, _, _ = smith_normal_form(M, 2)
-        if diag != [(1,), pi]:
-            return f"phi matrix SNF {diag}"
-    trials = 40 if mode == "full" else 10
-    cases = [(2, 1, 2, 1), (2, 2, 2, 1), (3, 1, 2, 1), (2, 1, 3, 2)]
-    for q0, d, n, r in cases:
-        field = Field(q0, d)
-        for _ in range(trials // len(cases) + 1):
-            M = _random_modification_matrix(rng, field, n, r)
-            diag, _, _ = smith_normal_form(M, q0)
-            expect = [(1,)] * (n - r) + [field.poly] * r
-            if diag != expect:
-                return f"random matrix SNF {diag} != {expect} (q={q0}, d={d}, n={n}, r={r})"
-    return None
-
-
-def _check_eigen_nullity(mode, rng):
-    trials = 20 if mode == "full" else 6
-    qs = (2, 3) if mode == "full" else (2,)
-    depth = 6 if mode == "full" else 4
-    for _ in range(trials):
-        n = rng.choice((2, 3))
-        q0 = rng.choice(qs)
-        lams = [Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(n - 1)]
-        query = EigenQuery(lams, ClosedPoint(q0, 1, (0, 1)), depth)
-        f = eigenform_solve(query)
-        if f.nullity != 1:
-            return f"nullity {f.nullity} at lambda={lams}, q={q0}, n={n}"
-        for r in range(1, n):
-            if not eigenvalue_of_balanced_relation(query, f, r):
-                return f"balanced relation fails at r={r}, lambda={lams}, q={q0}, n={n}"
-    return None
-
-
-def _check_triviality(mode, rng):
-    top = 3 if mode == "full" else 2
-    qs = (2, 3) if mode == "full" else (2,)
-    shapes = [(a,) for a in range(top + 1)] + [
-        (a, b) for a in range(top + 1) for b in range(a, top + 1)
-    ]
-    for q0 in qs:
-        for fdeg in shapes:
-            for gdeg in shapes:
-                dist = extension_middle_distribution(BundleType(fdeg), BundleType(gdeg), q0)
-                if sum(dist.values()) != q0 ** ext1_dim(BundleType(fdeg), BundleType(gdeg)):
-                    return f"extension mass off for F={fdeg}, G={gdeg}, q={q0}"
-    query = EigenQuery([Fraction(5)], ClosedPoint(2, 1, (0, 1)), 4)
-    forced = eigenform_solve(query, base_value=0)
-    if not forced.is_zero():
-        return "toroidal-vanishing solution is not identically zero"
-    f = eigenform_solve(query)
-    if toroidal_sum(f, 2) != 1:
-        return "toroidal sum of normalized eigenform != 1"
-    defects = cusp_defect(f, 1, 1, f.space, 2)
-    if not any(v != 0 for v in defects.values()):
-        return "eigenform has vanishing cusp defect"
-    return None
-
-
-_CHECKS = [
-    ("worked-example", _check_worked_example),
-    ("rank2-table", _check_rank2_table),
-    ("deg1-classification", _check_deg1_classification),
-    ("oracle-equivalence", _check_oracle_equivalence),
-    ("weight-one-criterion", _check_weight_one_criterion),
-    ("spaced-factorization", _check_spaced_factorization),
-    ("hall-integrity", _check_hall_integrity),
-    ("smith-normal-form", _check_snf),
-    ("eigen-nullity", _check_eigen_nullity),
-    ("triviality-theorems", _check_triviality),
-]
-
+# verify: the cross-check grid of heckelab.verify
 
 def cmd_verify(args) -> int:
     mode = "full" if args.full else "quick"
+    grid = verify.GRIDS[mode]
     rng = random.Random(args.seed)
     failures = []
-    for name, fn in _CHECKS:
+    for name, check in verify.CHECKS.items():
         start = time.perf_counter()
         try:
-            detail = fn(mode, rng)
+            detail = check(rng, **grid[name])
         except Exception as exc:  # a crash in a cross-check is a failure
             detail = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
@@ -733,7 +451,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 3
-    print(f"all {len(_CHECKS)} checks passed ({mode})")
+    print(f"all {len(verify.CHECKS)} checks passed ({mode})")
     return 0
 
 
@@ -755,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gr", help="Grassmannian point count as a q-polynomial")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int)
+    p.add_argument("--q", type=_field_size)
     _add_format(p)
     p.set_defaults(func=cmd_gr)
 
@@ -770,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = hall_sub.add_parser("mul", help="product [F]*[G] expanded over bundles")
     pm.add_argument("--f", type=_degrees, required=True, metavar="DEGS")
     pm.add_argument("--g", type=_degrees, required=True, metavar="DEGS")
-    pm.add_argument("--q", type=int)
+    pm.add_argument("--q", type=_field_size)
     _add_format(pm)
     pm.set_defaults(func=cmd_hall_mul)
     pk = hall_sub.add_parser("kx", help="skyscraper product K_x^r * [E]")
@@ -778,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--weight", type=int, required=True)
     pk.add_argument("--point-degree", type=int, required=True)
     pk.add_argument("--method", choices=("recursive", "closed"), default="recursive")
-    pk.add_argument("--q", type=int)
+    pk.add_argument("--q", type=_field_size)
     _add_format(pk)
     pk.set_defaults(func=cmd_hall_kx)
 
@@ -788,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--bundle", type=_degrees, required=True, metavar="DEGS")
     pn.add_argument("--point-degree", type=int, required=True)
     pn.add_argument("--weight", type=int, required=True)
-    pn.add_argument("--q", type=int)
+    pn.add_argument("--q", type=_field_size)
     pn.add_argument("--cross-check", choices=("auto", "on", "off"), default="auto")
     _add_format(pn)
     pn.set_defaults(func=cmd_hecke_neighbors)
@@ -797,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--target", type=_degrees, required=True, metavar="DEGS")
     pt.add_argument("--point-degree", type=int, required=True)
     pt.add_argument("--weight", type=int, required=True)
-    pt.add_argument("--q", type=int)
+    pt.add_argument("--q", type=_field_size)
     pt.add_argument("--cross-check", choices=("auto", "on", "off"), default="auto")
     _add_format(pt)
     pt.set_defaults(func=cmd_hecke_mult)
@@ -806,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     pc = oracle_sub.add_parser("census", help="enumerate subsheaves fiberwise")
     pc.add_argument("--bundle", type=_degrees, required=True, metavar="DEGS")
-    pc.add_argument("--q", type=int, required=True)
+    pc.add_argument("--q", type=_prime, required=True)
     pc.add_argument("--point", type=_coeffs, metavar="COEFFS")
     pc.add_argument("--point-degree", type=int)
     pc.add_argument("--weight", type=int, required=True)
@@ -820,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="rows ';', entries '|', little-endian coefficients ','  e.g. '1,1,1|0;0|1'",
     )
-    ps.add_argument("--q", type=int, required=True)
+    ps.add_argument("--q", type=_prime, required=True)
     _add_format(ps)
     ps.set_defaults(func=cmd_oracle_snf)
 
@@ -833,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         pf = forms_sub.add_parser(name)
         pf.add_argument("--n", type=int, required=True)
-        pf.add_argument("--q", type=int, required=True)
+        pf.add_argument("--q", type=_prime, required=True)
         pf.add_argument("--lambda", dest="lams", type=_rationals, required=True, metavar="RATS")
         pf.add_argument("--depth", type=int, required=True)
         if name == "cusp":

@@ -168,13 +168,11 @@ def _word_element(degrees: tuple) -> dict[BundleType, QPoly]:
     return out
 
 
-def word_product(degrees, point_degree: int = 1) -> HallElement:
+def word_product(degrees) -> HallElement:
     """Hall product of line bundles O(e_1)*...*O(e_k), left = quotient side.
 
-    The result has no torsion terms, and the expansion does not depend on
-    the point degree; the argument only fixes the ambient point context.
+    The result has no torsion terms.
     """
-    assert point_degree >= 1
     if not degrees:
         raise ValueError("empty word has no bundle terms")
     return HallElement(

@@ -23,6 +23,7 @@ __all__ = [
     "exists_modification",
     "multiplicity",
     "multiplicity_detail",
+    "candidates",
     "neighbors",
     "dual_existence_check",
 ]
@@ -265,6 +266,19 @@ def multiplicity(query: ModificationQuery, cross_check=None) -> QPoly:
     return multiplicity_detail(query, cross_check=cross_check)[0]
 
 
+def candidates(E: BundleType, d: int, r: int) -> list:
+    """Splitting types E' reachable from E by drops in [0, d] summing to r*d.
+
+    Sorted and distinct.  Every weight-r modification of E at a point of
+    degree d has one of these types, but not every type is realized.
+    """
+    seen = set()
+    for eps in product(range(d + 1), repeat=E.rank):
+        if sum(eps) == r * d:
+            seen.add(tuple(sorted(a - e for a, e in zip(E.degrees, eps))))
+    return [BundleType(dp) for dp in sorted(seen)]
+
+
 def neighbors(E: BundleType, d: int, r: int, cross_check=None) -> dict:
     """All E' with nonzero multiplicity, mapped to their polynomials.
 
@@ -277,21 +291,15 @@ def neighbors(E: BundleType, d: int, r: int, cross_check=None) -> dict:
     if d < 1:
         raise ValueError(f"point degree must be >= 1, got {d}")
     dd = E.degrees
-    seen = set()
     out = {}
-    for eps in product(range(d + 1), repeat=n):
-        if sum(eps) != r * d:
-            continue
-        dp = tuple(sorted(a - e for a, e in zip(dd, eps)))
-        if dp in seen:
-            continue
-        seen.add(dp)
+    for E_prime in candidates(E, d, r):
+        dp = E_prime.degrees
         if not _exists(dp, dd, d, r):
             continue
         poly, _ = _checked_core(dp, dd, d, r, cross_check)
         if not poly.is_zero():
-            out[BundleType(dp)] = poly
-    return dict(sorted(out.items()))
+            out[E_prime] = poly
+    return out
 
 
 def dual_existence_check(query: ModificationQuery) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from itertools import combinations, product
 
-from .bundles import BundleType, ClosedPoint
+from .bundles import BundleType, ClosedPoint, _is_prime, _prime_power
 from .qcalc import gaussian_binomial
 
 __all__ = [
@@ -163,8 +163,6 @@ class Field:
     """F_{q^d} = F_q[t]/(poly) with prime q; elements are int tuples."""
 
     def __init__(self, q: int, d: int, poly=None):
-        from .bundles import _is_prime
-
         if not _is_prime(q):
             raise ValueError(f"oracle fields need prime q, got {q}")
         if poly is None:
@@ -348,13 +346,7 @@ def enumerate_subspaces(n: int, r: int, field: Field, budget: int | None = None)
 
 def subspace_count(k: int, n: int, q0: int, budget: int | None = None) -> int:
     """#Gr(k,n)(F_{q0}) by honest enumeration; q0 a prime power p^e."""
-    p = next(c for c in (2, 3, 5, 7, 11, 13) if q0 % c == 0)
-    e, m = 0, q0
-    while m > 1:
-        if m % p:
-            raise ValueError(f"{q0} is not a prime power")
-        m //= p
-        e += 1
+    p, e = _prime_power(q0)
     field = Field(p, e)
     return sum(1 for _ in enumerate_subspaces(n, n - k, field, budget=budget))
 
@@ -465,6 +457,8 @@ def smith_normal_form(M, q: int):
     reduction: repeatedly move a minimal-degree entry to the pivot and
     reduce its row and column by division with remainder.
     """
+    if not _is_prime(q):
+        raise ValueError(f"SNF over F_q[t] needs prime q, got {q}")
     A = [[_trim(int(c) % q for c in entry) for entry in row] for row in M]
     n = len(A)
     if any(len(row) != n for row in A):

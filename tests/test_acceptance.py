@@ -1,272 +1,88 @@
 """Acceptance suite: one test per headline guarantee, with runtime bounds.
 
-Each test prints a single summary line; the asserted content is exact
-(integer and polynomial equality throughout, no tolerances).
+Each criterion runs its check from `heckelab.verify` on the `acceptance`
+grid, which contains the `full` grid of `heckelab verify --full`.  Each
+test prints a single summary line; the asserted content is exact (integer
+and polynomial equality throughout, no tolerances).
 """
 
 import random
 import time
-from fractions import Fraction
-from itertools import combinations_with_replacement, product
 
-from heckelab.bundles import BundleType, ClosedPoint, ext1_dim
-from heckelab.cli import _random_modification_matrix
-from heckelab.forms import (
-    EigenQuery,
-    cusp_defect,
-    eigenform_solve,
-    extension_middle_distribution,
-    toroidal_sum,
-)
-from heckelab.hall import bundle_product, hall_multiplicity, kx_times, word_product
-from heckelab.hecke import ModificationQuery, exists_modification, multiplicity_detail
-from heckelab.oracle import Field, brute_multiplicity, smith_normal_form
-from heckelab.qcalc import QPoly, gaussian_binomial
+from heckelab.verify import CHECKS, GRIDS
 
 
-def _report(number: int, label: str, start: float, bound: float) -> None:
+def _criterion(number: int, label: str, check: str, bound: float, seed: int = 0) -> None:
+    start = time.perf_counter()
+    detail = CHECKS[check](random.Random(seed), **GRIDS["acceptance"][check])
+    assert detail is None, f"criterion {number}: {detail}"
     elapsed = time.perf_counter() - start
     print(f"criterion {number} ({label}): PASS in {elapsed:.2f}s (bound {bound:.0f}s)")
     assert elapsed < bound, f"criterion {number} exceeded {bound}s: {elapsed:.2f}s"
 
 
-def _candidates(E: BundleType, d: int, r: int):
-    """Sorted degree tuples reachable from E by componentwise drops in [0, d]."""
-    seen = set()
-    for eps in product(range(d + 1), repeat=E.rank):
-        if sum(eps) == r * d:
-            seen.add(tuple(sorted(a - e for a, e in zip(E.degrees, eps))))
-    return sorted(seen)
-
-
 def test_criterion_01_worked_example():
-    start = time.perf_counter()
-    E = BundleType((0, 0))
-    x = ClosedPoint(2, 2, (1, 1, 1))
-    expected = {BundleType((-2, 0)): 3, BundleType((-1, -1)): 2}
-
-    census = brute_multiplicity(E, x, 1)
-    assert census == expected
-    for E_prime, count in expected.items():
-        assert hall_multiplicity(E_prime, E, 2, 1).evaluate(2) == count
-        poly, _ = multiplicity_detail(ModificationQuery(E, E_prime, x, 1))
-        assert poly.evaluate(2) == count
-    assert sum(census.values()) == 5  # #Gr(1,2)(F_4)
-    _report(1, "worked example, three ways", start, 1.0)
+    _criterion(1, "worked example, three ways", "worked-example", 1.0)
 
 
 def test_criterion_02_rank2_table():
-    start = time.perf_counter()
-    table_methods = set()
-    for d1 in range(5):
-        for d2 in range(d1, 5):
-            E = BundleType((d1, d2))
-            for d in (1, 2, 3):
-                x = ClosedPoint(2, d)
-                total = QPoly(())
-                for dropped in _candidates(E, d, 1):
-                    E_prime = BundleType(dropped)
-                    poly, method = multiplicity_detail(
-                        ModificationQuery(E, E_prime, x, 1), cross_check=False
-                    )
-                    table_methods.add(method)
-                    assert poly == hall_multiplicity(E_prime, E, d, 1), (E_prime, E, d)
-                    total = total + poly
-                assert total == QPoly.monomial(d) + 1, (E, d)  # #P^1(F_{q^d})
-    assert "rank2-table" in table_methods
-    _report(2, "rank-2 five-case table vs hall", start, 30.0)
+    _criterion(2, "rank-2 five-case table vs hall", "rank2-table", 30.0)
 
 
 def test_criterion_03_degree_one_classification():
-    start = time.perf_counter()
-    x = ClosedPoint(2, 1, (0, 1))
-    for n in range(1, 5):
-        for degrees in combinations_with_replacement(range(4), n):
-            E = BundleType(degrees)
-            for r in range(1, n + 1):
-                total = QPoly(())
-                for dropped in _candidates(E, 1, r):
-                    E_prime = BundleType(dropped)
-                    poly, _ = multiplicity_detail(
-                        ModificationQuery(E, E_prime, x, r), cross_check=False
-                    )
-                    assert poly == hall_multiplicity(E_prime, E, 1, r), (E_prime, E, r)
-                    total = total + poly
-                assert total == gaussian_binomial(n - r, n), (E, r)
-    _report(3, "degree-one censuses vs hall", start, 120.0)
+    _criterion(3, "degree-one censuses vs hall", "deg1-classification", 120.0)
 
 
 def test_criterion_04_oracle_equivalence():
-    start = time.perf_counter()
-    for q0 in (2, 3):
-        for d in (1, 2):
-            field = Field(q0, d)
-            x = ClosedPoint(q0, d, field.poly)
-            for n in range(1, 4):
-                for degrees in combinations_with_replacement(range(3), n):
-                    E = BundleType(degrees)
-                    for r in range(1, n + 1):
-                        census = brute_multiplicity(E, x, r)
-                        for dropped in _candidates(E, d, r):
-                            E_prime = BundleType(dropped)
-                            poly, _ = multiplicity_detail(
-                                ModificationQuery(E, E_prime, x, r), cross_check=False
-                            )
-                            assert census.get(E_prime, 0) == poly.evaluate(q0), (
-                                E_prime,
-                                E,
-                                q0,
-                                d,
-                                r,
-                            )
-    _report(4, "brute-force oracle equals closed forms", start, 300.0)
+    _criterion(4, "brute-force oracle equals closed forms", "oracle-equivalence", 300.0)
 
 
 def test_criterion_05_weight_one_criterion():
-    start = time.perf_counter()
-    for n in range(1, 5):
-        for degrees in combinations_with_replacement(range(5), n):
-            E = BundleType(degrees)
-            for d in (1, 2, 3):
-                x = ClosedPoint(2, d)
-                for dropped in _candidates(E, d, 1):
-                    E_prime = BundleType(dropped)
-                    chain = exists_modification(ModificationQuery(E, E_prime, x, 1))
-                    hall = not hall_multiplicity(E_prime, E, d, 1).is_zero()
-                    assert chain == hall, (E_prime, E, d)
-    _report(5, "chain criterion iff nonzero hall number", start, 120.0)
+    _criterion(5, "chain criterion iff nonzero hall number", "weight-one-criterion", 120.0)
 
 
 def test_criterion_06_spaced_factorization():
-    start = time.perf_counter()
-    split_seen = 0
-    cases = []
-    for d in (1, 2, 3):
-        for low in combinations_with_replacement(range(2), 2):
-            for gap_extra in (0, 1):
-                top = max(low) + d + gap_extra
-                cases.append((BundleType(low + (top,)), d))
-        cases.append((BundleType((0, 1, 1 + d, 1 + d)), d))
-    for E, d in cases:
-        x = ClosedPoint(2, d)
-        for r in range(1, E.rank + 1):
-            for dropped in _candidates(E, d, r):
-                E_prime = BundleType(dropped)
-                poly, method = multiplicity_detail(
-                    ModificationQuery(E, E_prime, x, r), cross_check=False
-                )
-                if method == "spaced-split":
-                    split_seen += 1
-                assert poly == hall_multiplicity(E_prime, E, d, r), (E_prime, E, d, r)
-    assert split_seen > 0
-    _report(6, f"gap factorization vs fallback ({split_seen} split cases)", start, 60.0)
+    _criterion(6, "gap factorization vs fallback", "spaced-factorization", 60.0)
 
 
 def test_criterion_07_hall_engine_integrity():
-    start = time.perf_counter()
-    rng = random.Random(1729)
-    from heckelab.hall import HallElement
-
-    def element_mul(a, b):
-        acc = HallElement({})
-        for t1, c1 in a.items():
-            for t2, c2 in b.items():
-                acc = acc + bundle_product(t1.bundle, t2.bundle).scale(c1 * c2)
-        return acc
-
-    for _ in range(200):
-        length = rng.randint(2, 4)
-        word = tuple(rng.randint(-2, 3) for _ in range(length))
-        full = word_product(word)
-        cut = rng.randint(1, length - 1)
-        assert element_mul(word_product(word[:cut]), word_product(word[cut:])) == full
-
-    for degrees in [(0,), (0, 0), (0, 1), (0, 0, 1), (0, 1, 3), (0, 0, 0)]:
-        E = BundleType(degrees)
-        for d in (1, 2, 3):
-            for r in range(1, 4):
-                assert kx_times(r, E, d, method="closed") == kx_times(
-                    r, E, d, method="recursive"
-                )
-
-    # the denominator-one guard: a large mixed grid, none may raise
-    for degrees in [(0, 0), (0, 2), (0, 0, 1), (0, 1, 2), (0, 0, 0, 1)]:
-        E = BundleType(degrees)
-        for d in (1, 2):
-            for r in range(1, E.rank + 1):
-                for dropped in _candidates(E, d, r):
-                    hall_multiplicity(BundleType(dropped), E, d, r)
-    _report(7, "associativity, closed=recursive, integral coefficients", start, 120.0)
+    _criterion(
+        7,
+        "associativity, closed=recursive, integral coefficients",
+        "hall-integrity",
+        120.0,
+        seed=1729,
+    )
 
 
 def test_criterion_08_smith_normal_form():
-    start = time.perf_counter()
-    pi = (1, 1, 1)
-    phis = [
-        [[(0, 1), (1, 1)], [(1,), (0, 1)]],
-        [[(1,), (1, 1)], [(0, 1), (1,)]],
-        [[pi, ()], [(), (1,)]],
-        [[pi, (1,)], [(), (1,)]],
-        [[pi, ()], [pi, (1,)]],
-    ]
-    for M in phis:
-        diag, _, _ = smith_normal_form(M, 2)
-        assert diag == [(1,), pi], M
-
-    rng = random.Random(5)
-    for q0, d, n, r in [(2, 1, 2, 1), (2, 2, 2, 1), (3, 1, 2, 1), (2, 1, 3, 2), (3, 2, 2, 1)]:
-        field = Field(q0, d)
-        for _ in range(8):
-            M = _random_modification_matrix(rng, field, n, r)
-            diag, _, _ = smith_normal_form(M, q0)
-            assert diag == [(1,)] * (n - r) + [field.poly] * r, (M, q0, d, n, r)
-    _report(8, "SNF invariant factors", start, 60.0)
+    _criterion(8, "SNF invariant factors", "smith-normal-form", 60.0, seed=5)
 
 
 def test_criterion_09_eigenform_theorem():
-    start = time.perf_counter()
-    rng = random.Random(271828)
-    for trial in range(20):
-        n = rng.choice((2, 3))
-        q0 = rng.choice((2, 3))
-        D = rng.choice((4, 5, 6))
-        lams = [Fraction(rng.randint(-50, 50), rng.randint(1, 7)) for _ in range(n - 1)]
-        query = EigenQuery(lams, ClosedPoint(q0, 1, (0, 1)), D)
-        f = eigenform_solve(query)
-        assert f.nullity == 1
-        assert f[f.space.base_class] == 1
-        # base-class row: the only neighbor of O^n carries multiplicity
-        # #Gr(r,n)(F_q), so f at that class is lambda_r divided by it
-        for r in range(1, n):
-            cls = BundleType([0] * r + [1] * (n - r))
-            count = gaussian_binomial(r, n).evaluate(q0)
-            assert f[cls] == lams[r - 1] / count, (lams, q0, n, r)
-    _report(9, "eigenspace dimension one, 20 random eigenvalue tuples", start, 180.0)
+    _criterion(
+        9, "eigenspace dimension one, random eigenvalue tuples", "eigen-nullity", 180.0,
+        seed=271828,
+    )
 
 
 def test_criterion_10_triviality_theorems():
-    start = time.perf_counter()
-    # toroidal vanishing: forcing the toroidal sum (= value at O^n) to zero
-    # kills the whole eigenform
-    for n, q0, lam in [(2, 2, [Fraction(9, 2)]), (3, 3, [Fraction(4), Fraction(-6)])]:
-        query = EigenQuery(lam, ClosedPoint(q0, 1, (0, 1)), 4)
-        forced = eigenform_solve(query, base_value=0)
-        assert forced.is_zero()
-        assert toroidal_sum(forced, n) == 0
+    _criterion(
+        10, "toroidal vanishing, no cusp forms, extension mass", "triviality-theorems", 120.0
+    )
 
-    # no cusp forms: every nonzero eigenform violates cuspidality
-    for lam in (Fraction(3), Fraction(-5, 2), Fraction(12)):
-        query = EigenQuery([lam], ClosedPoint(2, 1, (0, 1)), 4)
-        f = eigenform_solve(query)
-        defects = cusp_defect(f, 1, 1, f.space, 2)
-        assert any(v != 0 for v in defects.values())
 
-    # extension-mass identity on the full grid
-    shapes = [(a,) for a in range(4)] + [(a, b) for a in range(4) for b in range(a, 4)]
-    for q0 in (2, 3):
-        for fdeg in shapes:
-            for gdeg in shapes:
-                F, G = BundleType(fdeg), BundleType(gdeg)
-                dist = extension_middle_distribution(F, G, q0)
-                assert sum(dist.values()) == q0 ** ext1_dim(F, G), (F, G, q0)
-    _report(10, "toroidal vanishing, no cusp forms, extension mass", start, 120.0)
+def _covers(big, small) -> bool:
+    """A grid parameter at least as large: a bigger bound or a superset."""
+    if isinstance(small, int):
+        return big >= small
+    return set(small) <= set(big)
+
+
+def test_acceptance_grids_contain_full_grids():
+    full, acceptance = GRIDS["full"], GRIDS["acceptance"]
+    assert list(acceptance) == list(full) == list(GRIDS["quick"]) == list(CHECKS)
+    for check, params in full.items():
+        assert acceptance[check].keys() == params.keys(), check
+        for key, value in params.items():
+            assert _covers(acceptance[check][key], value), (check, key)

@@ -9,22 +9,18 @@ from heckelab.bundles import (
     ext1_dim,
     gl_order,
     hom_dim,
-    normalize,
     proj_class,
     q_factor,
 )
 from heckelab.qcalc import ONE, Q, QPoly, QRat
 
 
-def test_normalize():
-    assert normalize([3, 0, 1]).degrees == (0, 1, 3)
-    assert normalize([0, 0]).degrees == (0, 0)
-    assert normalize([2, -1, 2]).degrees == (-1, 2, 2)
-    with pytest.raises(ValueError):
-        normalize([])
-
-
 def test_grouped_and_pretty():
+    assert BundleType([3, 0, 1]).degrees == (0, 1, 3)
+    assert BundleType([0, 0]).degrees == (0, 0)
+    assert BundleType([2, -1, 2]).degrees == (-1, 2, 2)
+    with pytest.raises(ValueError):
+        BundleType([])
     E = BundleType([0, 0, 2, 3, 3, 3])
     assert E.grouped() == ((0, 2), (2, 1), (3, 3))
     assert E.rank == 6 and E.degree == 11

@@ -148,6 +148,25 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "n-1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ("gr --k 1 --n 2 --q 6", "q must be a prime power, got 6"),
+        ("hall mul --f 2 --g 0 --q 6", "q must be a prime power, got 6"),
+        ("hall kx --bundle 0,0 --weight 1 --point-degree 2 --q 10", "q must be a prime power"),
+        ("hecke neighbors --bundle 0,0 --point-degree 2 --weight 1 --q 6", "prime power, got 6"),
+        ("hecke mult --bundle 0,0 --target=-2,0 --point-degree 2 --weight 1 --q 1", "prime power"),
+        ("oracle snf --matrix 1 --q 4", "q must be a prime, got 4"),
+        ("oracle snf --matrix 2 --q 4", "q must be a prime, got 4"),
+    ],
+)
+def test_q_validated_at_the_boundary(capsys, argv, want):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert want in capsys.readouterr().err
+
+
 def test_budget_violation_exits_3_with_diagnostic(capsys):
     code, _, err = run_cli(capsys, "oracle", "census", "--bundle", "0,0",
                            "--q", "2", "--point", "1,1,1", "--weight", "1",

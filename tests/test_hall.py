@@ -1,7 +1,6 @@
 """Hall-product engine: worked examples, algebra laws, oracle agreement."""
 
 import random
-from itertools import product
 
 import pytest
 
@@ -17,8 +16,10 @@ from heckelab.hall import (
     vec_part,
     word_product,
 )
+from heckelab.hecke import candidates
 from heckelab.oracle import brute_multiplicity
 from heckelab.qcalc import QPoly, QRat, gaussian_binomial
+from heckelab.verify import _element_mul
 
 Q = QPoly((0, 1))
 ONE = QPoly((1,))
@@ -117,16 +118,6 @@ def test_hall_multiplicity_matches_oracle_census():
         assert hall_multiplicity(E_prime, B(0, 0), 2, 1).evaluate(2) == count
 
 
-def shifted_candidates(E, d, r):
-    """All possible splitting types of a weight-r modification of E."""
-    n = E.rank
-    seen = set()
-    for eps in product(range(d + 1), repeat=n):
-        if sum(eps) == r * d:
-            seen.add(BundleType([a - e for a, e in zip(E.degrees, eps)]))
-    return sorted(seen)
-
-
 @pytest.mark.parametrize("degrees", [(0,), (0, 0), (0, 3), (-1, 1), (0, 1, 2), (0, 0, 2)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mass_identity(degrees, d):
@@ -134,22 +125,12 @@ def test_mass_identity(degrees, d):
     n = E.rank
     for r in range(n + 1):
         total = 0
-        for E_prime in shifted_candidates(E, d, r):
+        for E_prime in candidates(E, d, r):
             poly = hall_multiplicity(E_prime, E, d, r)
             for q0 in (2, 3, 4, 5):
                 assert poly.evaluate(q0) >= 0
             total += poly.evaluate(2)
         assert total == gaussian_binomial(n - r, n).evaluate(2**d), (E, d, r)
-
-
-def element_mul(h1: HallElement, h2: HallElement) -> HallElement:
-    out = HallElement({})
-    for t1, c1 in h1.terms.items():
-        assert t1.torsion_weight == 0
-        for t2, c2 in h2.terms.items():
-            assert t2.torsion_weight == 0
-            out = out + bundle_product(t1.bundle, t2.bundle).scale(c1 * c2)
-    return out
 
 
 def test_associativity_of_random_words():
@@ -161,7 +142,7 @@ def test_associativity_of_random_words():
         for cut in range(1, k):
             left = word_product(word[:cut])
             right = word_product(word[cut:])
-            assert element_mul(left, right) == full, (word, cut)
+            assert _element_mul(left, right) == full, (word, cut)
 
 
 def test_kx_closed_equals_recursive():

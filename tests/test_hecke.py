@@ -8,6 +8,7 @@ from heckelab.bundles import BundleType, ClosedPoint
 from heckelab.hall import hall_multiplicity
 from heckelab.hecke import (
     ModificationQuery,
+    candidates,
     dual_existence_check,
     exists_modification,
     multiplicity,
@@ -80,11 +81,20 @@ def small_bundles(n, lo, hi):
 
 
 def all_candidates(E, d, r):
+    """Independent reference for hecke.candidates."""
     seen = set()
     for eps in product(range(d + 1), repeat=E.rank):
         if sum(eps) == r * d:
             seen.add(BundleType([a - e for a, e in zip(E.degrees, eps)]))
     return sorted(seen)
+
+
+def test_candidates_match_reference():
+    for n in range(1, 5):
+        for E in small_bundles(n, -1, 2):
+            for d in (1, 2, 3):
+                for r in range(n + 1):
+                    assert candidates(E, d, r) == all_candidates(E, d, r), (E, d, r)
 
 
 def test_exists_iff_hall_nonzero():

@@ -86,8 +86,11 @@ def test_enumerate_subspaces_budget():
 def test_subspace_count_prime_power():
     assert subspace_count(1, 2, 4) == 5
     assert subspace_count(2, 4, 3) == gaussian_binomial(2, 4).evaluate(3)
-    with pytest.raises(ValueError):
-        subspace_count(1, 2, 12)
+    assert subspace_count(1, 2, 17) == 18
+    assert subspace_count(1, 2, 9) == gaussian_binomial(1, 2).evaluate(9)
+    for q0 in (12, 6, 1):
+        with pytest.raises(ValueError, match="prime power"):
+            subspace_count(1, 2, q0)
 
 
 def test_splitting_type_rational_vs_irrational_lines():
@@ -155,6 +158,8 @@ def test_snf_singular_and_nonsquare():
         smith_normal_form([[T, T], [T, T]], 2)
     with pytest.raises(ValueError):
         smith_normal_form([[T, T, T], [T, T, T]], 2)
+    with pytest.raises(ValueError, match="prime q"):
+        smith_normal_form([[ONE]], 4)
 
 
 def test_snf_random_matrices_verify():
