@@ -16,8 +16,8 @@ chart, and closed-form results depend only on d).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
 
+from . import fpoly
 from .qcalc import QPoly, QRat, RAT_ONE
 
 __all__ = [
@@ -195,66 +195,6 @@ def aut_order(E: BundleType, q0: int) -> int:
 # --- closed points ---------------------------------------------------------
 
 
-def _poly_mod_trim(coeffs: list[int], p: int) -> list[int]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mod_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b in F_p[t]; b monic-normalized first."""
-    b = _poly_mod_trim(b, p)
-    inv_lead = pow(b[-1], -1, p)
-    a = _poly_mod_trim(a, p)
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for i, cb in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * cb) % p
-        a = _poly_mod_trim(a, p)
-        if not a:
-            break
-    return a
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2 over F_p."""
-    d = len(poly) - 1
-    if d == 1:
-        return True
-    from itertools import product
-
-    for deg in range(1, d // 2 + 1):
-        for tail in product(range(p), repeat=deg):
-            trial = list(tail) + [1]
-            if not _poly_mod_rem(list(poly), trial, p):
-                return False
-    return True
-
-
-def _smallest_prime_factor(n: int) -> int:
-    """The least prime dividing n >= 2; n itself when n is prime."""
-    return next((k for k in range(2, isqrt(n) + 1) if n % k == 0), n)
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and _smallest_prime_factor(n) == n
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e and p prime; ValueError when q is no prime power."""
-    if q >= 2:
-        p = _smallest_prime_factor(q)
-        e, m = 0, q
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m == 1:
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
-
-
 class ClosedPoint:
     """Closed point of P^1 over F_q: degree d, optional explicit polynomial.
 
@@ -269,16 +209,14 @@ class ClosedPoint:
         if d < 1:
             raise ValueError("point degree must be >= 1")
         if poly is not None:
-            if not _is_prime(q):
+            if not fpoly.is_prime(q):
                 raise ValueError(f"explicit-poly points need prime q, got {q}")
-            poly = tuple(int(c) % q for c in poly)
-            while poly and poly[-1] == 0:
-                poly = poly[:-1]
+            poly = fpoly.trim(int(c) % q for c in poly)
             if len(poly) - 1 != d:
                 raise ValueError(f"poly degree {len(poly)-1} != point degree {d}")
             if poly[-1] != 1:
                 raise ValueError("point poly must be monic")
-            if not _is_irreducible(poly, q):
+            if not fpoly.is_irreducible(poly, q):
                 raise ValueError(f"point poly {list(poly)} reducible over F_{q}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)

@@ -17,8 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, verify
-from .bundles import BundleType, ClosedPoint, _is_prime, _prime_power
+from . import __version__, fpoly, verify
+from .bundles import BundleType, ClosedPoint
 from .deltas import enumerate_deltas, omega, schubert_count, weight
 from .forms import (
     EigenQuery,
@@ -29,7 +29,7 @@ from .forms import (
 )
 from .hall import HallIntegrityError, bundle_product, kx_times
 from .hecke import ModificationQuery, exists_modification, multiplicity_detail, neighbors
-from .oracle import BudgetExceeded, Field, brute_multiplicity, smith_normal_form
+from .oracle import BudgetExceeded, brute_multiplicity, smith_normal_form
 from .qcalc import QPoly, gaussian_binomial
 
 SCHEMA = "heckelab/1"
@@ -49,7 +49,7 @@ def _field_size(text: str) -> int:
     """--q where it names the field F_q: a prime power."""
     q = int(text)
     try:
-        _prime_power(q)
+        fpoly.prime_power(q)
     except ValueError:
         raise argparse.ArgumentTypeError(f"q must be a prime power, got {q}")
     return q
@@ -58,7 +58,7 @@ def _field_size(text: str) -> int:
 def _prime(text: str) -> int:
     """--q where arithmetic is done mod q: a prime."""
     q = int(text)
-    if not _is_prime(q):
+    if not fpoly.is_prime(q):
         raise argparse.ArgumentTypeError(f"q must be a prime, got {q}")
     return q
 
@@ -282,8 +282,8 @@ def _point_from_args(args) -> ClosedPoint:
         return ClosedPoint(args.q, len(args.point) - 1, args.point)
     if args.point_degree is None:
         raise ValueError("need --point or --point-degree")
-    field = Field(args.q, args.point_degree)
-    return ClosedPoint(args.q, args.point_degree, field.poly)
+    poly = fpoly.first_irreducible(args.q, args.point_degree)
+    return ClosedPoint(args.q, args.point_degree, poly)
 
 
 def cmd_oracle_census(args) -> int:

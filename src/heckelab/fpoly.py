@@ -1,0 +1,222 @@
+"""Arithmetic in F_p[t] and over F_p, for prime p.
+
+A polynomial is a little-endian tuple of ints in [0, p), trimmed so the
+last coefficient is nonzero; the zero polynomial is ().  Every function
+takes the prime p explicitly and returns trimmed tuples.  Besides the ring
+operations this module holds the determinant of polynomial matrices, rank
+over F_p, Rabin's irreducibility test and the search for the first monic
+irreducible of a degree, plus the primality helpers that validate q.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from math import isqrt
+
+__all__ = [
+    "trim",
+    "add",
+    "sub",
+    "mul",
+    "scale",
+    "div",
+    "monic",
+    "gcd",
+    "powmod",
+    "det",
+    "rank",
+    "is_irreducible",
+    "first_irreducible",
+    "smallest_prime_factor",
+    "is_prime",
+    "prime_power",
+]
+
+
+def trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def add(a, b, p):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        ca = a[i] if i < len(a) else 0
+        cb = b[i] if i < len(b) else 0
+        out[i] = (ca + cb) % p
+    return trim(out)
+
+
+def sub(a, b, p):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        ca = a[i] if i < len(a) else 0
+        cb = b[i] if i < len(b) else 0
+        out[i] = (ca - cb) % p
+    return trim(out)
+
+
+def mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return trim(out)
+
+
+def scale(a, c, p):
+    c %= p
+    return trim(x * c % p for x in a)
+
+
+def div(a, b, p):
+    """(quotient, remainder) of a by b in F_p[t]; b nonzero."""
+    assert b, "division by zero polynomial"
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quo = [0] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        c = rem[-1] * inv % p
+        shift = len(rem) - len(b)
+        quo[shift] = c
+        for i, cb in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - c * cb) % p
+        rem.pop()
+    return trim(quo), trim(rem)
+
+
+def monic(a, p):
+    if not a:
+        return a
+    return scale(a, pow(a[-1], -1, p), p)
+
+
+def gcd(a, b, p):
+    """Monic greatest common divisor; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, div(a, b, p)[1]
+    return monic(a, p)
+
+
+def powmod(a, e, f, p):
+    """a^e modulo f, by square-and-multiply; f of degree >= 1."""
+    out, base = (1,), div(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = div(mul(out, base, p), f, p)[1]
+        e >>= 1
+        if e:
+            base = div(mul(base, base, p), f, p)[1]
+    return out
+
+
+def det(M, p):
+    """Determinant of a square matrix of F_p[t] polynomials (cofactors)."""
+    n = len(M)
+    if n == 1:
+        return trim(M[0][0])
+    out = ()
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
+        term = mul(M[0][j], det(minor, p), p)
+        out = add(out, term, p) if j % 2 == 0 else sub(out, term, p)
+    return out
+
+
+def rank(rows, p) -> int:
+    """Rank over F_p of a matrix given as int rows, by Gauss-Jordan."""
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    found = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(found, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        inv = pow(rows[found][col], -1, p)
+        rows[found] = [c * inv % p for c in rows[found]]
+        for i in range(len(rows)):
+            if i != found and rows[i][col] % p:
+                c = rows[i][col]
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[found])]
+        found += 1
+        if found == len(rows):
+            break
+    return found
+
+
+def is_irreducible(f, p) -> bool:
+    """Rabin's test (1980) for a polynomial of degree n >= 1 over F_p.
+
+    f is irreducible iff t^(p^n) = t mod f and gcd(t^(p^(n/l)) - t, f) = 1
+    for every prime l dividing n.  Constants are units, not irreducible.
+    """
+    f = monic(trim(c % p for c in f), p)
+    n = len(f) - 1
+    if n <= 1:
+        return n == 1
+    frobenius = [div((0, 1), f, p)[1]]  # t^(p^k) mod f for k = 0..n
+    for _ in range(n):
+        frobenius.append(powmod(frobenius[-1], p, f, p))
+    if frobenius[n] != frobenius[0]:
+        return False
+    m = n
+    while m > 1:
+        ell = smallest_prime_factor(m)
+        if gcd(sub(frobenius[n // ell], frobenius[0], p), f, p) != (1,):
+            return False
+        while m % ell == 0:
+            m //= ell
+    return True
+
+
+def first_irreducible(p: int, d: int):
+    """First monic irreducible of degree d over F_p in lexicographic order.
+
+    The order runs over the coefficient tuples (c_0, ..., c_{d-1}) with c_0
+    most significant.  For d >= 2 every candidate with c_0 = 0 is divisible
+    by t, so the scan starts at c_0 = 1.
+    """
+    if d < 1:
+        raise ValueError(f"irreducible polynomials have degree >= 1, got {d}")
+    if d == 1:
+        return (0, 1)
+    for tail in product(range(1, p), *[range(p)] * (d - 1)):
+        poly = tail + (1,)
+        if is_irreducible(poly, p):
+            return poly
+    raise RuntimeError(f"no irreducible of degree {d} over F_{p}")
+
+
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2; n itself when n is prime."""
+    return next((k for k in range(2, isqrt(n) + 1) if n % k == 0), n)
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and smallest_prime_factor(n) == n
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e and p prime; ValueError when q is no prime power."""
+    if q >= 2:
+        p = smallest_prime_factor(q)
+        e, m = 0, q
+        while m % p == 0:
+            m //= p
+            e += 1
+        if m == 1:
+            return p, e
+    raise ValueError(f"{q} is not a prime power")

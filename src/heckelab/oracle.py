@@ -11,8 +11,9 @@ F_q[t].
 
 Field elements of F_{q^d} = F_q[t]/(poly) are plain int tuples of length d
 (coefficients of the reduced representative, little-endian); q must be
-prime.  All linear algebra over the extension is expanded to F_q when a
-dimension over the base field is needed.
+prime.  Linear algebra over the extension is expanded to F_q and done by
+`fpoly.rank`; the modulus is checked irreducible once, when a Field is
+built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import os
 from itertools import combinations, product
 
-from .bundles import BundleType, ClosedPoint, _is_prime, _prime_power
+from . import fpoly
+from .bundles import BundleType, ClosedPoint
 from .qcalc import gaussian_binomial
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "count_monomorphisms",
     "subspace_count",
     "default_budget",
-    "fp_poly_det",
     "matrix_rank",
 ]
 
@@ -58,118 +59,26 @@ def default_budget(kind: str) -> int:
     return SUBSPACE_BUDGET if kind == "subspaces" else MATRIX_BUDGET
 
 
-# --- F_p[t] arithmetic on little-endian int tuples -------------------------
-
-
-def _trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ca = a[i] if i < len(a) else 0
-        cb = b[i] if i < len(b) else 0
-        out[i] = (ca + cb) % p
-    return _trim(out)
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ca = a[i] if i < len(a) else 0
-        cb = b[i] if i < len(b) else 0
-        out[i] = (ca - cb) % p
-    return _trim(out)
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
-
-
-def _fp_scale(a, c, p):
-    c %= p
-    return _trim(x * c % p for x in a)
-
-
-def _fp_divmod(a, b, p):
-    """Division in F_p[t]; b nonzero."""
-    assert b, "division by zero polynomial"
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
-    quo = [0] * max(0, len(rem) - len(b) + 1)
-    while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        c = rem[-1] * inv % p
-        shift = len(rem) - len(b)
-        quo[shift] = c
-        for i, cb in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - c * cb) % p
-        rem.pop()
-    return _trim(quo), _trim(rem)
-
-
-def _fp_monic(a, p):
-    if not a:
-        return a
-    return _fp_scale(a, pow(a[-1], -1, p), p)
-
-
-def fp_poly_det(M, p):
-    """Determinant of a square matrix of F_p[t] polynomials (cofactors)."""
-    n = len(M)
-    if n == 1:
-        return _trim(M[0][0])
-    out = ()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-        term = _fp_mul(M[0][j], fp_poly_det(minor, p), p)
-        out = _fp_add(out, term, p) if j % 2 == 0 else _fp_sub(out, term, p)
-    return out
-
-
 # --- the residue field F_{q^d} --------------------------------------------
 
 
-def _find_irreducible(q: int, d: int):
-    """First monic irreducible of degree d over F_q in lexicographic order."""
-    from .bundles import _is_irreducible
-
-    if d == 1:
-        return (0, 1)
-    for tail in product(range(q), repeat=d):
-        poly = tuple(tail) + (1,)
-        if poly[0] != 0 or d == 1:
-            if _is_irreducible(poly, q):
-                return poly
-    raise RuntimeError(f"no irreducible of degree {d} over F_{q}")
-
-
 class Field:
-    """F_{q^d} = F_q[t]/(poly) with prime q; elements are int tuples."""
+    """F_{q^d} = F_q[t]/(poly), q prime, poly monic irreducible of degree d.
+
+    Elements are int tuples.  Without poly, the first monic irreducible of
+    degree d in lexicographic order is used.
+    """
 
     def __init__(self, q: int, d: int, poly=None):
-        if not _is_prime(q):
+        if not fpoly.is_prime(q):
             raise ValueError(f"oracle fields need prime q, got {q}")
         if poly is None:
-            poly = _find_irreducible(q, d)
+            poly = fpoly.first_irreducible(q, d)
         poly = tuple(int(c) % q for c in poly)
         if len(poly) - 1 != d or poly[-1] != 1:
             raise ValueError("field poly must be monic of degree d")
+        if not fpoly.is_irreducible(poly, q):
+            raise ValueError(f"field poly {list(poly)} reducible over F_{q}")
         self.q = q
         self.d = d
         self.poly = poly
@@ -186,20 +95,19 @@ class Field:
     def elements(self):
         """All q^d elements in counting order: 0, 1, ..., t, t+1, ..."""
         for digits in product(range(self.q), repeat=self.d):
-            yield _trim(reversed(digits))
+            yield fpoly.trim(reversed(digits))
 
     def add(self, a, b):
-        return _fp_add(a, b, self.q)
+        return fpoly.add(a, b, self.q)
 
     def sub(self, a, b):
-        return _fp_sub(a, b, self.q)
+        return fpoly.sub(a, b, self.q)
 
     def neg(self, a):
-        return _trim(-c % self.q for c in a)
+        return fpoly.trim(-c % self.q for c in a)
 
     def mul(self, a, b):
-        _, r = _fp_divmod(_fp_mul(a, b, self.q), self.poly, self.q)
-        return r
+        return fpoly.div(fpoly.mul(a, b, self.q), self.poly, self.q)[1]
 
     def inv(self, a):
         if not a:
@@ -215,62 +123,33 @@ class Field:
 
     def reduce(self, coeffs):
         """Reduce an arbitrary F_q[t] polynomial into the field."""
-        _, r = _fp_divmod(_trim(c % self.q for c in coeffs), self.poly, self.q)
-        return r
+        return fpoly.div(fpoly.trim(c % self.q for c in coeffs), self.poly, self.q)[1]
 
     def expand(self, a) -> tuple:
         """d base-field coordinates of an element."""
         return tuple(a[i] if i < len(a) else 0 for i in range(self.d))
 
+    def t_powers(self, count: int) -> list:
+        """t^0, ..., t^(count-1) reduced into the field."""
+        out = [self.one]
+        for _ in range(count - 1):
+            out.append(self.mul(out[-1], (0, 1)))
+        return out
+
 
 def matrix_rank(field: Field, rows) -> int:
-    """Rank of a matrix with Field entries, by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, c) for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [
-                    field.sub(a, field.mul(c, b)) for a, b in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank over F_{q^d} of a matrix with Field entries.
 
-
-def _fq_matrix_rank(rows, p) -> int:
-    """Rank over the prime field; rows are int lists."""
-    rows = [r[:] for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [c * inv % p for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    The rows times t^k, k < d, span over F_q a space of dimension d times
+    the rank, so the elimination runs over the prime field.
+    """
+    tpow = field.t_powers(field.d)
+    expanded = [
+        [c for elem in row for c in field.expand(field.mul(tk, elem))]
+        for row in rows
+        for tk in tpow
+    ]
+    return fpoly.rank(expanded, field.q) // field.d
 
 
 # --- subspace enumeration (Schubert cells) ---------------------------------
@@ -346,7 +225,7 @@ def enumerate_subspaces(n: int, r: int, field: Field, budget: int | None = None)
 
 def subspace_count(k: int, n: int, q0: int, budget: int | None = None) -> int:
     """#Gr(k,n)(F_{q0}) by honest enumeration; q0 a prime power p^e."""
-    p, e = _prime_power(q0)
+    p, e = fpoly.prime_power(q0)
     field = Field(p, e)
     return sum(1 for _ in enumerate_subspaces(n, n - k, field, budget=budget))
 
@@ -354,7 +233,7 @@ def subspace_count(k: int, n: int, q0: int, budget: int | None = None) -> int:
 # --- splitting type from section counts ------------------------------------
 
 
-def _h0_constrained(E: BundleType, W: FiberSubspace, field: Field, k: int) -> int:
+def _h0_constrained(E: BundleType, W: FiberSubspace, k: int) -> int:
     """dim_{F_q} of {s in H^0(E(k)) : ev_x(s) in W}.
 
     H^0(E(k)) has basis t^j in component i for 0 <= j <= d_i + k; the value
@@ -367,11 +246,8 @@ def _h0_constrained(E: BundleType, W: FiberSubspace, field: Field, k: int) -> in
     nsec = sum(dims)
     if nsec == 0:
         return 0
-    # t^j mod poly, as far as needed
-    maxpow = max(dims)
-    tpow = [field.one]
-    for _ in range(maxpow - 1):
-        tpow.append(field.mul(tpow[-1], (0, 1)))
+    field = W.field
+    tpow = field.t_powers(max(dims))
     rows = []
     for i in range(n):
         for j in range(dims[i]):
@@ -379,8 +255,7 @@ def _h0_constrained(E: BundleType, W: FiberSubspace, field: Field, k: int) -> in
             v[i] = tpow[j]
             res = W.contains_residual(v)
             rows.append([c for elem in res for c in field.expand(elem)])
-    rank = _fq_matrix_rank(rows, field.q)
-    return nsec - rank
+    return nsec - fpoly.rank(rows, field.q)
 
 
 def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleType:
@@ -392,18 +267,19 @@ def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleTyp
     """
     if x.poly is None:
         raise ValueError("splitting_type needs a point with explicit poly")
-    field = Field.of_point(x)
+    if (W.field.q, W.field.poly) != (x.q, x.poly):
+        raise ValueError("subspace W lies in the fiber of another point than x")
     n = E.rank
     r = n - W.dim
     lo = -(max(E.degrees) + x.d + 1)
     hi = max(max(E.degrees), x.d - min(E.degrees))
-    h0 = {lo: _h0_constrained(E, W, field, lo)}
+    h0 = {lo: _h0_constrained(E, W, lo)}
     assert h0[lo] == 0
     counts = {}
     prev = 0
     prev_c = 0
     for k in range(lo + 1, hi + 1):
-        cur = _h0_constrained(E, W, field, k)
+        cur = _h0_constrained(E, W, k)
         c = cur - prev
         if c - prev_c:
             counts[-k] = c - prev_c
@@ -444,7 +320,7 @@ def _poly_mat_mul(A, B, p):
         for j in range(m):
             acc = ()
             for l in range(k):
-                acc = _fp_add(acc, _fp_mul(A[i][l], B[l][j], p), p)
+                acc = fpoly.add(acc, fpoly.mul(A[i][l], B[l][j], p), p)
             out[i][j] = acc
     return out
 
@@ -457,9 +333,9 @@ def smith_normal_form(M, q: int):
     reduction: repeatedly move a minimal-degree entry to the pivot and
     reduce its row and column by division with remainder.
     """
-    if not _is_prime(q):
+    if not fpoly.is_prime(q):
         raise ValueError(f"SNF over F_q[t] needs prime q, got {q}")
-    A = [[_trim(int(c) % q for c in entry) for entry in row] for row in M]
+    A = [[fpoly.trim(int(c) % q for c in entry) for entry in row] for row in M]
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
@@ -479,15 +355,15 @@ def smith_normal_form(M, q: int):
     def row_sub(i, j, f):
         # row_i -= f * row_j ; compensate L by col_j += f * col_i
         for col in range(n):
-            A[i][col] = _fp_sub(A[i][col], _fp_mul(f, A[j][col], q), q)
+            A[i][col] = fpoly.sub(A[i][col], fpoly.mul(f, A[j][col], q), q)
         for row in L:
-            row[j] = _fp_add(row[j], _fp_mul(f, row[i], q), q)
+            row[j] = fpoly.add(row[j], fpoly.mul(f, row[i], q), q)
 
     def col_sub(i, j, f):
         # col_i -= f * col_j ; compensate R by row_j += f * row_i
         for row in A:
-            row[i] = _fp_sub(row[i], _fp_mul(f, row[j], q), q)
-        R[j] = [_fp_add(a, _fp_mul(f, b, q), q) for a, b in zip(R[j], R[i])]
+            row[i] = fpoly.sub(row[i], fpoly.mul(f, row[j], q), q)
+        R[j] = [fpoly.add(a, fpoly.mul(f, b, q), q) for a, b in zip(R[j], R[i])]
 
     for k in range(n):
         while True:
@@ -507,13 +383,13 @@ def smith_normal_form(M, q: int):
             dirty = False
             for i in range(k + 1, n):
                 if A[i][k]:
-                    f, rem = _fp_divmod(A[i][k], A[k][k], q)
+                    f, rem = fpoly.div(A[i][k], A[k][k], q)
                     row_sub(i, k, f)
                     if rem:
                         dirty = True
             for j in range(k + 1, n):
                 if A[k][j]:
-                    f, rem = _fp_divmod(A[k][j], A[k][k], q)
+                    f, rem = fpoly.div(A[k][j], A[k][k], q)
                     col_sub(j, k, f)
                     if rem:
                         dirty = True
@@ -523,29 +399,29 @@ def smith_normal_form(M, q: int):
             stray = None
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    if A[i][j] and _fp_divmod(A[i][j], A[k][k], q)[1]:
+                    if A[i][j] and fpoly.div(A[i][j], A[k][k], q)[1]:
                         stray = i
                         break
                 if stray is not None:
                     break
             if stray is None:
                 break
-            row_sub(k, stray, _fp_scale((1,), q - 1, q))  # row_k += row_stray
+            row_sub(k, stray, fpoly.scale((1,), q - 1, q))  # row_k += row_stray
 
     diag = []
     for k in range(n):
         lead = A[k][k][-1]
         if lead != 1:
             inv = pow(lead, -1, q)
-            A[k][k] = _fp_scale(A[k][k], inv, q)
+            A[k][k] = fpoly.scale(A[k][k], inv, q)
             for row in L:
-                row[k] = _fp_scale(row[k], lead, q)
+                row[k] = fpoly.scale(row[k], lead, q)
         diag.append(A[k][k])
     for i in range(n - 1):
-        assert not _fp_divmod(diag[i + 1], diag[i], q)[1], "divisibility chain broken"
+        assert not fpoly.div(diag[i + 1], diag[i], q)[1], "divisibility chain broken"
     D = [[diag[i] if i == j else () for j in range(n)] for i in range(n)]
     check = _poly_mat_mul(_poly_mat_mul(L, D, q), R, q)
-    orig = [[_trim(int(c) % q for c in entry) for entry in row] for row in M]
+    orig = [[fpoly.trim(int(c) % q for c in entry) for entry in row] for row in M]
     assert check == orig, "SNF verification L*D*R == M failed"
     return diag, L, R
 
@@ -557,7 +433,7 @@ def _all_polys_up_to(deg_bound: int, q: int):
     """All polynomials of degree <= deg_bound (dimension deg_bound+1)."""
     if deg_bound < 0:
         return [()]
-    return [_trim(c) for c in product(range(q), repeat=deg_bound + 1)]
+    return [fpoly.trim(c) for c in product(range(q), repeat=deg_bound + 1)]
 
 
 def brute_aut_order(E: BundleType, q: int, budget=None) -> int:
@@ -589,7 +465,7 @@ def brute_aut_order(E: BundleType, q: int, budget=None) -> int:
         ok = True
         for g in groups:
             block = [[(mat[i][j][0] if mat[i][j] else 0) for j in g] for i in g]
-            if _fq_matrix_rank([row[:] for row in block], q) != len(block):
+            if fpoly.rank(block, q) != len(block):
                 ok = False
                 break
         if ok:
@@ -622,11 +498,11 @@ def count_monomorphisms(
     if total > limit:
         raise BudgetExceeded(f"{total} matrices exceed budget {limit}")
     spaces = [[_all_polys_up_to(dims[i][j] - 1, q) for j in range(n)] for i in range(n)]
-    target = _trim(x.poly)
+    target = fpoly.trim(x.poly)
     count = 0
     for flat in product(*(spaces[i][j] for i in range(n) for j in range(n))):
         mat = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        det = fp_poly_det(mat, q)
-        if det and len(det) == len(target) and _fp_monic(det, q) == target:
+        det = fpoly.det(mat, q)
+        if det and len(det) == len(target) and fpoly.monic(det, q) == target:
             count += 1
     return count

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from . import fpoly
 from .bundles import BundleType, ClosedPoint, ext1_dim
 from .forms import (
     EigenQuery,
@@ -29,15 +30,7 @@ from .forms import (
 )
 from .hall import HallElement, bundle_product, hall_multiplicity, kx_times, word_product
 from .hecke import ModificationQuery, candidates, exists_modification, multiplicity_detail
-from .oracle import (
-    Field,
-    _fp_monic,
-    _fp_mul,
-    brute_multiplicity,
-    fp_poly_det,
-    matrix_rank,
-    smith_normal_form,
-)
+from .oracle import Field, brute_multiplicity, matrix_rank, smith_normal_form
 from .qcalc import QPoly, gaussian_binomial
 
 __all__ = ["CHECKS", "GRIDS", "random_modification_matrix"]
@@ -108,8 +101,7 @@ def _deg1_classification(rng, nmax, top):
 def _oracle_equivalence(rng, qs, nmax, top):
     for q0 in qs:
         for d in (1, 2):
-            field = Field(q0, d)
-            x = ClosedPoint(q0, d, field.poly)
+            x = ClosedPoint(q0, d, fpoly.first_irreducible(q0, d))
             for n in range(1, nmax + 1):
                 for degrees in combinations_with_replacement(range(top + 1), n):
                     E = BundleType(degrees)
@@ -227,8 +219,8 @@ def random_modification_matrix(rng, field: Field, n: int, r: int) -> list:
     max_deg = r * d + 1
     target = (1,)
     for _ in range(r):
-        target = _fp_mul(target, pi, q0)
-    target = _fp_monic(target, q0)
+        target = fpoly.mul(target, pi, q0)
+    target = fpoly.monic(target, q0)
     for _ in range(4000):
         M = [
             [
@@ -237,8 +229,8 @@ def random_modification_matrix(rng, field: Field, n: int, r: int) -> list:
             ]
             for _ in range(n)
         ]
-        det = fp_poly_det(M, q0)
-        if not det or _fp_monic(det, q0) != target:
+        det = fpoly.det(M, q0)
+        if not det or fpoly.monic(det, q0) != target:
             continue
         reduced = [[field.reduce(e) for e in row] for row in M]
         if matrix_rank(field, reduced) == n - r:

@@ -176,6 +176,22 @@ def test_budget_violation_exits_3_with_diagnostic(capsys):
     assert doc["error"] == "BudgetExceeded" and doc["schema"] == "heckelab/1"
 
 
+def test_large_field_point_search_reaches_the_budget_check():
+    # the default point of degree 6 over F_101 is found at once; the
+    # 101^6 + 1 lines of its fiber then exceed the subspace budget
+    argv = ["oracle", "census", "--bundle", "0,0", "--q", "101",
+            "--point-degree", "6", "--weight", "1"]
+    out = subprocess.run(
+        [sys.executable, "-m", "heckelab.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert out.returncode == 3
+    doc = json.loads(out.stderr)
+    assert doc["error"] == "BudgetExceeded" and doc["schema"] == "heckelab/1"
+
+
 def test_verify_quick_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick", "--seed", "7")
     assert code == 0

@@ -1,0 +1,87 @@
+"""F_p[t] arithmetic: Rabin's test, the irreducible search, ranks."""
+
+import random
+from itertools import product
+
+import pytest
+
+from heckelab import fpoly
+from heckelab.oracle import Field, matrix_rank
+
+# (p, max degree): every monic polynomial of degree 1..max is tested
+EXHAUSTIVE = [(2, 6), (3, 4), (5, 3), (7, 2)]
+
+
+def monic_polys(p, d):
+    for tail in product(range(p), repeat=d):
+        yield tail + (1,)
+
+
+def trial_division_irreducible(f, p):
+    """Reference: no monic divisor of degree 1..deg/2."""
+    d = len(f) - 1
+    return all(
+        fpoly.div(f, g, p)[1]
+        for k in range(1, d // 2 + 1)
+        for g in monic_polys(p, k)
+    )
+
+
+def test_rabin_matches_trial_division_exhaustively():
+    tested = 0
+    for p, top in EXHAUSTIVE:
+        for d in range(1, top + 1):
+            for f in monic_polys(p, d):
+                assert fpoly.is_irreducible(f, p) == trial_division_irreducible(f, p), (f, p)
+                tested += 1
+    assert tested == 457
+
+
+def test_rabin_edge_cases():
+    assert not fpoly.is_irreducible((1,), 2)  # a unit
+    assert not fpoly.is_irreducible((), 3)
+    assert fpoly.is_irreducible((2, 2), 3)  # degree one, not monic
+    assert fpoly.is_irreducible((1, 1, 1, 0), 2)  # trailing zero trimmed
+    assert not fpoly.is_irreducible((0, 0, 2), 3)  # 2 t^2
+
+
+def test_first_irreducible_is_the_lexicographic_first():
+    for p, top in EXHAUSTIVE:
+        for d in range(1, top + 1):
+            want = next(f for f in monic_polys(p, d) if trial_division_irreducible(f, p))
+            assert fpoly.first_irreducible(p, d) == want, (p, d)
+    with pytest.raises(ValueError):
+        fpoly.first_irreducible(2, 0)
+
+
+def brute_kernel_size(field, rows, ncols):
+    """#{x in F^ncols : row . x = 0 for every row}, by enumeration."""
+
+    def dot(row, x):
+        acc = field.zero
+        for a, b in zip(row, x):
+            acc = field.add(acc, field.mul(a, b))
+        return acc
+
+    vectors = product(list(field.elements()), repeat=ncols)
+    return sum(all(not dot(row, x) for row in rows) for x in vectors)
+
+
+@pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (3, 2)])
+def test_matrix_rank_matches_kernel_count(q, d):
+    field = Field(q, d)
+    elems = list(field.elements())
+    rng = random.Random(f"rank:{q}:{d}")
+    for _ in range(25):
+        nrows, ncols, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)
+        # rows in the span of k random rows, so low ranks are common
+        basis = [[rng.choice(elems) for _ in range(ncols)] for _ in range(k)]
+        rows = []
+        for _ in range(nrows):
+            row = [field.zero] * ncols
+            for b in basis:
+                c = rng.choice(elems)
+                row = [field.add(x, field.mul(c, y)) for x, y in zip(row, b)]
+            rows.append(row)
+        rank = matrix_rank(field, rows)
+        assert brute_kernel_size(field, rows, ncols) == field.size ** (ncols - rank)

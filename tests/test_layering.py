@@ -1,0 +1,46 @@
+"""Module boundaries: no heckelab module imports another's private names."""
+
+import ast
+from pathlib import Path
+
+import heckelab
+
+PACKAGE = Path(heckelab.__file__).parent
+
+
+def private_imports(path):
+    """(line, module, name) for each `_name` imported from a heckelab module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("heckelab"):
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                out.append((node.lineno, node.module or ".", name))
+    return out
+
+
+def test_no_module_imports_private_names_of_another():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 5
+    offenders = {
+        path.name: found for path in sources if (found := private_imports(path))
+    }
+    assert offenders == {}
+
+
+def test_scan_flags_private_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .bundles import BundleType, _hidden\n"
+        "from heckelab.oracle import _other\n"
+        "from . import __version__\n"
+        "from os import _exit\n"
+        "def f():\n"
+        "    from .fpoly import _inner\n"
+    )
+    assert [name for _, _, name in private_imports(sample)] == ["_hidden", "_other", "_inner"]

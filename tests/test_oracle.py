@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from heckelab import fpoly
 from heckelab.bundles import BundleType, ClosedPoint, aut_order
 from heckelab.oracle import (
     BudgetExceeded,
@@ -12,7 +13,6 @@ from heckelab.oracle import (
     brute_multiplicity,
     count_monomorphisms,
     enumerate_subspaces,
-    fp_poly_det,
     matrix_rank,
     smith_normal_form,
     splitting_type,
@@ -57,6 +57,10 @@ def test_field_validation():
         Field(4, 1)  # q must be prime
     with pytest.raises(ValueError):
         Field(2, 2, (1, 1))  # wrong degree
+    with pytest.raises(ValueError, match="reducible"):
+        Field(2, 2, (1, 0, 1))  # t^2+1 = (t+1)^2 over F_2
+    with pytest.raises(ValueError, match="reducible"):
+        Field(3, 2, (2, 0, 1))  # t^2-1 = (t-1)(t+1)
     # default polynomial search finds an irreducible
     assert Field(3, 2).poly[-1] == 1
 
@@ -171,7 +175,7 @@ def test_snf_random_matrices_verify():
                 [tuple(rng.randrange(q) for _ in range(rng.randint(1, 4))) for _ in range(n)]
                 for _ in range(n)
             ]
-            if not fp_poly_det(M, q):
+            if not fpoly.det(M, q):
                 continue
             diag, L, R = smith_normal_form(M, q)
             for a in diag:
@@ -180,9 +184,9 @@ def test_snf_random_matrices_verify():
 
 
 def test_fp_poly_det():
-    assert fp_poly_det(PHI_1, 2) == PI
-    assert fp_poly_det([[PI]], 2) == PI
-    assert fp_poly_det([[T, T], [T, T]], 3) == ()
+    assert fpoly.det(PHI_1, 2) == PI
+    assert fpoly.det([[PI]], 2) == PI
+    assert fpoly.det([[T, T], [T, T]], 3) == ()
 
 
 def test_matrix_rank_over_extension():
@@ -235,10 +239,8 @@ def random_modification_matrix(rng, E_prime, E, x, r):
     q, n = x.q, E.rank
     field = Field.of_point(x)
     pi_r = (1,)
-    from heckelab.oracle import _fp_mul
-
     for _ in range(r):
-        pi_r = _fp_mul(pi_r, tuple(x.poly), q)
+        pi_r = fpoly.mul(pi_r, tuple(x.poly), q)
     for _ in range(4000):
         mat = []
         for di in E.degrees:
@@ -250,7 +252,7 @@ def random_modification_matrix(rng, E_prime, E, x, r):
                 else:
                     row.append(_strip(tuple(rng.randrange(q) for _ in range(bound + 1))))
             mat.append(row)
-        det = fp_poly_det(mat, q)
+        det = fpoly.det(mat, q)
         if not det or len(det) != len(pi_r):
             continue
         lead = det[-1]
@@ -292,3 +294,9 @@ def test_splitting_type_scan_reaches_low_degrees():
     # E' = O(-2)^2 from the full twist: the scan must look past k = max d_i
     W_zero = next(enumerate_subspaces(2, 2, F4))
     assert splitting_type(BundleType([0, 0]), W_zero, X2) == BundleType([-2, -2])
+
+
+def test_splitting_type_rejects_a_subspace_of_another_point():
+    W = next(enumerate_subspaces(2, 1, F4))
+    with pytest.raises(ValueError, match="another point"):
+        splitting_type(BundleType([0, 0]), W, ClosedPoint(3, 2, (1, 0, 1)))
