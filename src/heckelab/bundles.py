@@ -147,9 +147,15 @@ def q_factor(E: BundleType) -> QRat:
     The normalization relating E to the ordered Hall product of its line
     bundles; equals 1 iff all degrees are distinct.
     """
+    return _q_factor_of_runs(tuple(sorted(l for _, l in E.grouped())))
+
+
+@lru_cache(maxsize=None)
+def _q_factor_of_runs(runs: tuple) -> QRat:
+    """Q for sorted run lengths; the keys are partitions of the rank."""
     out = RAT_ONE
     qm1 = QPoly((-1, 1))
-    for _, l in E.grouped():
+    for l in runs:
         for j in range(l):
             out = out * QRat(qm1, QPoly.monomial(l - j) - 1)
     return out

@@ -29,7 +29,7 @@ from .forms import (
 )
 from .hall import HallIntegrityError, bundle_product, kx_times
 from .hecke import ModificationQuery, exists_modification, multiplicity_detail, neighbors
-from .oracle import BudgetExceeded, brute_multiplicity, smith_normal_form
+from .oracle import BudgetExceeded, brute_multiplicity, check_subspace_budget, smith_normal_form
 from .qcalc import QPoly, gaussian_binomial
 
 SCHEMA = "heckelab/1"
@@ -50,15 +50,19 @@ def _field_size(text: str) -> int:
     q = int(text)
     try:
         fpoly.prime_power(q)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"q must be a prime power, got {q}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return q
 
 
 def _prime(text: str) -> int:
     """--q where arithmetic is done mod q: a prime."""
     q = int(text)
-    if not fpoly.is_prime(q):
+    try:
+        prime = fpoly.is_prime(q)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not prime:
         raise argparse.ArgumentTypeError(f"q must be a prime, got {q}")
     return q
 
@@ -277,18 +281,20 @@ def cmd_hecke_mult(args) -> int:
     return 0
 
 
-def _point_from_args(args) -> ClosedPoint:
-    if args.point is not None:
-        return ClosedPoint(args.q, len(args.point) - 1, args.point)
-    if args.point_degree is None:
-        raise ValueError("need --point or --point-degree")
-    poly = fpoly.first_irreducible(args.q, args.point_degree)
-    return ClosedPoint(args.q, args.point_degree, poly)
-
-
 def cmd_oracle_census(args) -> int:
     E = BundleType(args.bundle)
-    x = _point_from_args(args)
+    if args.point is not None:
+        d = len(args.point) - 1
+    elif args.point_degree is not None:
+        d = args.point_degree
+    else:
+        raise ValueError("need --point or --point-degree")
+    # the point search alone can outlast any census the budget allows
+    check_subspace_budget(E.rank, args.weight, args.q, d, args.budget)
+    if args.point is not None:
+        x = ClosedPoint(args.q, d, args.point)
+    else:
+        x = ClosedPoint(args.q, d, fpoly.first_irreducible(args.q, d))
     census = brute_multiplicity(E, x, args.weight, budget=args.budget)
     rows = [
         {"degrees": list(E_prime.degrees), "count": c} for E_prime, c in census.items()

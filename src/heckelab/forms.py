@@ -11,15 +11,31 @@ Truncation semantics: equations are written only for classes of spread at
 most D, whose neighbors can raise the spread by at most one; the unknowns
 therefore live on the padded set of spread at most D+1, so no equation is
 ever cut off at the boundary.
+
+Elimination: each equation has at most C(n,r)+1 nonzero entries, so the
+system is kept as sparse {column: Fraction} rows and eliminated row by row
+(_kernel_of).  A new row pivots on its widest class, largest by (spread,
+index); the solution is then unique up to scale, so the normalized
+eigenform does not depend on the pivot order.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .bundles import BundleType, ClosedPoint, ProjBundleClass, aut_order, ext1_dim, hom_dim, proj_class
-from .hall import HallIntegrityError, bundle_product
+from .bundles import (
+    BundleType,
+    ClosedPoint,
+    ProjBundleClass,
+    aut_order,
+    ext1_dim,
+    hom_dim,
+    proj_class,
+    q_factor,
+)
+from .hall import HallIntegrityError, word_product
 from .hecke import neighbors
 from .qcalc import gaussian_binomial
 
@@ -147,33 +163,71 @@ def hecke_matrix(space: TruncatedPBun, r: int) -> dict:
     return out
 
 
-def _kernel_of(rows, ncols):
-    """Kernel basis of an exact-rational matrix via Gauss-Jordan."""
-    mat = [row[:] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
+def _kernel_of(rows, ncols, order):
+    """Kernel basis of a sparse exact-rational matrix.
+
+    rows are {column: Fraction} dicts over columns 0..ncols-1; order[c] is
+    the sort key of column c.  Each row in turn is reduced against the
+    pivot rows found so far, oldest pivot first, and, if anything is left,
+    pivots on its nonzero column with the largest key.  Back substitution
+    in reverse pivot order then gives one kernel vector per free column,
+    as a dense list that is 1 there and 0 on the other free columns.
+    """
+    pivot_rows = []  # (pivot column, row scaled so that row[column] == 1)
+    found = {}  # pivot column -> index into pivot_rows
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        pending = [found[c] for c in row if c in found]
+        heapq.heapify(pending)
+        while pending:
+            col, prow = pivot_rows[heapq.heappop(pending)]
+            c = row.get(col)
+            if c is None:
+                continue
+            # prow holds no column of an older pivot, so what it brings in
+            # is cancelled later in this loop
+            for j, v in prow.items():
+                w = row.get(j)
+                if w is None:
+                    row[j] = -c * v
+                    if j in found:
+                        heapq.heappush(pending, found[j])
+                elif w == c * v:
+                    del row[j]
+                else:
+                    row[j] = w - c * v
+        if not row:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1, 1) / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+        col = max(row, key=order.__getitem__)
+        inv = Fraction(1) / row[col]
+        found[col] = len(pivot_rows)
+        pivot_rows.append((col, {j: v * inv for j, v in row.items()}))
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in found:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for row_i, pc in enumerate(pivots):
-            v[pc] = -mat[row_i][fc]
+        for col, prow in reversed(pivot_rows):
+            v[col] = -sum((a * v[j] for j, a in prow.items() if j != col), Fraction(0))
         basis.append(v)
     return basis
+
+
+def _eigen_system(query: EigenQuery):
+    """(space, rows): one {column: Fraction} row per equation
+    (Phi_r f)(c) = lambda_r f(c), for every weight r and row class c."""
+    space = TruncatedPBun(query.n, query.D)
+    q0 = query.x.q
+    rows = []
+    for r in range(1, query.n):
+        lam = query.lams[r - 1]
+        for c, row in hecke_matrix(space, r).items():
+            eq = {space.index[t]: Fraction(poly.evaluate(q0)) for t, poly in row.items()}
+            i = space.index[c]
+            eq[i] = eq.get(i, 0) - lam
+            rows.append(eq)
+    return space, rows
 
 
 def eigenform_solve(query: EigenQuery, base_value=1) -> FormVector:
@@ -185,20 +239,12 @@ def eigenform_solve(query: EigenQuery, base_value=1) -> FormVector:
     raises.  base_value=0 returns the zero form, which is the content of
     the toroidal-vanishing theorem.
     """
-    space = TruncatedPBun(query.n, query.D)
+    space, rows = _eigen_system(query)
     q0 = query.x.q
-    ncols = len(space.padded)
-    rows = []
-    for r in range(1, query.n):
-        lam = query.lams[r - 1]
-        matrix = hecke_matrix(space, r)
-        for c, row in matrix.items():
-            eq = [Fraction(0)] * ncols
-            for target, poly in row.items():
-                eq[space.index[target]] += Fraction(poly.evaluate(q0))
-            eq[space.index[c]] -= lam
-            rows.append(eq)
-    kernel = _kernel_of(rows, ncols)
+    # pivoting on the widest class solves each row for its widest
+    # neighbour, the way the rank-2 recurrence does, so rows stay sparse
+    order = [(c.spread, i) for i, c in enumerate(space.padded)]
+    kernel = _kernel_of(rows, len(space.padded), order)
     if len(kernel) != 1:
         raise TheoremViolation(
             f"eigenspace dimension {len(kernel)} != 1 for lambda={query.lams}, "
@@ -222,13 +268,19 @@ def extension_middle_distribution(F: BundleType, G: BundleType, q0: int) -> dict
     automorphisms and the stabilizer Hom(F, G) of a fixed sequence:
     g^B = phi^B * |Aut F| * |Aut G| * |Hom(F,G)| / |Aut B|.  The counts
     must total q0^{dim Ext^1(F,G)}, which is enforced.
+
+    phi^B is the coefficient of B in word_product(F + G) times
+    Q(F) * Q(G), as in bundle_product; both are evaluated at q0 first,
+    which gives the same value since no denominator of Q vanishes at an
+    integer q0 >= 2, and skips the rational-function products.
     """
     hom_size = q0 ** hom_dim(F, G)
-    scale = aut_order(F, q0) * aut_order(G, q0) * hom_size
+    scale = (q_factor(F) * q_factor(G)).evaluate(q0)
+    scale *= aut_order(F, q0) * aut_order(G, q0) * hom_size
     out = {}
-    for term, coeff in bundle_product(F, G).items():
+    for term, coeff in word_product(F.degrees + G.degrees).items():
         B = term.bundle
-        g = Fraction(coeff.evaluate(q0)) * scale / aut_order(B, q0)
+        g = coeff.evaluate(q0) * scale / aut_order(B, q0)
         assert g.denominator == 1 and g > 0, (F, G, B, g)
         out[B] = int(g)
     total = sum(out.values())

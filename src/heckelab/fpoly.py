@@ -200,23 +200,74 @@ def first_irreducible(p: int, d: int):
     raise RuntimeError(f"no irreducible of degree {d} over F_{p}")
 
 
+#: Miller-Rabin with the prime bases up to 41 is exact below MR_EXACT_BOUND,
+#: the least strong pseudoprime to all of them (Sorenson and Webster 2015);
+#: the bases up to 37 alone are fooled by 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3317044064679887385961981
+
+
 def smallest_prime_factor(n: int) -> int:
-    """The least prime dividing n >= 2; n itself when n is prime."""
+    """The least prime dividing n >= 2, n itself when n is prime; by trial
+    division, so for small n such as a polynomial degree."""
     return next((k for k in range(2, isqrt(n) + 1) if n % k == 0), n)
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and smallest_prime_factor(n) == n
+    """Deterministic Miller-Rabin test with the prime bases 2..41.
+
+    Every answer is exact: a witness proves n composite, and below
+    MR_EXACT_BOUND no composite passes all thirteen bases.  A larger n
+    that passes them cannot be certified and raises ValueError.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s, m = 0, n - 1
+    while m % 2 == 0:
+        m //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, m, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MR_EXACT_BOUND:
+        raise ValueError(
+            f"cannot certify that {n} is prime: it is not below {MR_EXACT_BOUND}, "
+            "the bound of the deterministic Miller-Rabin test"
+        )
+    return True
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 0 and e >= 1, by Newton's method from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e and p prime; ValueError when q is no prime power."""
-    if q >= 2:
-        p = smallest_prime_factor(q)
-        e, m = 0, q
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m == 1:
+    """(p, e) with q = p^e and p prime; ValueError when q is no prime power.
+
+    Tries the exponents from the largest down: the first exact e-th root
+    that is prime is p.  A base that is_prime cannot certify raises its
+    ValueError.
+    """
+    for e in range(max(q.bit_length(), 1), 0, -1):
+        p = _iroot(q, e)
+        if p >= 2 and p**e == q and is_prime(p):
             return p, e
-    raise ValueError(f"{q} is not a prime power")
+    raise ValueError(f"q must be a prime power, got {q}")

@@ -12,8 +12,8 @@ F_q[t].
 Field elements of F_{q^d} = F_q[t]/(poly) are plain int tuples of length d
 (coefficients of the reduced representative, little-endian); q must be
 prime.  Linear algebra over the extension is expanded to F_q and done by
-`fpoly.rank`; the modulus is checked irreducible once, when a Field is
-built.
+`fpoly.rank`; the modulus is checked irreducible once, when a Field or
+the ClosedPoint it comes from is built.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "Field",
     "FieldElem",
     "FiberSubspace",
+    "check_subspace_budget",
     "enumerate_subspaces",
     "splitting_type",
     "brute_multiplicity",
@@ -79,6 +80,9 @@ class Field:
             raise ValueError("field poly must be monic of degree d")
         if not fpoly.is_irreducible(poly, q):
             raise ValueError(f"field poly {list(poly)} reducible over F_{q}")
+        self._set(q, d, poly)
+
+    def _set(self, q: int, d: int, poly: tuple) -> None:
         self.q = q
         self.d = d
         self.poly = poly
@@ -88,9 +92,13 @@ class Field:
 
     @staticmethod
     def of_point(x: ClosedPoint) -> "Field":
+        """The residue field of x; ClosedPoint has already checked that its
+        polynomial is monic and irreducible of degree d over a prime q."""
         if x.poly is None:
             raise ValueError("point has no explicit polynomial")
-        return Field(x.q, x.d, x.poly)
+        field = Field.__new__(Field)
+        field._set(x.q, x.d, x.poly)
+        return field
 
     def elements(self):
         """All q^d elements in counting order: 0, 1, ..., t, t+1, ..."""
@@ -189,20 +197,36 @@ class FiberSubspace:
         return f"FiberSubspace(dim={self.dim}, pivots={self.pivots})"
 
 
+def check_subspace_budget(n: int, r: int, q: int, d: int, budget: int | None = None) -> int:
+    """#Gr(n-r, n)(F_{q^d}), the codim-r subspaces of a degree-d fiber.
+
+    Raises BudgetExceeded when the count is above the budget, so a caller
+    can refuse an enumeration before it builds the point or the field.
+    """
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    if d < 1:
+        raise ValueError(f"point degree must be >= 1, got {d}")
+    limit = budget if budget is not None else default_budget("subspaces")
+    k = n - r
+    if 0 < k < n and d > limit.bit_length():
+        # the count exceeds q^d >= 2^d > limit; q^d itself may be too big to form
+        raise BudgetExceeded(f"more than 2^{d} subspaces exceed budget {limit}")
+    total = gaussian_binomial(k, n).evaluate(q**d)
+    if total > limit:
+        raise BudgetExceeded(f"{total} subspaces exceed budget {limit}")
+    return total
+
+
 def enumerate_subspaces(n: int, r: int, field: Field, budget: int | None = None):
     """Yield every codim-r subspace of kappa^n exactly once, cell by cell.
 
     Cells are indexed by pivot-column sets; free entries sit right of their
-    pivot in non-pivot columns.  The total count, checked against the budget
-    before any work, is #Gr(n-r, n)(F_{q^d}).
+    pivot in non-pivot columns.  The total count is checked against the
+    budget by check_subspace_budget before any work.
     """
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    check_subspace_budget(n, r, field.q, field.d, budget)
     k = n - r
-    total = gaussian_binomial(k, n).evaluate(field.size)
-    limit = budget if budget is not None else default_budget("subspaces")
-    if total > limit:
-        raise BudgetExceeded(f"{total} subspaces exceed budget {limit}")
     zero, one = field.zero, field.one
     for pivots in combinations(range(n), k):
         free = [
@@ -226,6 +250,7 @@ def enumerate_subspaces(n: int, r: int, field: Field, budget: int | None = None)
 def subspace_count(k: int, n: int, q0: int, budget: int | None = None) -> int:
     """#Gr(k,n)(F_{q0}) by honest enumeration; q0 a prime power p^e."""
     p, e = fpoly.prime_power(q0)
+    check_subspace_budget(n, n - k, p, e, budget)
     field = Field(p, e)
     return sum(1 for _ in enumerate_subspaces(n, n - k, field, budget=budget))
 

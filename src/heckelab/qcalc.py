@@ -255,7 +255,7 @@ class QRat:
             raise ZeroDivisionError("QRat with zero denominator")
         if num.is_zero():
             num, den = ZERO, ONE
-        else:
+        elif den.coeffs != (1,):  # gcd(num, 1) = 1: already canonical
             g = poly_gcd(num, den)
             if g != ONE:
                 num = num // g

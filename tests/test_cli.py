@@ -158,6 +158,8 @@ def test_usage_errors_exit_2(capsys):
         ("hecke mult --bundle 0,0 --target=-2,0 --point-degree 2 --weight 1 --q 1", "prime power"),
         ("oracle snf --matrix 1 --q 4", "q must be a prime, got 4"),
         ("oracle snf --matrix 2 --q 4", "q must be a prime, got 4"),
+        ("gr --k 1 --n 2 --q 3317044064679887385961981", "cannot certify"),
+        ("oracle snf --matrix 1 --q 618970019642690137449562111", "cannot certify"),
     ],
 )
 def test_q_validated_at_the_boundary(capsys, argv, want):
@@ -181,6 +183,22 @@ def test_large_field_point_search_reaches_the_budget_check():
     # 101^6 + 1 lines of its fiber then exceed the subspace budget
     argv = ["oracle", "census", "--bundle", "0,0", "--q", "101",
             "--point-degree", "6", "--weight", "1"]
+    out = subprocess.run(
+        [sys.executable, "-m", "heckelab.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert out.returncode == 3
+    doc = json.loads(out.stderr)
+    assert doc["error"] == "BudgetExceeded" and doc["schema"] == "heckelab/1"
+
+
+def test_budget_is_checked_before_the_point_search():
+    # no irreducible of degree 400 is searched for: 2^400 + 1 lines of its
+    # fiber exceed the subspace budget, which is known from q and d alone
+    argv = ["oracle", "census", "--bundle", "0,0", "--q", "2",
+            "--point-degree", "400", "--weight", "1"]
     out = subprocess.run(
         [sys.executable, "-m", "heckelab.cli", *argv],
         capture_output=True,

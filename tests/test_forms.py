@@ -5,11 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from heckelab.bundles import BundleType, ClosedPoint, ProjBundleClass, ext1_dim, proj_class
+from heckelab.bundles import (
+    BundleType,
+    ClosedPoint,
+    ProjBundleClass,
+    aut_order,
+    ext1_dim,
+    hom_dim,
+    proj_class,
+)
 from heckelab.forms import (
     EigenQuery,
     FormVector,
     TruncatedPBun,
+    _eigen_system,
     _kernel_of,
     cusp_defect,
     eigenform_solve,
@@ -18,6 +27,7 @@ from heckelab.forms import (
     hecke_matrix,
     toroidal_sum,
 )
+from heckelab.hall import bundle_product
 from heckelab.qcalc import Q, ONE, gaussian_binomial
 
 X1 = ClosedPoint(2, 1, (0, 1))  # the point t = 0 over F_2
@@ -72,14 +82,117 @@ def test_hecke_matrix_weight_bounds():
 
 def test_kernel_of_simple_matrices():
     one = Fraction(1)
-    assert _kernel_of([[one, Fraction(0)], [Fraction(0), one]], 2) == []
+    assert _kernel_of([{0: one}, {1: one}], 2, range(2)) == []
     # x + y = 0 has kernel spanned by (-1, 1) after normalization
-    basis = _kernel_of([[one, one]], 2)
+    basis = _kernel_of([{0: one, 1: one}], 2, range(2))
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == 0 and v != [0, 0]
     # zero matrix: full kernel
-    assert len(_kernel_of([[Fraction(0), Fraction(0)]], 2)) == 2
+    assert len(_kernel_of([{0: Fraction(0), 1: Fraction(0)}], 2, range(2))) == 2
+
+
+def dense_kernel(rows, ncols):
+    """Reference: kernel basis of a dense Fraction matrix by Gauss-Jordan."""
+    mat = [row[:] for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = Fraction(1, 1) / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row_i, pc in enumerate(pivots):
+            v[pc] = -mat[row_i][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_rank(rows, ncols):
+    return ncols - len(dense_kernel(rows, ncols))
+
+
+def random_deficient_matrix(rng, nrows, ncols, rank):
+    """nrows x ncols Fraction matrix of rank <= rank, often sparse, with a
+    zero row and a duplicated row mixed in."""
+
+    def entry():
+        if rng.random() < 0.5:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    basis = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [Fraction(rng.randint(-3, 3)) * (rng.random() < 0.6) for _ in basis]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0)) for j in range(ncols)])
+    rows.append([Fraction(0)] * ncols)
+    rows.append(list(rows[rng.randrange(len(rows))]))
+    rng.shuffle(rows)
+    return rows
+
+
+def as_dict_rows(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def test_kernel_of_matches_dense_reference():
+    rng = random.Random(20261018)
+    cases = [[[Fraction(0)] * 4 for _ in range(3)]]  # the zero matrix
+    for _ in range(60):
+        ncols = rng.randint(1, 9)
+        cases.append(
+            random_deficient_matrix(rng, rng.randint(1, 10), ncols, rng.randint(0, ncols))
+        )
+    for rows in cases:
+        ncols = len(rows[0])
+        ref = dense_kernel(rows, ncols)
+        shuffled = list(range(ncols))
+        rng.shuffle(shuffled)
+        for order in (range(ncols), shuffled):
+            got = _kernel_of(as_dict_rows(rows), ncols, order)
+            assert len(got) == len(ref)
+            for v in got:  # each vector solves every row
+                assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+            for u in ref:  # and they span the reference kernel
+                assert dense_rank(got + [u], ncols) == len(got)
+
+
+def test_eigenform_independent_of_pivot_order():
+    """Index order pivots on the last nonzero column instead of the widest
+    class; the normalized eigenform must be the same."""
+    for n, D, x, lams in [
+        (2, 6, X1, [Fraction(5)]),
+        (3, 4, X1_Q3, [Fraction(7, 2), Fraction(-3)]),
+        (4, 3, X1, [Fraction(2), Fraction(9, 5), Fraction(-1)]),
+    ]:
+        query = EigenQuery(lams, x, D)
+        f = eigenform_solve(query)
+        space, rows = _eigen_system(query)
+        ncols = len(space.padded)
+        (v,) = _kernel_of(rows, ncols, range(ncols))
+        base = v[space.index[space.base_class]]
+        assert {c: v[space.index[c]] / base for c in space.padded} == f.values
+
+
+@pytest.mark.parametrize("n, D", [(4, 6), (3, 40)])
+def test_larger_truncations_solve_with_nullity_one(n, D):
+    query = EigenQuery([Fraction(3 + 2 * r, r) for r in range(1, n)], X1, D)
+    f = eigenform_solve(query)
+    assert f.nullity == 1 and f[f.space.base_class] == 1
+    assert all(eigenvalue_of_balanced_relation(query, f, r) for r in range(1, n))
 
 
 def test_eigenform_rank2_recurrence():
@@ -164,6 +277,24 @@ def test_extension_mass_identity_grid():
                 dist = extension_middle_distribution(B(*fdeg), B(*gdeg), q0)
                 assert sum(dist.values()) == q0 ** ext1_dim(B(*fdeg), B(*gdeg))
                 assert all(v > 0 for v in dist.values())
+
+
+def reference_middle_distribution(F, G, q0):
+    """The counts from the full rational-function product bundle_product."""
+    scale = aut_order(F, q0) * aut_order(G, q0) * q0 ** hom_dim(F, G)
+    return {
+        term.bundle: coeff.evaluate(q0) * scale / aut_order(term.bundle, q0)
+        for term, coeff in bundle_product(F, G).items()
+    }
+
+
+def test_extension_distribution_matches_bundle_product():
+    shapes = [(a,) for a in range(4)] + [(a, b) for a in range(4) for b in range(a, 4)]
+    for q0 in (2, 3, 5):
+        for fdeg in shapes:
+            for gdeg in shapes:
+                F, G = B(*fdeg), B(*gdeg)
+                assert extension_middle_distribution(F, G, q0) == reference_middle_distribution(F, G, q0)
 
 
 def test_extension_middles_conserve_type():

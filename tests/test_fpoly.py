@@ -85,3 +85,64 @@ def test_matrix_rank_matches_kernel_count(q, d):
             rows.append(row)
         rank = matrix_rank(field, rows)
         assert brute_kernel_size(field, rows, ncols) == field.size ** (ncols - rank)
+
+
+def trial_division_prime_power(q):
+    """Reference: (p, e) by the smallest prime factor, or None."""
+    if q < 2:
+        return None
+    p = fpoly.smallest_prime_factor(q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    for n in range(-3, 10**5):
+        assert fpoly.is_prime(n) == (n >= 2 and fpoly.smallest_prime_factor(n) == n), n
+
+
+def test_prime_power_matches_trial_division_below_1e5():
+    for q in range(-3, 10**5):
+        want = trial_division_prime_power(q)
+        if want is None:
+            with pytest.raises(ValueError, match="prime power"):
+                fpoly.prime_power(q)
+        else:
+            assert fpoly.prime_power(q) == want, q
+
+
+def test_primality_of_large_numbers():
+    primes = [2**31 - 1, 10**9 + 7, 2**61 - 1, 2**64 - 59, 10**18 + 3, 2**79 - 67]
+    for p in primes:
+        assert fpoly.is_prime(p)
+        assert fpoly.prime_power(p) == (p, 1)
+        assert fpoly.prime_power(p**3) == (p, 3)
+        assert not fpoly.is_prime(p * (2**31 - 1))
+    assert fpoly.prime_power(2**200) == (2, 200)
+    assert fpoly.prime_power(3**100) == (3, 100)
+    carmichael = [561, 1105, 1729, 2465, 41041, 825265, 321197185]
+    spsp_2_to_23 = 3825123056546413051  # strong pseudoprime to the bases 2..23
+    for n in carmichael + [spsp_2_to_23, 10**18 + 1, 2**64 + 1]:
+        assert not fpoly.is_prime(n), n
+        with pytest.raises(ValueError, match="prime power"):
+            fpoly.prime_power(n)
+    # the least strong pseudoprime to the bases 2..37 is caught by base 41
+    assert not fpoly.is_prime(318665857834031151167461)
+
+
+def test_primality_above_the_exact_bound_is_refused():
+    # the bound is itself a strong pseudoprime to every base used
+    with pytest.raises(ValueError, match="cannot certify"):
+        fpoly.is_prime(fpoly.MR_EXACT_BOUND)
+    big = 2**89 - 1  # a Mersenne prime above the bound
+    assert big > fpoly.MR_EXACT_BOUND
+    with pytest.raises(ValueError, match="cannot certify"):
+        fpoly.is_prime(big)
+    with pytest.raises(ValueError, match="cannot certify"):
+        fpoly.prime_power(big**2)
+    # a witness still proves a large number composite
+    assert not fpoly.is_prime(big * (2**61 - 1))
+    assert not fpoly.is_prime(2 * big)

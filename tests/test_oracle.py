@@ -11,6 +11,7 @@ from heckelab.oracle import (
     Field,
     brute_aut_order,
     brute_multiplicity,
+    check_subspace_budget,
     count_monomorphisms,
     enumerate_subspaces,
     matrix_rank,
@@ -85,6 +86,22 @@ def test_enumerate_subspaces_distinct_and_echelon():
 def test_enumerate_subspaces_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_subspaces(4, 2, Field(5, 1), budget=10))
+    assert check_subspace_budget(4, 2, 5, 1, budget=806) == 806
+    with pytest.raises(BudgetExceeded):
+        check_subspace_budget(4, 2, 5, 1, budget=805)
+    assert check_subspace_budget(3, 0, 2, 10**9) == 1  # only the whole fiber
+    with pytest.raises(BudgetExceeded):  # decided without forming 2^(10^9)
+        check_subspace_budget(2, 1, 2, 10**9)
+    with pytest.raises(ValueError):
+        check_subspace_budget(2, 3, 2, 1)
+
+
+def test_field_of_point_skips_a_second_irreducibility_test(monkeypatch):
+    x = ClosedPoint(3, 2, (1, 0, 1))  # t^2 + 1, validated here, once
+    monkeypatch.setattr(fpoly, "is_irreducible", lambda f, p: pytest.fail("tested again"))
+    field = Field.of_point(x)
+    assert (field.q, field.d, field.poly, field.size) == (3, 2, (1, 0, 1), 9)
+    assert field.mul((0, 1), (0, 1)) == (2,)  # t^2 = -1
 
 
 def test_subspace_count_prime_power():

@@ -119,6 +119,24 @@ def test_qrat_field_laws_randomized():
             assert b / a * a == b
 
 
+def test_qrat_denominator_one_is_canonical():
+    """The gcd is skipped for a denominator of one; the result must still
+    be the reduced form of any scaled fraction p*h / h."""
+    rng = random.Random(20261018)
+
+    def rand_poly():
+        return QPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
+
+    for _ in range(80):
+        p, h = rand_poly(), rand_poly()
+        if h.is_zero():
+            continue
+        scaled = QRat(p * h, h)
+        for r in (QRat(p), QRat(p, 1), QRat(p, ONE)):
+            assert r == scaled
+            assert (r.num, r.den) == (scaled.num, scaled.den)
+
+
 def test_poly_gcd_content_and_primitive():
     g = poly_gcd(QPoly((2, 2)), QPoly((0, 4)))
     assert g == QPoly(2)
