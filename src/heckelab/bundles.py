@@ -204,9 +204,10 @@ def aut_order(E: BundleType, q0: int) -> int:
 class ClosedPoint:
     """Closed point of P^1 over F_q: degree d, optional explicit polynomial.
 
-    poly, when present, is the monic irreducible of degree d over F_q (prime
-    q required for the modular arithmetic), little-endian in t; it is the
-    uniformizer used by the SNF oracle.
+    q must be a prime power, the size of a field.  poly, when present, is
+    the monic irreducible of degree d over F_q (prime q required for the
+    modular arithmetic), little-endian in t; it is the uniformizer used by
+    the SNF oracle.
     """
 
     __slots__ = ("q", "d", "poly")
@@ -214,7 +215,9 @@ class ClosedPoint:
     def __init__(self, q: int, d: int, poly=None):
         if d < 1:
             raise ValueError("point degree must be >= 1")
-        if poly is not None:
+        if poly is None:
+            fpoly.prime_power(q)  # no field F_q exists otherwise
+        else:
             if not fpoly.is_prime(q):
                 raise ValueError(f"explicit-poly points need prime q, got {q}")
             poly = fpoly.trim(int(c) % q for c in poly)

@@ -1,11 +1,12 @@
 """Command-line surface: every capability as a batch subcommand.
 
-Output is deterministic for fixed inputs.  `--format json` documents carry
-a top-level "schema": "heckelab/1" marker; text output prints polynomials
-both ways (coefficient list on request via JSON, pretty string always) and
-adds an evaluation column whenever --q is supplied.  Exit codes: 0 success,
-2 usage or domain error, 3 internal identity violation (with a diagnostic
-JSON document on stderr).
+Output is deterministic for fixed inputs.  Each subcommand builds one result
+document together with its text lines, and `_emit` prints one of the two:
+`--format json` prints the document under a top-level "schema": "heckelab/1"
+marker, text prints the lines.  Polynomials appear as coefficient lists in
+JSON and as pretty strings in both; --q adds their values at q.  Exit
+codes: 0 success, 2 usage or domain error, 3 internal identity violation
+(with a diagnostic JSON document on stderr).
 """
 
 from __future__ import annotations
@@ -94,35 +95,38 @@ def _poly_doc(p: QPoly) -> dict:
     return {"coeffs": list(p.coeffs), "pretty": p.pretty()}
 
 
-def _emit_json(doc: dict) -> None:
-    doc = {"schema": SCHEMA, **doc}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(args, doc: dict, lines: list) -> int:
+    """Print the result document: as JSON, or as its text lines."""
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA, **doc}, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
-def _term_label(term) -> str:
-    label = term.bundle.pretty()
-    if term.torsion_weight:
-        label += f"+K^{term.torsion_weight}"
-    return label
+def _at_q(doc: dict, poly: QPoly, q, key: str = "at_q") -> str:
+    """Add --q and poly's value there to doc; return the text suffix."""
+    if q is None:
+        return ""
+    doc["q"] = q
+    doc[key] = poly.evaluate(q)
+    return f" = {doc[key]}"
 
 
-def _print_element(elem, q0) -> None:
-    if not len(elem):
-        print("0")
-        return
-    for term, coeff in elem.items():
-        line = f"[{_term_label(term)}]: {coeff.pretty()}"
-        if q0 is not None:
-            line += f"   (at q={q0}: {coeff.evaluate(q0)})"
-        print(line)
+def _hall_terms(elem, q) -> tuple:
+    """A Hall element's terms as document rows and as text lines."""
+    rows = elem.to_json()
+    lines = []
+    for row, (term, coeff) in zip(rows, elem.items()):
+        line = f"[{term.pretty()}]: {coeff.pretty()}"
+        if q is not None:
+            row["at_q"] = str(coeff.evaluate(q))
+            line += f"   (at q={q}: {row['at_q']})"
+        lines.append(line)
+    return rows, lines or ["0"]
 
 
-def _element_doc(elem, q0) -> list:
-    terms = elem.to_json()
-    if q0 is not None:
-        for entry, (term, coeff) in zip(terms, elem.items()):
-            entry["at_q"] = str(coeff.evaluate(q0))
-    return terms
+_CROSS_CHECK = {"auto": None, "on": True, "off": False}
 
 
 # ---------------------------------------------------------------------------
@@ -130,305 +134,186 @@ def _element_doc(elem, q0) -> list:
 
 def cmd_gr(args) -> int:
     poly = gaussian_binomial(args.k, args.n)
-    value = poly.evaluate(args.q) if args.q is not None else None
-    if args.format == "json":
-        doc = {"command": "gr", "k": args.k, "n": args.n, "count": _poly_doc(poly)}
-        if value is not None:
-            doc["q"] = args.q
-            doc["at_q"] = value
-        _emit_json(doc)
-    else:
-        print(f"#Gr({args.k},{args.n}) = {poly.pretty()}")
-        if value is not None:
-            print(f"at q={args.q}: {value}")
-    return 0
+    doc = {"command": "gr", "k": args.k, "n": args.n, "count": _poly_doc(poly)}
+    lines = [f"#Gr({args.k},{args.n}) = {poly.pretty()}"]
+    if _at_q(doc, poly, args.q):
+        lines.append(f"at q={args.q}: {doc['at_q']}")
+    return _emit(args, doc, lines)
 
 
 def cmd_delta(args) -> int:
-    deltas = enumerate_deltas(args.n, args.r)
     rows = [
-        {"bits": d.to_json(), "weight": weight(d), "omega": omega(d)} for d in deltas
+        {"bits": d.to_json(), "weight": weight(d), "omega": omega(d)}
+        for d in enumerate_deltas(args.n, args.r)
     ]
     check = schubert_count(args.n, args.r)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "delta",
-                "n": args.n,
-                "r": args.r,
-                "vectors": rows,
-                "count": len(rows),
-                "schubert_count": _poly_doc(check),
-            }
-        )
-    else:
-        print("bits\tweight\tomega")
-        for row in rows:
-            print(f"{tuple(row['bits'])}\t{row['weight']}\t{row['omega']}")
-        print(f"count {len(rows)}; schubert sum {check.pretty()}")
-    return 0
+    doc = {
+        "command": "delta",
+        "n": args.n,
+        "r": args.r,
+        "vectors": rows,
+        "count": len(rows),
+        "schubert_count": _poly_doc(check),
+    }
+    lines = ["bits\tweight\tomega"]
+    lines += [f"{tuple(row['bits'])}\t{row['weight']}\t{row['omega']}" for row in rows]
+    lines.append(f"count {len(rows)}; schubert sum {check.pretty()}")
+    return _emit(args, doc, lines)
 
 
 def cmd_hall_mul(args) -> int:
-    elem = bundle_product(BundleType(args.f), BundleType(args.g))
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "hall mul",
-                "f": list(BundleType(args.f).degrees),
-                "g": list(BundleType(args.g).degrees),
-                "terms": _element_doc(elem, args.q),
-            }
-        )
-    else:
-        _print_element(elem, args.q)
-    return 0
+    F, G = BundleType(args.f), BundleType(args.g)
+    terms, lines = _hall_terms(bundle_product(F, G), args.q)
+    doc = {"command": "hall mul", "f": list(F.degrees), "g": list(G.degrees), "terms": terms}
+    return _emit(args, doc, lines)
 
 
 def cmd_hall_kx(args) -> int:
-    elem = kx_times(args.weight, BundleType(args.bundle), args.point_degree, method=args.method)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "hall kx",
-                "bundle": list(BundleType(args.bundle).degrees),
-                "weight": args.weight,
-                "point_degree": args.point_degree,
-                "method": args.method,
-                "terms": _element_doc(elem, args.q),
-            }
-        )
-    else:
-        _print_element(elem, args.q)
-    return 0
-
-
-def _cross_check_flag(choice: str):
-    return {"auto": None, "on": True, "off": False}[choice]
+    E = BundleType(args.bundle)
+    elem = kx_times(args.weight, E, args.point_degree, method=args.method)
+    terms, lines = _hall_terms(elem, args.q)
+    doc = {
+        "command": "hall kx",
+        "bundle": list(E.degrees),
+        "weight": args.weight,
+        "point_degree": args.point_degree,
+        "method": args.method,
+        "terms": terms,
+    }
+    return _emit(args, doc, lines)
 
 
 def cmd_hecke_neighbors(args) -> int:
     E = BundleType(args.bundle)
-    x = ClosedPoint(args.q if args.q is not None else 2, args.point_degree)
-    census = neighbors(E, args.point_degree, args.weight, cross_check=_cross_check_flag(args.cross_check))
-    rows = []
+    x = ClosedPoint(args.q or 2, args.point_degree)
+    census = neighbors(E, x.d, args.weight, cross_check=_CROSS_CHECK[args.cross_check])
+    rows, lines = [], []
     for E_prime, poly in census.items():
-        _, method = multiplicity_detail(ModificationQuery(E, E_prime, x, args.weight), cross_check=False)
-        row = {
-            "degrees": list(E_prime.degrees),
-            "multiplicity": _poly_doc(poly),
-            "method": method,
-        }
+        query = ModificationQuery(E, E_prime, x, args.weight)
+        _, method = multiplicity_detail(query, cross_check=False)
+        row = {"degrees": list(E_prime.degrees), "multiplicity": _poly_doc(poly), "method": method}
+        line = f"{E_prime.pretty()}: {poly.pretty()}"
         if args.q is not None:
             row["at_q"] = poly.evaluate(args.q)
+            line += f" = {row['at_q']}"
         rows.append(row)
-    total = sum((p for p in census.values()), QPoly(()))
-    if args.format == "json":
-        doc = {
-            "command": "hecke neighbors",
-            "bundle": list(E.degrees),
-            "point_degree": args.point_degree,
-            "weight": args.weight,
-            "neighbors": rows,
-            "total": _poly_doc(total),
-        }
-        if args.q is not None:
-            doc["q"] = args.q
-            doc["total_at_q"] = total.evaluate(args.q)
-        _emit_json(doc)
-    else:
-        for row in rows:
-            line = f"{BundleType(row['degrees']).pretty()}: {row['multiplicity']['pretty']}"
-            if args.q is not None:
-                line += f" = {row['at_q']}"
-            line += f"   [{row['method']}]"
-            print(line)
-        tail = f"total {total.pretty()}"
-        if args.q is not None:
-            tail += f" = {total.evaluate(args.q)}"
-        print(tail)
-    return 0
+        lines.append(f"{line}   [{method}]")
+    total = sum(census.values(), QPoly(()))
+    doc = {
+        "command": "hecke neighbors",
+        "bundle": list(E.degrees),
+        "point_degree": args.point_degree,
+        "weight": args.weight,
+        "neighbors": rows,
+        "total": _poly_doc(total),
+    }
+    lines.append(f"total {total.pretty()}" + _at_q(doc, total, args.q, "total_at_q"))
+    return _emit(args, doc, lines)
 
 
 def cmd_hecke_mult(args) -> int:
     E = BundleType(args.bundle)
     E_prime = BundleType(args.target)
-    x = ClosedPoint(args.q if args.q is not None else 2, args.point_degree)
+    x = ClosedPoint(args.q or 2, args.point_degree)
     query = ModificationQuery(E, E_prime, x, args.weight)
-    poly, method = multiplicity_detail(query, cross_check=_cross_check_flag(args.cross_check))
-    exists = exists_modification(query)
-    if args.format == "json":
-        doc = {
-            "command": "hecke mult",
-            "bundle": list(E.degrees),
-            "target": list(E_prime.degrees),
-            "point_degree": args.point_degree,
-            "weight": args.weight,
-            "exists": exists,
-            "multiplicity": _poly_doc(poly),
-            "method": method,
-        }
-        if args.q is not None:
-            doc["q"] = args.q
-            doc["at_q"] = poly.evaluate(args.q)
-        _emit_json(doc)
-    else:
-        line = f"m({E_prime.pretty()} -> {E.pretty()}) = {poly.pretty()}"
-        if args.q is not None:
-            line += f" = {poly.evaluate(args.q)}"
-        line += f"   [{method}]"
-        print(line)
-    return 0
+    poly, method = multiplicity_detail(query, cross_check=_CROSS_CHECK[args.cross_check])
+    doc = {
+        "command": "hecke mult",
+        "bundle": list(E.degrees),
+        "target": list(E_prime.degrees),
+        "point_degree": args.point_degree,
+        "weight": args.weight,
+        "exists": exists_modification(query),
+        "multiplicity": _poly_doc(poly),
+        "method": method,
+    }
+    line = f"m({E_prime.pretty()} -> {E.pretty()}) = {poly.pretty()}" + _at_q(doc, poly, args.q)
+    return _emit(args, doc, [f"{line}   [{method}]"])
 
 
 def cmd_oracle_census(args) -> int:
     E = BundleType(args.bundle)
-    if args.point is not None:
-        d = len(args.point) - 1
-    elif args.point_degree is not None:
-        d = args.point_degree
-    else:
+    if args.point is None and args.point_degree is None:
         raise ValueError("need --point or --point-degree")
+    d = args.point_degree if args.point is None else len(args.point) - 1
     # the point search alone can outlast any census the budget allows
     check_subspace_budget(E.rank, args.weight, args.q, d, args.budget)
-    if args.point is not None:
-        x = ClosedPoint(args.q, d, args.point)
-    else:
-        x = ClosedPoint(args.q, d, fpoly.first_irreducible(args.q, d))
+    poly = fpoly.first_irreducible(args.q, d) if args.point is None else args.point
+    x = ClosedPoint(args.q, d, poly)
     census = brute_multiplicity(E, x, args.weight, budget=args.budget)
-    rows = [
-        {"degrees": list(E_prime.degrees), "count": c} for E_prime, c in census.items()
-    ]
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "oracle census",
-                "bundle": list(E.degrees),
-                "point": x.to_json(),
-                "weight": args.weight,
-                "census": rows,
-                "total": sum(census.values()),
-            }
-        )
-    else:
-        print(f"point {x.poly_pretty()} over F_{x.q} (degree {x.d})")
-        for row in rows:
-            print(f"{BundleType(row['degrees']).pretty()}: {row['count']}")
-        print(f"total {sum(census.values())}")
-    return 0
-
-
-def _t_pretty(coeffs) -> str:
-    return QPoly(tuple(coeffs)).pretty().replace("q", "t")
+    doc = {
+        "command": "oracle census",
+        "bundle": list(E.degrees),
+        "point": x.to_json(),
+        "weight": args.weight,
+        "census": [{"degrees": list(F.degrees), "count": c} for F, c in census.items()],
+        "total": sum(census.values()),
+    }
+    lines = [f"point {x.poly_pretty()} over F_{x.q} (degree {x.d})"]
+    lines += [f"{F.pretty()}: {c}" for F, c in census.items()]
+    lines.append(f"total {doc['total']}")
+    return _emit(args, doc, lines)
 
 
 def cmd_oracle_snf(args) -> int:
     diag, L, R = smith_normal_form(args.matrix, args.q)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "oracle snf",
-                "q": args.q,
-                "diag": [list(entry) for entry in diag],
-                "diag_pretty": [_t_pretty(entry) for entry in diag],
-                "left": [[list(e) for e in row] for row in L],
-                "right": [[list(e) for e in row] for row in R],
-            }
-        )
-    else:
-        print("diag: " + ", ".join(_t_pretty(entry) for entry in diag))
-    return 0
+    doc = {
+        "command": "oracle snf",
+        "q": args.q,
+        "diag": [list(entry) for entry in diag],
+        "diag_pretty": [QPoly(entry).pretty().replace("q", "t") for entry in diag],
+        "left": [[list(e) for e in row] for row in L],
+        "right": [[list(e) for e in row] for row in R],
+    }
+    return _emit(args, doc, ["diag: " + ", ".join(doc["diag_pretty"])])
 
 
-def _eigen_query(args) -> EigenQuery:
-    x = ClosedPoint(args.q, 1, (0, 1))
-    return EigenQuery(args.lams, x, args.depth)
+def _solve_forms(args) -> tuple:
+    """The eigenform of --n/--q/--lambda/--depth, with the document fields
+    that every forms command shares."""
+    query = EigenQuery(args.lams, ClosedPoint(args.q, 1, (0, 1)), args.depth)
+    if query.n != args.n:
+        raise ValueError(f"--lambda needs n-1 = {args.n - 1} values, got {len(query.lams)}")
+    doc = {
+        "command": f"forms {args.forms_command}",
+        "n": args.n,
+        "q": args.q,
+        "lambda": [str(l) for l in query.lams],
+        "depth": args.depth,
+    }
+    return eigenform_solve(query), doc
 
 
 def cmd_forms_eigen(args) -> int:
-    query = _eigen_query(args)
-    if query.n != args.n:
-        raise ValueError(f"--lambda needs n-1 = {args.n - 1} values, got {len(query.lams)}")
-    f = eigenform_solve(query)
-    if args.format == "json":
-        doc = f.to_json()
-        doc.update(
-            {
-                "command": "forms eigen",
-                "n": args.n,
-                "q": args.q,
-                "lambda": [str(l) for l in query.lams],
-                "depth": args.depth,
-            }
-        )
-        _emit_json(doc)
-    else:
-        print(f"nullity {f.nullity}")
-        for c in f.space.padded:
-            print(f"{c.degrees.pretty()}: {f[c]}")
-    return 0
+    f, doc = _solve_forms(args)
+    lines = [f"nullity {f.nullity}"] + [f"{c.degrees.pretty()}: {f[c]}" for c in f.space.padded]
+    return _emit(args, {**f.to_json(), **doc}, lines)
 
 
 def cmd_forms_toroidal(args) -> int:
-    query = _eigen_query(args)
-    if query.n != args.n:
-        raise ValueError(f"--lambda needs n-1 = {args.n - 1} values, got {len(query.lams)}")
-    f = eigenform_solve(query)
+    f, doc = _solve_forms(args)
     total = toroidal_sum(f, args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "forms toroidal",
-                "n": args.n,
-                "q": args.q,
-                "lambda": [str(l) for l in query.lams],
-                "depth": args.depth,
-                "toroidal_sum": str(total),
-                "is_zero": total == 0,
-            }
-        )
-    else:
-        print(f"toroidal sum {total}")
-    return 0
+    doc.update(toroidal_sum=str(total), is_zero=total == 0)
+    return _emit(args, doc, [f"toroidal sum {total}"])
 
 
 def cmd_forms_cusp(args) -> int:
-    query = _eigen_query(args)
-    if query.n != args.n:
-        raise ValueError(f"--lambda needs n-1 = {args.n - 1} values, got {len(query.lams)}")
     n1 = args.n1
     if not 1 <= n1 <= args.n - 1:
         raise ValueError(f"need 1 <= n1 <= {args.n - 1}, got {n1}")
-    f = eigenform_solve(query)
-    defects = cusp_defect(f, n1, args.n - n1, f.space, args.q)
-    rows = [
-        {
-            "quotient": list(F.degrees),
-            "sub": list(G.degrees),
-            "defect": str(v),
-        }
-        for (F, G), v in sorted(defects.items())
-    ]
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "forms cusp",
-                "n": args.n,
-                "q": args.q,
-                "lambda": [str(l) for l in query.lams],
-                "depth": args.depth,
-                "n1": n1,
-                "defects": rows,
-                "all_zero": all(v == 0 for v in defects.values()),
-            }
-        )
-    else:
-        for row in rows:
-            F = BundleType(row["quotient"]).pretty()
-            G = BundleType(row["sub"]).pretty()
-            print(f"({F}, {G}): {row['defect']}")
-        print(f"all zero: {all(v == 0 for v in defects.values())}")
-    return 0
+    f, doc = _solve_forms(args)
+    defects = sorted(cusp_defect(f, n1, args.n - n1, f.space, args.q).items())
+    doc.update(
+        n1=n1,
+        defects=[
+            {"quotient": list(F.degrees), "sub": list(G.degrees), "defect": str(v)}
+            for (F, G), v in defects
+        ],
+        all_zero=all(v == 0 for _, v in defects),
+    )
+    lines = [f"({F.pretty()}, {G.pretty()}): {v}" for (F, G), v in defects]
+    lines.append(f"all zero: {doc['all_zero']}")
+    return _emit(args, doc, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +349,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_format(p) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heckelab",
@@ -475,69 +356,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("gr", help="Grassmannian point count as a q-polynomial")
+    p = sub.add_parser("gr", parents=[fmt], help="Grassmannian point count as a q-polynomial")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=_field_size)
-    _add_format(p)
     p.set_defaults(func=cmd_gr)
 
-    p = sub.add_parser("delta", help="enumerate drop vectors with weights")
+    p = sub.add_parser("delta", parents=[fmt], help="enumerate drop vectors with weights")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_format(p)
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("hall", help="hall-algebra products")
     hall_sub = p.add_subparsers(dest="hall_command", required=True)
-    pm = hall_sub.add_parser("mul", help="product [F]*[G] expanded over bundles")
+    pm = hall_sub.add_parser("mul", parents=[fmt], help="product [F]*[G] expanded over bundles")
     pm.add_argument("--f", type=_degrees, required=True, metavar="DEGS")
     pm.add_argument("--g", type=_degrees, required=True, metavar="DEGS")
     pm.add_argument("--q", type=_field_size)
-    _add_format(pm)
     pm.set_defaults(func=cmd_hall_mul)
-    pk = hall_sub.add_parser("kx", help="skyscraper product K_x^r * [E]")
+    pk = hall_sub.add_parser("kx", parents=[fmt], help="skyscraper product K_x^r * [E]")
     pk.add_argument("--bundle", type=_degrees, required=True, metavar="DEGS")
     pk.add_argument("--weight", type=int, required=True)
     pk.add_argument("--point-degree", type=int, required=True)
     pk.add_argument("--method", choices=("recursive", "closed"), default="recursive")
     pk.add_argument("--q", type=_field_size)
-    _add_format(pk)
     pk.set_defaults(func=cmd_hall_kx)
 
     p = sub.add_parser("hecke", help="modification existence, counts, censuses")
     hecke_sub = p.add_subparsers(dest="hecke_command", required=True)
-    pn = hecke_sub.add_parser("neighbors", help="census of weight-r modifications of E")
-    pn.add_argument("--bundle", type=_degrees, required=True, metavar="DEGS")
-    pn.add_argument("--point-degree", type=int, required=True)
-    pn.add_argument("--weight", type=int, required=True)
-    pn.add_argument("--q", type=_field_size)
-    pn.add_argument("--cross-check", choices=("auto", "on", "off"), default="auto")
-    _add_format(pn)
+    hecke = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    hecke.add_argument("--bundle", type=_degrees, required=True, metavar="DEGS")
+    hecke.add_argument("--point-degree", type=int, required=True)
+    hecke.add_argument("--weight", type=int, required=True)
+    hecke.add_argument("--q", type=_field_size)
+    hecke.add_argument("--cross-check", choices=tuple(_CROSS_CHECK), default="auto")
+    pn = hecke_sub.add_parser(
+        "neighbors", parents=[hecke], help="census of weight-r modifications of E"
+    )
     pn.set_defaults(func=cmd_hecke_neighbors)
-    pt = hecke_sub.add_parser("mult", help="multiplicity of one modification")
-    pt.add_argument("--bundle", type=_degrees, required=True, metavar="DEGS")
+    pt = hecke_sub.add_parser("mult", parents=[hecke], help="multiplicity of one modification")
     pt.add_argument("--target", type=_degrees, required=True, metavar="DEGS")
-    pt.add_argument("--point-degree", type=int, required=True)
-    pt.add_argument("--weight", type=int, required=True)
-    pt.add_argument("--q", type=_field_size)
-    pt.add_argument("--cross-check", choices=("auto", "on", "off"), default="auto")
-    _add_format(pt)
     pt.set_defaults(func=cmd_hecke_mult)
 
     p = sub.add_parser("oracle", help="brute-force enumeration over an explicit field")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
-    pc = oracle_sub.add_parser("census", help="enumerate subsheaves fiberwise")
+    pc = oracle_sub.add_parser("census", parents=[fmt], help="enumerate subsheaves fiberwise")
     pc.add_argument("--bundle", type=_degrees, required=True, metavar="DEGS")
     pc.add_argument("--q", type=_prime, required=True)
     pc.add_argument("--point", type=_coeffs, metavar="COEFFS")
     pc.add_argument("--point-degree", type=int)
     pc.add_argument("--weight", type=int, required=True)
     pc.add_argument("--budget", type=int)
-    _add_format(pc)
     pc.set_defaults(func=cmd_oracle_census)
-    ps = oracle_sub.add_parser("snf", help="Smith normal form over F_q[t]")
+    ps = oracle_sub.add_parser("snf", parents=[fmt], help="Smith normal form over F_q[t]")
     ps.add_argument(
         "--matrix",
         type=_matrix,
@@ -545,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows ';', entries '|', little-endian coefficients ','  e.g. '1,1,1|0;0|1'",
     )
     ps.add_argument("--q", type=_prime, required=True)
-    _add_format(ps)
     ps.set_defaults(func=cmd_oracle_snf)
 
     p = sub.add_parser("forms", help="eigenforms and the triviality theorems")
@@ -555,14 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("toroidal", cmd_forms_toroidal),
         ("cusp", cmd_forms_cusp),
     ):
-        pf = forms_sub.add_parser(name)
+        pf = forms_sub.add_parser(name, parents=[fmt])
         pf.add_argument("--n", type=int, required=True)
         pf.add_argument("--q", type=_prime, required=True)
         pf.add_argument("--lambda", dest="lams", type=_rationals, required=True, metavar="RATS")
         pf.add_argument("--depth", type=int, required=True)
         if name == "cusp":
             pf.add_argument("--n1", type=int, default=1)
-        _add_format(pf)
         pf.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the cross-check grid")

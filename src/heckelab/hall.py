@@ -41,7 +41,6 @@ __all__ = [
     "realizing_deltas",
 ]
 
-_Q = QPoly((0, 1))
 _ONE = QPoly((1,))
 _QQ_MINUS = QPoly((-1, 0, 1))  # q^2 - 1
 _Q_MINUS = QPoly((-1, 1))  # q - 1
@@ -54,6 +53,13 @@ class HallIntegrityError(RuntimeError):
 class HallTerm(NamedTuple):
     bundle: BundleType
     torsion_weight: int = 0
+
+    def pretty(self) -> str:
+        """The class label, e.g. O(-1)+O(2)+K^1."""
+        label = self.bundle.pretty()
+        if self.torsion_weight:
+            label += f"+K^{self.torsion_weight}"
+        return label
 
 
 class HallElement:
@@ -96,13 +102,7 @@ class HallElement:
     def pretty(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for term, coeff in self.items():
-            label = term.bundle.pretty()
-            if term.torsion_weight:
-                label += f"+K^{term.torsion_weight}"
-            parts.append(f"({coeff.pretty()})*({label})")
-        return " + ".join(parts)
+        return " + ".join(f"({c.pretty()})*({t.pretty()})" for t, c in self.items())
 
     def __repr__(self):
         return f"HallElement({self.pretty()})"
@@ -137,13 +137,14 @@ def _straighten(word: tuple) -> tuple:
     hi, lo = word[j], word[j + 1]
     pre, suf = word[:j], word[j + 2 :]
     gap = hi - lo
-    replacements = [((lo, hi), _Q ** (gap + 1))]
+    replacements = [((lo, hi), QPoly.monomial(gap + 1))]
+    inner = QPoly.monomial(gap - 1)
     for i in range(1, gap // 2 + 1):
         a, b = lo + i, hi - i
         if a < b:
-            replacements.append(((a, b), _QQ_MINUS * _Q ** (gap - 1)))
+            replacements.append(((a, b), _QQ_MINUS * inner))
         else:
-            replacements.append(((a, a), _Q_MINUS * _Q ** (gap - 1)))
+            replacements.append(((a, a), _Q_MINUS * inner))
     out: dict[tuple, QPoly] = {}
     for pair, coeff in replacements:
         for asc, c in _straighten(pre + pair + suf):
@@ -202,7 +203,7 @@ def _kx_recursive(r: int, E: BundleType, d: int) -> HallElement:
                 key = (w + (m + d,), s - 1)
                 nxt[key] = nxt.get(key, QPoly(())) + c
             key = (w + (m,), s)
-            nxt[key] = nxt.get(key, QPoly(())) + c * _Q ** (s * d)
+            nxt[key] = nxt.get(key, QPoly(())) + c * QPoly.monomial(s * d)
         states = nxt
     out: dict[HallTerm, QRat] = {}
     for (w, s), c in states.items():
@@ -230,7 +231,7 @@ def _kx_closed(r: int, E: BundleType, d: int) -> HallElement:
             )
             for B, wc in _word_element(shifted).items():
                 term = HallTerm(B, r - i)
-                out[term] = out.get(term, QRat.of(0)) + QRat.of(_Q**expo * wc)
+                out[term] = out.get(term, QRat.of(0)) + QRat.of(QPoly.monomial(expo) * wc)
     return HallElement(out).scale(q_factor(E))
 
 

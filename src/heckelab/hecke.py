@@ -28,7 +28,6 @@ __all__ = [
     "dual_existence_check",
 ]
 
-_Q = QPoly((0, 1))
 _ONE = QPoly((1,))
 _ZERO = QPoly(())
 
@@ -145,30 +144,30 @@ def _rank2_table(dp: tuple, dd: tuple, d: int) -> QPoly:
     g = d2 - d1
     if g >= d:
         if (a, b) == tuple(sorted((d1, d2 - d))):
-            return _Q**d
+            return QPoly.monomial(d)
         if (a, b) == (d1 - d, d2):
             return _ONE
         return _ZERO
     if g == 0:
         if d % 2 == 0 and (a, b) == (d1 - d // 2, d1 - d // 2):
-            return _Q**d - _Q ** (d - 1)
+            return QPoly.monomial(d) - QPoly.monomial(d - 1)
         if (a, b) == (d1 - d, d1):
-            return _Q + _ONE
+            return QPoly((1, 1))  # q+1
         i = d1 - b
         if 1 <= i <= (d - 1) // 2 and a == d1 - d + i:
-            return _Q ** (2 * i + 1) - _Q ** (2 * i - 1)
+            return QPoly.monomial(2 * i + 1) - QPoly.monomial(2 * i - 1)
         return _ZERO
     # 0 < g < d
     if (d + g) % 2 == 0 and (a, b) == ((d1 + d2 - d) // 2, (d1 + d2 - d) // 2):
-        return _Q**d - _Q ** (d - 1)
+        return QPoly.monomial(d) - QPoly.monomial(d - 1)
     if (a, b) == (d2 - d, d1):
-        return _Q ** (g + 1)
+        return QPoly.monomial(g + 1)
     if (a, b) == (d1 - d, d2):
         return _ONE
     i = d1 - b
     ell = (d - g - 1) // 2
     if 1 <= i <= ell and a == d2 - d + i:
-        return _Q ** (g + 2 * i + 1) - _Q ** (g + 2 * i - 1)
+        return QPoly.monomial(g + 2 * i + 1) - QPoly.monomial(g + 2 * i - 1)
     return _ZERO
 
 
@@ -192,7 +191,7 @@ def _deg1_multiplicity(dp: tuple, dd: tuple, r: int) -> QPoly:
         alpha += (length - theta) * (r - consumed)
         out = out * gaussian_binomial(theta, length)
         start += length
-    return _Q**alpha * out
+    return QPoly.monomial(alpha) * out
 
 
 def _multiplicity_core(dp: tuple, dd: tuple, d: int, r: int) -> tuple:
@@ -214,7 +213,7 @@ def _multiplicity_core(dp: tuple, dd: tuple, d: int, r: int) -> tuple:
     spaced = all(dd[i + 1] - dd[i] >= d for i in range(n - 1))
     if distinct and spaced and all(e in (0, d) for e in eps):
         delta = DeltaVec([e // d for e in eps])
-        return _Q ** (weight(delta) * d), "spaced"
+        return QPoly.monomial(weight(delta) * d), "spaced"
     if len(set(dd)) == 1:
         lowered = tuple(sorted([dd[0] - d] * r + [dd[0]] * (n - r)))
         if dp == lowered:
@@ -230,7 +229,7 @@ def _multiplicity_core(dp: tuple, dd: tuple, d: int, r: int) -> tuple:
             m1, _ = _multiplicity_core(dp[:n1], dd[:n1], d, r1)
             m2, _ = _multiplicity_core(dp[n1:], dd[n1:], d, r - r1)
             r2 = r - r1
-            return m1 * m2 * _Q ** (r2 * (n1 - r1) * d), "spaced-split"
+            return m1 * m2 * QPoly.monomial(r2 * (n1 - r1) * d), "spaced-split"
     return hall_multiplicity(BundleType(dp), BundleType(dd), d, r), "hall"
 
 
@@ -290,13 +289,9 @@ def neighbors(E: BundleType, d: int, r: int, cross_check=None) -> dict:
         raise ValueError(f"need 1 <= r <= rank, got r={r}, rank={n}")
     if d < 1:
         raise ValueError(f"point degree must be >= 1, got {d}")
-    dd = E.degrees
     out = {}
     for E_prime in candidates(E, d, r):
-        dp = E_prime.degrees
-        if not _exists(dp, dd, d, r):
-            continue
-        poly, _ = _checked_core(dp, dd, d, r, cross_check)
+        poly, _ = _checked_core(E_prime.degrees, E.degrees, d, r, cross_check)
         if not poly.is_zero():
             out[E_prime] = poly
     return out

@@ -111,9 +111,6 @@ class Field:
     def sub(self, a, b):
         return fpoly.sub(a, b, self.q)
 
-    def neg(self, a):
-        return fpoly.trim(-c % self.q for c in a)
-
     def mul(self, a, b):
         return fpoly.div(fpoly.mul(a, b, self.q), self.poly, self.q)[1]
 
@@ -461,6 +458,19 @@ def _all_polys_up_to(deg_bound: int, q: int):
     return [fpoly.trim(c) for c in product(range(q), repeat=deg_bound + 1)]
 
 
+def _matrix_spaces(rows: tuple, cols: tuple, q: int, budget) -> list:
+    """Row-major entry spaces of the n x n matrices over F_q[t] whose entry
+    (i,j) has degree <= rows[i] - cols[j]; BudgetExceeded when there are
+    more such matrices than the matrix budget allows."""
+    n = len(rows)
+    dims = [max(0, rows[i] - cols[j] + 1) for i in range(n) for j in range(n)]
+    total = q ** sum(dims)
+    limit = budget if budget is not None else default_budget("matrices")
+    if total > limit:
+        raise BudgetExceeded(f"{total} matrices exceed budget {limit}")
+    return [_all_polys_up_to(dim - 1, q) for dim in dims]
+
+
 def brute_aut_order(E: BundleType, q: int, budget=None) -> int:
     """Count invertible endomorphism matrices of E over F_q.
 
@@ -468,24 +478,15 @@ def brute_aut_order(E: BundleType, q: int, budget=None) -> int:
     Invertibility is the block-triangular criterion: each equal-degree
     diagonal block (constant entries) lies in GL over F_q.
     """
-    ds = E.degrees
-    n = len(ds)
-    dims = [[max(0, ds[i] - ds[j] + 1) for j in range(n)] for i in range(n)]
-    total = 1
-    for row in dims:
-        for dim in row:
-            total *= q**dim
-    limit = budget if budget is not None else default_budget("matrices")
-    if total > limit:
-        raise BudgetExceeded(f"{total} endomorphisms exceed budget {limit}")
-    spaces = [[_all_polys_up_to(dims[i][j] - 1, q) for j in range(n)] for i in range(n)]
+    n = E.rank
+    spaces = _matrix_spaces(E.degrees, E.degrees, q, budget)
     groups = []
     start = 0
     for _, l in E.grouped():
         groups.append(range(start, start + l))
         start += l
     count = 0
-    for flat in product(*(spaces[i][j] for i in range(n) for j in range(n))):
+    for flat in product(*spaces):
         mat = [flat[i * n : (i + 1) * n] for i in range(n)]
         ok = True
         for g in groups:
@@ -513,19 +514,10 @@ def count_monomorphisms(
         raise ValueError("weight-one count needs deg E - deg E' = d")
     q = x.q
     n = E.rank
-    ds, as_ = E.degrees, E_prime.degrees
-    dims = [[max(0, ds[i] - as_[j] + 1) for j in range(n)] for i in range(n)]
-    total = 1
-    for row in dims:
-        for dim in row:
-            total *= q**dim
-    limit = budget if budget is not None else default_budget("matrices")
-    if total > limit:
-        raise BudgetExceeded(f"{total} matrices exceed budget {limit}")
-    spaces = [[_all_polys_up_to(dims[i][j] - 1, q) for j in range(n)] for i in range(n)]
+    spaces = _matrix_spaces(E.degrees, E_prime.degrees, q, budget)
     target = fpoly.trim(x.poly)
     count = 0
-    for flat in product(*(spaces[i][j] for i in range(n) for j in range(n))):
+    for flat in product(*spaces):
         mat = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
         det = fpoly.det(mat, q)
         if det and len(det) == len(target) and fpoly.monic(det, q) == target:

@@ -68,7 +68,11 @@ def test_closed_point_validation():
     assert x.poly == (1, 1, 1)
     assert x.poly_pretty() == "t^2+t+1"
     ClosedPoint(5, 1, [2, 1])
-    ClosedPoint(3, 4, None)  # no poly: any degree, no primality requirement
+    ClosedPoint(3, 4, None)  # no poly: any degree
+    ClosedPoint(4, 2)  # no poly: any prime power q
+    for q in (6, 1, 0, -3):  # no field F_q
+        with pytest.raises(ValueError, match="prime power"):
+            ClosedPoint(q, 1)
     with pytest.raises(ValueError):
         ClosedPoint(2, 2, [1, 0, 1])  # t^2+1 = (t+1)^2 over F_2
     with pytest.raises(ValueError):

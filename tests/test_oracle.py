@@ -241,6 +241,17 @@ def test_count_monomorphisms_degree_one():
     assert count == 3 * brute_aut_order(BundleType([-1, 0]), 2)
 
 
+def test_matrix_budget_counts_every_matrix():
+    # End(O^2) over F_2 has 2^4 matrices; Hom(O(-2)+O, O^2) has 2^(3+1+3+1)
+    assert brute_aut_order(BundleType([0, 0]), 2, budget=16) == 6
+    with pytest.raises(BudgetExceeded):
+        brute_aut_order(BundleType([0, 0]), 2, budget=15)
+    E_prime, E = BundleType([-2, 0]), BundleType([0, 0])
+    assert count_monomorphisms(E_prime, E, X2, budget=256) == 3 * 8  # 3 * #Aut(E')
+    with pytest.raises(BudgetExceeded):
+        count_monomorphisms(E_prime, E, X2, budget=255)
+
+
 def test_count_monomorphisms_weight_check():
     with pytest.raises(ValueError):
         count_monomorphisms(BundleType([-1, -1]), BundleType([0, 0]), X1)
