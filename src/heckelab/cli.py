@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -29,8 +30,14 @@ from .forms import (
     toroidal_sum,
 )
 from .hall import HallIntegrityError, bundle_product, kx_times
-from .hecke import ModificationQuery, exists_modification, multiplicity_detail, neighbors
-from .oracle import BudgetExceeded, brute_multiplicity, check_subspace_budget, smith_normal_form
+from .hecke import ModificationQuery, exists_modification, multiplicity_detail, neighbors_detail
+from .oracle import (
+    BudgetExceeded,
+    brute_multiplicity,
+    check_subspace_budget,
+    default_budget,
+    smith_normal_form,
+)
 from .qcalc import QPoly, gaussian_binomial
 
 SCHEMA = "heckelab/1"
@@ -142,6 +149,10 @@ def cmd_gr(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    count = math.comb(args.n, args.r) if 0 <= args.r <= args.n else 0
+    limit = default_budget("subspaces")
+    if count > limit:
+        raise BudgetExceeded(f"{count} drop vectors exceed budget {limit}")
     rows = [
         {"bits": d.to_json(), "weight": weight(d), "omega": omega(d)}
         for d in enumerate_deltas(args.n, args.r)
@@ -186,11 +197,9 @@ def cmd_hall_kx(args) -> int:
 def cmd_hecke_neighbors(args) -> int:
     E = BundleType(args.bundle)
     x = ClosedPoint(args.q or 2, args.point_degree)
-    census = neighbors(E, x.d, args.weight, cross_check=_CROSS_CHECK[args.cross_check])
+    census = neighbors_detail(E, x.d, args.weight, cross_check=_CROSS_CHECK[args.cross_check])
     rows, lines = [], []
-    for E_prime, poly in census.items():
-        query = ModificationQuery(E, E_prime, x, args.weight)
-        _, method = multiplicity_detail(query, cross_check=False)
+    for E_prime, (poly, method) in census.items():
         row = {"degrees": list(E_prime.degrees), "multiplicity": _poly_doc(poly), "method": method}
         line = f"{E_prime.pretty()}: {poly.pretty()}"
         if args.q is not None:
@@ -198,7 +207,7 @@ def cmd_hecke_neighbors(args) -> int:
             line += f" = {row['at_q']}"
         rows.append(row)
         lines.append(f"{line}   [{method}]")
-    total = sum(census.values(), QPoly(()))
+    total = sum((poly for poly, _ in census.values()), QPoly(()))
     doc = {
         "command": "hecke neighbors",
         "bundle": list(E.degrees),
@@ -236,6 +245,8 @@ def cmd_oracle_census(args) -> int:
     if args.point is None and args.point_degree is None:
         raise ValueError("need --point or --point-degree")
     d = args.point_degree if args.point is None else len(args.point) - 1
+    if args.point_degree not in (None, d):
+        raise ValueError(f"--point has degree {d} but --point-degree is {args.point_degree}")
     # the point search alone can outlast any census the budget allows
     check_subspace_budget(E.rank, args.weight, args.q, d, args.budget)
     poly = fpoly.first_irreducible(args.q, d) if args.point is None else args.point

@@ -3,9 +3,11 @@
 A polynomial is a little-endian tuple of ints in [0, p), trimmed so the
 last coefficient is nonzero; the zero polynomial is ().  Every function
 takes the prime p explicitly and returns trimmed tuples.  Besides the ring
-operations this module holds the determinant of polynomial matrices, rank
-over F_p, Rabin's irreducibility test and the search for the first monic
-irreducible of a degree, plus the primality helpers that validate q.
+operations this module holds the determinant of polynomial matrices, the
+one elimination step over F_p (`insert_row`, which adds a row to an
+echelon form when it is independent; `rank` folds it over a matrix),
+Rabin's irreducibility test and the search for the first monic irreducible
+of a degree, plus the primality helpers that validate q.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "gcd",
     "powmod",
     "det",
+    "insert_row",
     "rank",
     "is_irreducible",
     "first_irreducible",
@@ -133,28 +136,32 @@ def det(M, p):
     return out
 
 
+def insert_row(echelon: dict, row, p) -> bool:
+    """One step of elimination over F_p: reduce row by the echelon, and add
+    it when it is independent of the rows already there.
+
+    echelon maps each pivot column to its row, which is 1 at the pivot and
+    0 at the pivots of the rows added before it; start from {}.  Rows are
+    int sequences of one length, entries taken mod p.  Returns whether the
+    row was added, that is whether the rank grew.
+    """
+    row = list(row)
+    for col, pivot_row in echelon.items():
+        c = row[col] % p
+        if c:
+            row = [(a - c * b) % p for a, b in zip(row, pivot_row)]
+    lead = next((j for j, c in enumerate(row) if c % p), None)
+    if lead is None:
+        return False
+    inv = pow(row[lead], -1, p)
+    echelon[lead] = [c * inv % p for c in row]
+    return True
+
+
 def rank(rows, p) -> int:
-    """Rank over F_p of a matrix given as int rows, by Gauss-Jordan."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    found = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(found, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[found], rows[pivot] = rows[pivot], rows[found]
-        inv = pow(rows[found][col], -1, p)
-        rows[found] = [c * inv % p for c in rows[found]]
-        for i in range(len(rows)):
-            if i != found and rows[i][col] % p:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[found])]
-        found += 1
-        if found == len(rows):
-            break
-    return found
+    """Rank over F_p of a matrix given as int rows."""
+    echelon = {}
+    return sum(insert_row(echelon, row, p) for row in rows)
 
 
 def is_irreducible(f, p) -> bool:

@@ -25,6 +25,7 @@ __all__ = [
     "multiplicity_detail",
     "candidates",
     "neighbors",
+    "neighbors_detail",
     "dual_existence_check",
 ]
 
@@ -278,8 +279,8 @@ def candidates(E: BundleType, d: int, r: int) -> list:
     return [BundleType(dp) for dp in sorted(seen)]
 
 
-def neighbors(E: BundleType, d: int, r: int, cross_check=None) -> dict:
-    """All E' with nonzero multiplicity, mapped to their polynomials.
+def neighbors_detail(E: BundleType, d: int, r: int, cross_check=None) -> dict:
+    """All E' with nonzero multiplicity, mapped to (polynomial, method tag).
 
     Candidates come from drop vectors in {0..d}^n with total r*d; the sum
     of the returned polynomials at q is #Gr(n-r, n) over F_{q^d}.
@@ -291,10 +292,19 @@ def neighbors(E: BundleType, d: int, r: int, cross_check=None) -> dict:
         raise ValueError(f"point degree must be >= 1, got {d}")
     out = {}
     for E_prime in candidates(E, d, r):
-        poly, _ = _checked_core(E_prime.degrees, E.degrees, d, r, cross_check)
+        poly, method = _checked_core(E_prime.degrees, E.degrees, d, r, cross_check)
         if not poly.is_zero():
-            out[E_prime] = poly
+            out[E_prime] = poly, method
     return out
+
+
+def neighbors(E: BundleType, d: int, r: int, cross_check=None) -> dict:
+    """All E' with nonzero multiplicity, mapped to their polynomials; the
+    census of neighbors_detail without the method tags."""
+    return {
+        E_prime: poly
+        for E_prime, (poly, _) in neighbors_detail(E, d, r, cross_check).items()
+    }
 
 
 def dual_existence_check(query: ModificationQuery) -> bool:

@@ -9,11 +9,16 @@ cross-validates the closed formulas: multiplicity censuses, automorphism
 orders, constrained monomorphism counts, and Smith normal forms over
 F_q[t].
 
+The section counts come from one incremental scan per subspace: each twist
+adds one section row per component, the row of the previous twist times t,
+to a single F_q echelon form kept by `fpoly.insert_row`, and h^0 is the
+number of rows that were dependent.
+
 Field elements of F_{q^d} = F_q[t]/(poly) are plain int tuples of length d
 (coefficients of the reduced representative, little-endian); q must be
-prime.  Linear algebra over the extension is expanded to F_q and done by
-`fpoly.rank`; the modulus is checked irreducible once, when a Field or
-the ClosedPoint it comes from is built.
+prime.  Linear algebra over the extension is expanded to F_q, where
+`fpoly.insert_row` is the one elimination step; the modulus is checked
+irreducible once, when a Field or the ClosedPoint it comes from is built.
 """
 
 from __future__ import annotations
@@ -174,22 +179,6 @@ class FiberSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains_residual(self, v):
-        """Reduce v by the basis; zero residual iff v in the subspace.
-
-        Returns the residual restricted to non-pivot columns (kappa-linear
-        in v), the quotient-map coordinates used for section counting.
-        """
-        f = self.field
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        n = len(v)
-        nonpivots = [j for j in range(n) if j not in self.pivots]
-        return tuple(v[j] for j in nonpivots)
-
     def __repr__(self):
         return f"FiberSubspace(dim={self.dim}, pivots={self.pivots})"
 
@@ -255,60 +244,51 @@ def subspace_count(k: int, n: int, q0: int, budget: int | None = None) -> int:
 # --- splitting type from section counts ------------------------------------
 
 
-def _h0_constrained(E: BundleType, W: FiberSubspace, k: int) -> int:
-    """dim_{F_q} of {s in H^0(E(k)) : ev_x(s) in W}.
-
-    H^0(E(k)) has basis t^j in component i for 0 <= j <= d_i + k; the value
-    at x is the reduction mod the point polynomial, a kappa(x)^n vector.
-    Twisting scales every coordinate by the same unit, so W is the same
-    condition for every k.
-    """
-    n = E.rank
-    dims = [max(0, di + k + 1) for di in E.degrees]
-    nsec = sum(dims)
-    if nsec == 0:
-        return 0
-    field = W.field
-    tpow = field.t_powers(max(dims))
-    rows = []
-    for i in range(n):
-        for j in range(dims[i]):
-            v = [field.zero] * n
-            v[i] = tpow[j]
-            res = W.contains_residual(v)
-            rows.append([c for elem in res for c in field.expand(elem)])
-    return nsec - fpoly.rank(rows, field.q)
-
-
 def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleType:
     """Splitting type of the kernel subsheaf E' = {s : s(x) in W}.
 
     h^0(E'(k)) - h^0(E'(k-1)) = #{i : d_i' >= -k}; scanning k recovers the
     degree multiset.  The scan must reach k = d - min(d_i) at the top so the
     lowest possible component degree min(d_i) - d is visible.
+
+    One scan keeps one F_q echelon form.  A section lies in E' when its
+    value at x maps to zero in kappa^n / W, and that map is kappa-linear:
+    t^j e_i maps to t^j times the image of e_i, which W's reduced
+    row-echelon basis gives in its non-pivot coordinates (minus the row
+    whose pivot is i, or a unit vector when column i is no pivot).  Twist k
+    adds the section t^(d_i+k) e_i of each component with d_i + k >= 0, and
+    h^0(E'(k)) is the number of section rows so far that were dependent.
     """
     if x.poly is None:
         raise ValueError("splitting_type needs a point with explicit poly")
-    if (W.field.q, W.field.poly) != (x.q, x.poly):
+    field = W.field
+    if (field.q, field.poly) != (x.q, x.poly):
         raise ValueError("subspace W lies in the fiber of another point than x")
     n = E.rank
     r = n - W.dim
+    pivot_rows = dict(zip(W.pivots, W.basis))
+    free = [j for j in range(n) if j not in pivot_rows]
+    images = [
+        [field.sub(field.zero, pivot_rows[i][j]) for j in free]
+        if i in pivot_rows
+        else [field.one if j == i else field.zero for j in free]
+        for i in range(n)
+    ]
     lo = -(max(E.degrees) + x.d + 1)
     hi = max(max(E.degrees), x.d - min(E.degrees))
-    h0 = {lo: _h0_constrained(E, W, lo)}
-    assert h0[lo] == 0
-    counts = {}
-    prev = 0
-    prev_c = 0
-    for k in range(lo + 1, hi + 1):
-        cur = _h0_constrained(E, W, k)
-        c = cur - prev
-        if c - prev_c:
-            counts[-k] = c - prev_c
-        prev, prev_c = cur, c
+    echelon = {}
     degrees = []
-    for deg, mult in counts.items():
-        degrees.extend([deg] * mult)
+    h0 = prev_h0 = prev_c = 0
+    for k in range(lo + 1, hi + 1):
+        for i, di in enumerate(E.degrees):
+            if di + k > 0:
+                images[i] = [field.mul(c, (0, 1)) for c in images[i]]
+            if di + k >= 0:
+                row = [c for elem in images[i] for c in field.expand(elem)]
+                h0 += not fpoly.insert_row(echelon, row, field.q)
+        c = h0 - prev_h0
+        degrees += [-k] * (c - prev_c)
+        prev_h0, prev_c = h0, c
     out = BundleType(degrees)
     assert out.rank == n and out.degree == E.degree - r * x.d
     assert all(0 <= a - b <= x.d for a, b in zip(E.degrees, out.degrees))

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from heckelab import hecke
+from heckelab.bundles import BundleType
 from heckelab.cli import _coeffs, _degrees, _matrix, _rationals, main
 
 
@@ -259,6 +261,53 @@ def test_budget_is_checked_before_the_point_search():
     assert out.returncode == 3
     doc = json.loads(out.stderr)
     assert doc["error"] == "BudgetExceeded" and doc["schema"] == "heckelab/1"
+
+
+def test_oversized_delta_listing_exits_3_before_enumerating():
+    # C(60, 30) is about 1.2e17 vectors: refused by the budget, not listed
+    out = subprocess.run(
+        [sys.executable, "-m", "heckelab.cli", "delta", "--n", "60", "--r", "30"],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert out.returncode == 3 and out.stdout == ""
+    doc = json.loads(out.stderr)
+    assert doc["error"] == "BudgetExceeded" and doc["schema"] == "heckelab/1"
+
+
+def test_delta_listing_obeys_the_budget_variable(capsys, monkeypatch):
+    monkeypatch.setenv("HECKELAB_BUDGET", "6")
+    assert run_json(capsys, "delta", "--n", "4", "--r", "2")["count"] == 6
+    monkeypatch.setenv("HECKELAB_BUDGET", "5")
+    code, out, err = run_cli(capsys, "delta", "--n", "4", "--r", "2")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["detail"] == "6 drop vectors exceed budget 5"
+
+
+def test_oracle_census_point_and_point_degree_must_agree(capsys):
+    code, out, err = run_cli(capsys, "oracle", "census", "--bundle", "0,0", "--q", "2",
+                             "--point", "1,1,1", "--point-degree", "3", "--weight", "1")
+    assert (code, out) == (2, "")
+    assert err == "heckelab: error: --point has degree 2 but --point-degree is 3\n"
+    doc = run_json(capsys, "oracle", "census", "--bundle", "0,0", "--q", "2",
+                   "--point", "1,1,1", "--point-degree", "2", "--weight", "1")
+    assert doc["total"] == 5
+
+
+def test_hecke_neighbors_dispatches_once_per_candidate(capsys, monkeypatch):
+    calls = []
+    real = hecke._multiplicity_core
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hecke, "_multiplicity_core", counted)
+    code, out, _ = run_cli(capsys, "hecke", "neighbors", "--bundle", "0,1,2,3",
+                           "--point-degree", "2", "--weight", "2", "--cross-check", "off")
+    assert code == 0 and len(out.splitlines()) == 7  # six neighbours and the total
+    assert len(calls) == len(hecke.candidates(BundleType((0, 1, 2, 3)), 2, 2)) == 11
 
 
 def test_verify_quick_passes(capsys):

@@ -87,6 +87,68 @@ def test_matrix_rank_matches_kernel_count(q, d):
         assert brute_kernel_size(field, rows, ncols) == field.size ** (ncols - rank)
 
 
+def gauss_jordan_rank(rows, p):
+    """Reference: rank over F_p by Gauss-Jordan on a copy of the rows."""
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return 0
+    found = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(found, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        inv = pow(rows[found][col], -1, p)
+        rows[found] = [c * inv % p for c in rows[found]]
+        for i in range(len(rows)):
+            if i != found and rows[i][col] % p:
+                c = rows[i][col]
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[found])]
+        found += 1
+        if found == len(rows):
+            break
+    return found
+
+
+def test_rank_and_insert_row_match_gauss_jordan():
+    rng = random.Random(20261018)
+    cases = 0
+    for p in (2, 3, 5, 7, 101):
+        for _ in range(120):
+            nrows, ncols, k = rng.randint(0, 7), rng.randint(1, 7), rng.randint(0, 4)
+            # rows in the span of k random rows with entries moved out of
+            # [0, p) by multiples of p, up to two rows that are zero mod p,
+            # in random order
+            basis = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+            rows = []
+            for _ in range(nrows):
+                row = [0] * ncols
+                for b in basis:
+                    c = rng.randrange(p)
+                    row = [(x + c * y) % p for x, y in zip(row, b)]
+                rows.append([x + p * rng.randint(-2, 2) for x in row])
+            rows += [[0] * ncols, [p * rng.randint(-2, 2) for _ in range(ncols)]][: rng.randint(0, 2)]
+            rng.shuffle(rows)
+            want = gauss_jordan_rank(rows, p)
+            assert fpoly.rank(rows, p) == want, (rows, p)
+            echelon, grew = {}, []
+            for row in rows:
+                before = [list(r) for r in echelon.values()]
+                grew.append(fpoly.insert_row(echelon, row, p))
+                # a row is added exactly when it raises the rank
+                assert grew[-1] == (gauss_jordan_rank(before + [row], p) > len(before))
+            assert sum(grew) == len(echelon) == want
+            pivots = list(echelon)
+            for i, col in enumerate(pivots):
+                pivot_row = echelon[col]
+                assert pivot_row[col] == 1 and all(0 <= c < p for c in pivot_row)
+                assert all(pivot_row[c] == 0 for c in pivots[:i])
+            cases += 1
+    assert cases == 600
+    assert fpoly.rank([], 5) == 0
+    assert fpoly.rank([[5, 10, -15]], 5) == 0
+
+
 def trial_division_prime_power(q):
     """Reference: (p, e) by the smallest prime factor, or None."""
     if q < 2:

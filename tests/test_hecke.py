@@ -14,6 +14,7 @@ from heckelab.hecke import (
     multiplicity,
     multiplicity_detail,
     neighbors,
+    neighbors_detail,
 )
 from heckelab.oracle import brute_multiplicity
 from heckelab.qcalc import QPoly, gaussian_binomial
@@ -209,6 +210,18 @@ def test_neighbors_mass_identity():
                         total = sum(p.evaluate(q0) for p in nb.values())
                         want = gaussian_binomial(n - r, n).evaluate(q0**d)
                         assert total == want, (E, d, r, q0)
+
+
+def test_neighbors_detail_carries_the_dispatch_method():
+    for n in (2, 3, 4):
+        for E in small_bundles(n, 0, 2):
+            for d in (1, 2):
+                for r in range(1, n + 1):
+                    detail = neighbors_detail(E, d, r)
+                    assert {e: p for e, (p, _) in detail.items()} == neighbors(E, d, r)
+                    x = ClosedPoint(2, d)
+                    for E_prime, got in detail.items():
+                        assert got == multiplicity_detail(ModificationQuery(E, E_prime, x, r))
 
 
 def test_neighbors_match_oracle_census():

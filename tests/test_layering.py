@@ -1,11 +1,16 @@
-"""Module boundaries: no heckelab module imports another's private names."""
+"""Module boundaries: no heckelab module imports another's private names,
+every module is in README's module map, and every exported name exists."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import heckelab
 
 PACKAGE = Path(heckelab.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 
 
 def private_imports(path):
@@ -44,3 +49,19 @@ def test_scan_flags_private_imports(tmp_path):
         "    from .fpoly import _inner\n"
     )
     assert [name for _, _, name in private_imports(sample)] == ["_hidden", "_other", "_inner"]
+
+
+def test_every_module_is_in_the_readme_module_map():
+    text = README.read_text()
+    table = text[text.index("## Module map") :]
+    mapped = set(re.findall(r"^\| `heckelab\.(\w+)`", table, flags=re.MULTILINE))
+    assert len(MODULES) > 5
+    assert mapped == set(MODULES)
+
+
+def test_every_name_in_all_exists():
+    for name in MODULES:
+        module = importlib.import_module(f"heckelab.{name}")
+        exported = getattr(module, "__all__", [])
+        assert len(exported) == len(set(exported)), name
+        assert [n for n in exported if not hasattr(module, n)] == [], name

@@ -9,6 +9,7 @@ from heckelab.bundles import BundleType, ClosedPoint, aut_order
 from heckelab.oracle import (
     BudgetExceeded,
     Field,
+    FiberSubspace,
     brute_aut_order,
     brute_multiplicity,
     check_subspace_budget,
@@ -328,3 +329,79 @@ def test_splitting_type_rejects_a_subspace_of_another_point():
     W = next(enumerate_subspaces(2, 1, F4))
     with pytest.raises(ValueError, match="another point"):
         splitting_type(BundleType([0, 0]), W, ClosedPoint(3, 2, (1, 0, 1)))
+
+
+# --- the from-scratch scan, kept as the reference for splitting_type --------
+
+
+def reference_residual(W: FiberSubspace, v):
+    """Reduce v by W's basis; the non-pivot coordinates of what is left."""
+    f = W.field
+    v = list(v)
+    for row, p in zip(W.basis, W.pivots):
+        c = v[p]
+        if c:
+            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+    return tuple(v[j] for j in range(len(v)) if j not in W.pivots)
+
+
+def reference_h0(E, W, k, residuals):
+    """dim_{F_q} {s in H^0(E(k)) : s(x) in W}, by a rank from scratch over
+    every section row.  The row of t^j e_i is its residual mod W in F_q
+    coordinates, found by reducing that vector by W's basis; residuals
+    memoizes it across the twists of one scan."""
+    field = W.field
+    dims = [max(0, di + k + 1) for di in E.degrees]
+    rows = []
+    for i, dim in enumerate(dims):
+        for j in range(dim):
+            if (i, j) not in residuals:
+                v = [field.zero] * E.rank
+                v[i] = field.reduce((0,) * j + (1,))
+                residuals[i, j] = [c for e in reference_residual(W, v) for c in field.expand(e)]
+            rows.append(residuals[i, j])
+    return sum(dims) - fpoly.rank(rows, field.q)
+
+
+def reference_splitting_type(E, W, x):
+    lo = -(max(E.degrees) + x.d + 1)
+    hi = max(max(E.degrees), x.d - min(E.degrees))
+    residuals = {}
+    assert reference_h0(E, W, lo, residuals) == 0
+    degrees = []
+    prev = prev_c = 0
+    for k in range(lo + 1, hi + 1):
+        cur = reference_h0(E, W, k, residuals)
+        c = cur - prev
+        degrees += [-k] * (c - prev_c)
+        prev, prev_c = cur, c
+    return BundleType(degrees)
+
+
+def seeded_grid(seed=20261018, cap=500, draws=4):
+    """(E, x, r) with q in {2,3,5,7}, d <= 4, ranks 1..4, gaps 0..d+1 and
+    every r in 0..n, keeping the cases with at most cap subspaces."""
+    rng = random.Random(seed)
+    for q in (2, 3, 5, 7):
+        for d in range(1, 5):
+            x = ClosedPoint(q, d, fpoly.first_irreducible(q, d))
+            for n in range(1, 5):
+                for _ in range(draws):
+                    degrees = [rng.randint(-1, 1)]
+                    for _ in range(n - 1):
+                        degrees.append(degrees[-1] + rng.randint(0, d + 1))
+                    E = BundleType(degrees)
+                    for r in range(n + 1):
+                        if gaussian_binomial(n - r, n).evaluate(q**d) <= cap:
+                            yield E, x, r
+
+
+def test_splitting_type_matches_the_from_scratch_scan():
+    seen, ranks = 0, set()
+    for E, x, r in seeded_grid():
+        for W in enumerate_subspaces(E.rank, r, Field.of_point(x)):
+            assert splitting_type(E, W, x) == reference_splitting_type(E, W, x), (E, x, W.basis)
+            seen += 1
+        ranks.add((E.rank, r))
+    assert seen >= 15000
+    assert ranks == {(n, r) for n in range(1, 5) for r in range(n + 1)}
