@@ -53,9 +53,16 @@ def _degrees(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad degree list {text!r}; want e.g. 0,0 or -1,2")
 
 
+def _integer_q(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"q must be an integer, got {text!r}")
+
+
 def _field_size(text: str) -> int:
     """--q where it names the field F_q: a prime power."""
-    q = int(text)
+    q = _integer_q(text)
     try:
         fpoly.prime_power(q)
     except ValueError as exc:
@@ -65,7 +72,7 @@ def _field_size(text: str) -> int:
 
 def _prime(text: str) -> int:
     """--q where arithmetic is done mod q: a prime."""
-    q = int(text)
+    q = _integer_q(text)
     try:
         prime = fpoly.is_prime(q)
     except ValueError as exc:

@@ -17,7 +17,11 @@ coefficient 1 and a_fold equal products give [a]_q! copies.  Multiplicity
 extraction: m_{x,r}(E', E) is the coefficient of [E] in K_x^r * [E'].
 
 Coefficients are exact polynomials or ratios in an indeterminate q, so one
-computation covers every finite base field at once.
+computation covers every finite base field at once.  K_x^r * [E] is derived
+twice, recursively and in closed form, as a table from (word, torsion left)
+to the exponent e of a single monomial q^e, in int arithmetic only; one
+cached expansion straightens the words of either table in Z[q] and
+applies the normalization Q(E), the only ratio, in one step.
 """
 
 from __future__ import annotations
@@ -160,12 +164,11 @@ def _word_element(degrees: tuple) -> dict[BundleType, QPoly]:
     ascending distinct factors.
     """
     out: dict[BundleType, QPoly] = {}
-    for asc, coeff in _straighten(tuple(degrees)):
+    for asc, coeff in _straighten(tuple(degrees)):  # each ascending word once
         E = BundleType(asc)
-        full = coeff
         for _, length in E.grouped():
-            full = full * q_factorial(length)
-        out[E] = out.get(E, QPoly(())) + full
+            coeff = coeff * q_factorial(length)
+        out[E] = coeff
     return out
 
 
@@ -187,51 +190,53 @@ def bundle_product(F: BundleType, G: BundleType) -> HallElement:
     return word_product(tuple(F.degrees) + tuple(G.degrees)).scale(factor)
 
 
-@lru_cache(maxsize=None)
-def _kx_recursive(r: int, E: BundleType, d: int) -> HallElement:
+def _kx_recursive_table(r: int, E: BundleType, d: int) -> dict:
     """K_x^r * [E] by pushing the torsion through one letter at a time.
 
-    State (w, s, c): the processed prefix w, remaining torsion s, and
-    accumulated coefficient c; each letter m either absorbs one torsion
-    copy (degree m+d) or passes it along at cost q^{sd}.
+    Maps (word, torsion left) to the exponent e of its coefficient q^e.
+    Each letter m either absorbs one torsion copy (degree m+d, exponent
+    kept) or passes the s copies left along (exponent plus s*d).  The word
+    records which letters absorbed, so every state is reached once.
     """
-    states = {((), r): _ONE}
+    states = {((), r): 0}
     for m in E.degrees:
-        nxt: dict[tuple, QPoly] = {}
-        for (w, s), c in states.items():
+        nxt = {}
+        for (w, s), e in states.items():
             if s > 0:
-                key = (w + (m + d,), s - 1)
-                nxt[key] = nxt.get(key, QPoly(())) + c
-            key = (w + (m,), s)
-            nxt[key] = nxt.get(key, QPoly(())) + c * QPoly.monomial(s * d)
+                nxt[w + (m + d,), s - 1] = e
+            nxt[w + (m,), s] = e + s * d
         states = nxt
-    out: dict[HallTerm, QRat] = {}
-    for (w, s), c in states.items():
-        for B, wc in _word_element(w).items():
-            term = HallTerm(B, s)
-            out[term] = out.get(term, QRat.of(0)) + QRat.of(c * wc)
-    return HallElement(out).scale(q_factor(E))
+    return states
+
+
+def _kx_closed_table(r: int, E: BundleType, d: int) -> dict:
+    """K_x^r * [E] by the closed sum over partial delta vectors.
+
+    The same table as `_kx_recursive_table`.  The layer with i absorbed
+    copies runs over sigma with i ones; the exponent is d times
+    (weight(sigma) + (n-i)(r-i)), the weight statistic taken with the full
+    budget r rather than sigma's own count.
+    """
+    n = E.rank
+    table = {}
+    for i in range(min(r, n) + 1):  # no sigma has more ones than slots
+        for sigma in enumerate_deltas(n, i):
+            word = tuple(deg + sigma(j + 1) * d for j, deg in enumerate(E.degrees))
+            table[word, r - i] = (weight(sigma) + (n - i) * (r - i)) * d
+    return table
+
+
+_KX_TABLES = {"recursive": _kx_recursive_table, "closed": _kx_closed_table}
 
 
 @lru_cache(maxsize=None)
-def _kx_closed(r: int, E: BundleType, d: int) -> HallElement:
-    """K_x^r * [E] by the closed sum over partial delta vectors.
-
-    The layer with i absorbed copies runs over sigma with i ones; the
-    exponent is d times (weight(sigma) + (n-i)(r-i)), the weight statistic
-    taken with the full budget r rather than sigma's own count.
-    """
-    n = E.rank
-    out: dict[HallTerm, QRat] = {}
-    for i in range(min(r, n) + 1):  # no sigma has more ones than slots
-        for sigma in enumerate_deltas(n, i):
-            expo = (weight(sigma) + (n - i) * (r - i)) * d
-            shifted = tuple(
-                deg + sigma(j + 1) * d for j, deg in enumerate(E.degrees)
-            )
-            for B, wc in _word_element(shifted).items():
-                term = HallTerm(B, r - i)
-                out[term] = out.get(term, QRat.of(0)) + QRat.of(QPoly.monomial(expo) * wc)
+def _kx_expansion(r: int, E: BundleType, d: int, method: str) -> HallElement:
+    """Straighten each word of the method's table and normalize by Q(E) once."""
+    out: dict[HallTerm, QPoly] = {}
+    for (word, s), e in _KX_TABLES[method](r, E, d).items():
+        for B, wc in _word_element(word).items():
+            term = HallTerm(B, s)
+            out[term] = out.get(term, QPoly(())) + QPoly.monomial(e) * wc
     return HallElement(out).scale(q_factor(E))
 
 
@@ -241,11 +246,9 @@ def kx_times(r: int, E: BundleType, d: int, method: str = "recursive") -> HallEl
         raise ValueError(f"kx_times needs r >= 1, got {r}")
     if d < 1:
         raise ValueError(f"point degree must be >= 1, got {d}")
-    if method == "recursive":
-        return _kx_recursive(r, E, d)
-    if method == "closed":
-        return _kx_closed(r, E, d)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in _KX_TABLES:
+        raise ValueError(f"unknown method {method!r}")
+    return _kx_expansion(r, E, d, method)
 
 
 def vec_part(h: HallElement) -> HallElement:

@@ -12,7 +12,9 @@ F_q[t].
 The section counts come from one incremental scan per subspace: each twist
 adds one section row per component, the row of the previous twist times t,
 to a single F_q echelon form kept by `fpoly.insert_row`, and h^0 is the
-number of rows that were dependent.
+number of rows that were dependent.  The scan stops eliminating once the
+echelon spans the quotient kappa^n / W: every later row is dependent and is
+only counted.
 
 Field elements of F_{q^d} = F_q[t]/(poly) are plain int tuples of length d
 (coefficients of the reduced representative, little-endian); q must be
@@ -61,7 +63,10 @@ class BudgetExceeded(RuntimeError):
 def default_budget(kind: str) -> int:
     env = os.environ.get("HECKELAB_BUDGET")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"HECKELAB_BUDGET must be an integer, got {env!r}") from None
     return SUBSPACE_BUDGET if kind == "subspaces" else MATRIX_BUDGET
 
 
@@ -258,6 +263,8 @@ def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleTyp
     whose pivot is i, or a unit vector when column i is no pivot).  Twist k
     adds the section t^(d_i+k) e_i of each component with d_i + k >= 0, and
     h^0(E'(k)) is the number of section rows so far that were dependent.
+    Once the echelon holds r*d pivots, the F_q-dimension of kappa^n / W,
+    every later row is dependent and is counted without being built.
     """
     if x.poly is None:
         raise ValueError("splitting_type needs a point with explicit poly")
@@ -281,11 +288,15 @@ def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleTyp
     h0 = prev_h0 = prev_c = 0
     for k in range(lo + 1, hi + 1):
         for i, di in enumerate(E.degrees):
+            if di + k < 0:
+                continue
+            if len(echelon) == r * x.d:  # the echelon spans kappa^n / W
+                h0 += 1
+                continue
             if di + k > 0:
                 images[i] = [field.mul(c, (0, 1)) for c in images[i]]
-            if di + k >= 0:
-                row = [c for elem in images[i] for c in field.expand(elem)]
-                h0 += not fpoly.insert_row(echelon, row, field.q)
+            row = [c for elem in images[i] for c in field.expand(elem)]
+            h0 += not fpoly.insert_row(echelon, row, field.q)
         c = h0 - prev_h0
         degrees += [-k] * (c - prev_c)
         prev_h0, prev_c = h0, c

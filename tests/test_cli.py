@@ -213,6 +213,8 @@ def test_usage_errors_exit_2(capsys):
         ("oracle snf --matrix 2 --q 4", "q must be a prime, got 4"),
         ("gr --k 1 --n 2 --q 3317044064679887385961981", "cannot certify"),
         ("oracle snf --matrix 1 --q 618970019642690137449562111", "cannot certify"),
+        ("gr --k 1 --n 2 --q abc", "argument --q: q must be an integer, got 'abc'"),
+        ("oracle snf --matrix 1 --q x", "argument --q: q must be an integer, got 'x'"),
     ],
 )
 def test_q_validated_at_the_boundary(capsys, argv, want):
@@ -283,6 +285,13 @@ def test_delta_listing_obeys_the_budget_variable(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "delta", "--n", "4", "--r", "2")
     assert (code, out) == (3, "")
     assert json.loads(err)["detail"] == "6 drop vectors exceed budget 5"
+
+
+def test_malformed_budget_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("HECKELAB_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "delta", "--n", "3", "--r", "1")
+    assert (code, out) == (2, "")
+    assert err == "heckelab: error: HECKELAB_BUDGET must be an integer, got 'abc'\n"
 
 
 def test_oracle_census_point_and_point_degree_must_agree(capsys):

@@ -1,14 +1,18 @@
 """Hall-product engine: worked examples, algebra laws, oracle agreement."""
 
 import random
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
-from heckelab.bundles import BundleType, ClosedPoint
+from heckelab.bundles import BundleType, ClosedPoint, q_factor
 from heckelab.deltas import DeltaVec
 from heckelab.hall import (
     HallElement,
     HallTerm,
+    _kx_closed_table,
+    _kx_recursive_table,
     bundle_product,
     hall_multiplicity,
     kx_times,
@@ -154,6 +158,49 @@ def test_kx_closed_equals_recursive():
                 a = kx_times(r, E, d, method="recursive")
                 b = kx_times(r, E, d, method="closed")
                 assert a == b, (E, r, d)
+    # the exponent tables themselves agree, and no state is reached twice:
+    # a table has one key per choice of absorbing letters
+    for n in range(1, 7):
+        for degrees in combinations_with_replacement(range(4), n):
+            E = BundleType(degrees)
+            for d in (1, 2, 3):
+                for r in range(1, n + 3):
+                    recursive = _kx_recursive_table(r, E, d)
+                    assert recursive == _kx_closed_table(r, E, d), (E, r, d)
+                    paths = sum(comb(n, i) for i in range(min(r, n) + 1))
+                    assert len(recursive) == paths, (E, r, d)
+
+
+def reference_kx(r, E, d):
+    """K_x^r * [E] with a QPoly coefficient per state, summed as QRats."""
+    states = {((), r): ONE}
+    for m in E.degrees:
+        nxt = {}
+        for (w, s), c in states.items():
+            if s > 0:
+                key = (w + (m + d,), s - 1)
+                nxt[key] = nxt.get(key, QPoly(())) + c
+            key = (w + (m,), s)
+            nxt[key] = nxt.get(key, QPoly(())) + c * QPoly.monomial(s * d)
+        states = nxt
+    out = {}
+    for (w, s), c in states.items():
+        for term, wc in word_product(w).items():
+            key = HallTerm(term.bundle, s)
+            out[key] = out.get(key, QRat.of(0)) + wc * c
+    return HallElement(out).scale(q_factor(E))
+
+
+def test_kx_times_matches_the_state_sum_reference():
+    rng = random.Random(20261018)
+    for _ in range(80):
+        E = BundleType(rng.randint(-2, 3) for _ in range(rng.randint(1, 5)))
+        d = rng.randint(1, 3)
+        r = rng.randint(1, E.rank + 2)
+        want = reference_kx(r, E, d)
+        for method in ("recursive", "closed"):
+            got = kx_times(r, E, d, method=method)
+            assert got == want and got.to_json() == want.to_json(), (E, r, d, method)
 
 
 def test_kx_weight_can_exceed_rank():

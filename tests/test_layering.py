@@ -1,9 +1,11 @@
 """Module boundaries: no heckelab module imports another's private names,
-every module is in README's module map, and every exported name exists."""
+the rational-function type stays in three modules, every module is in
+README's module map, and every exported name exists."""
 
 import ast
 import importlib
 import re
+import tokenize
 from pathlib import Path
 
 import heckelab
@@ -49,6 +51,20 @@ def test_scan_flags_private_imports(tmp_path):
         "    from .fpoly import _inner\n"
     )
     assert [name for _, _, name in private_imports(sample)] == ["_hidden", "_other", "_inner"]
+
+
+def names_qrat(path):
+    """True when the module's code names QRat or a RAT_ constant."""
+    with path.open("rb") as source:
+        tokens = tokenize.tokenize(source.readline)
+        names = {tok.string for tok in tokens if tok.type == tokenize.NAME}
+    return "QRat" in names or any(name.startswith("RAT_") for name in names)
+
+
+def test_only_qcalc_bundles_and_hall_name_qrat():
+    # keeps removing QRat (Hall coefficients kept in Z[q]) a three-module change
+    users = {path.stem for path in PACKAGE.glob("*.py") if names_qrat(path)}
+    assert users == {"qcalc", "bundles", "hall"}
 
 
 def test_every_module_is_in_the_readme_module_map():
