@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import fpoly
-from .qcalc import QPoly, QRat, RAT_ONE
+from .qcalc import ONE, QPoly, QRat, q_factorial
 
 __all__ = [
     "BundleType",
@@ -142,10 +142,11 @@ def proj_class(E: BundleType) -> ProjBundleClass:
 
 
 def q_factor(E: BundleType) -> QRat:
-    """Q(E) = prod_i prod_{j=0}^{l_i-1} (q-1)/(q^{l_i - j} - 1).
+    """Q(E) = prod_i prod_{j=0}^{l_i-1} (q-1)/(q^{l_i - j} - 1) = 1/prod_i [l_i]_q!.
 
     The normalization relating E to the ordered Hall product of its line
-    bundles; equals 1 iff all degrees are distinct.
+    bundles, whose run of l_i equal letters gives [l_i]_q! copies; equals
+    1 iff all degrees are distinct.
     """
     return _q_factor_of_runs(tuple(sorted(l for _, l in E.grouped())))
 
@@ -153,12 +154,10 @@ def q_factor(E: BundleType) -> QRat:
 @lru_cache(maxsize=None)
 def _q_factor_of_runs(runs: tuple) -> QRat:
     """Q for sorted run lengths; the keys are partitions of the rank."""
-    out = RAT_ONE
-    qm1 = QPoly((-1, 1))
+    den = ONE
     for l in runs:
-        for j in range(l):
-            out = out * QRat(qm1, QPoly.monomial(l - j) - 1)
-    return out
+        den = den * q_factorial(l)
+    return QRat(ONE, den)
 
 
 @lru_cache(maxsize=None)

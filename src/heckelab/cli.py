@@ -60,6 +60,16 @@ def _integer_q(text: str) -> int:
         raise argparse.ArgumentTypeError(f"q must be an integer, got {text!r}")
 
 
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"budget must be an integer, got {text!r}")
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {budget}")
+    return budget
+
+
 def _field_size(text: str) -> int:
     """--q where it names the field F_q: a prime power."""
     q = _integer_q(text)
@@ -427,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--point", type=_coeffs, metavar="COEFFS")
     pc.add_argument("--point-degree", type=int)
     pc.add_argument("--weight", type=int, required=True)
-    pc.add_argument("--budget", type=int)
+    pc.add_argument("--budget", type=_budget)
     pc.set_defaults(func=cmd_oracle_census)
     ps = oracle_sub.add_parser("snf", parents=[fmt], help="Smith normal form over F_q[t]")
     ps.add_argument(

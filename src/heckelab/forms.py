@@ -33,9 +33,8 @@ from .bundles import (
     ext1_dim,
     hom_dim,
     proj_class,
-    q_factor,
 )
-from .hall import HallIntegrityError, word_product
+from .hall import HallIntegrityError, bundle_product
 from .hecke import neighbors
 from .qcalc import gaussian_binomial
 
@@ -264,25 +263,19 @@ def eigenform_solve(query: EigenQuery, base_value=1) -> FormVector:
 def extension_middle_distribution(F: BundleType, G: BundleType, q0: int) -> dict:
     """How Ext^1(F, G) classes distribute over middle terms.
 
-    The count with middle B is the Hall number phi^B_{F,G} rescaled by
-    automorphisms and the stabilizer Hom(F, G) of a fixed sequence:
+    The count with middle B is the Hall number phi^B_{F,G}, the coefficient
+    of B in bundle_product(F, G), rescaled by automorphisms and the
+    stabilizer Hom(F, G) of a fixed sequence:
     g^B = phi^B * |Aut F| * |Aut G| * |Hom(F,G)| / |Aut B|.  The counts
     must total q0^{dim Ext^1(F,G)}, which is enforced.
-
-    phi^B is the coefficient of B in word_product(F + G) times
-    Q(F) * Q(G), as in bundle_product; both are evaluated at q0 first,
-    which gives the same value since no denominator of Q vanishes at an
-    integer q0 >= 2, and skips the rational-function products.
     """
-    hom_size = q0 ** hom_dim(F, G)
-    scale = (q_factor(F) * q_factor(G)).evaluate(q0)
-    scale *= aut_order(F, q0) * aut_order(G, q0) * hom_size
+    scale = aut_order(F, q0) * aut_order(G, q0) * q0 ** hom_dim(F, G)
     out = {}
-    for term, coeff in word_product(F.degrees + G.degrees).items():
+    for term, coeff in bundle_product(F, G).items():
         B = term.bundle
-        g = coeff.evaluate(q0) * scale / aut_order(B, q0)
-        assert g.denominator == 1 and g > 0, (F, G, B, g)
-        out[B] = int(g)
+        g, rem = divmod(coeff.evaluate(q0) * scale, aut_order(B, q0))
+        assert rem == 0 and g > 0, (F, G, B, g)
+        out[B] = g
     total = sum(out.values())
     expected = q0 ** ext1_dim(F, G)
     if total != expected:

@@ -16,12 +16,16 @@ plus the degenerate facts that ascending distinct products split with
 coefficient 1 and a_fold equal products give [a]_q! copies.  Multiplicity
 extraction: m_{x,r}(E', E) is the coefficient of [E] in K_x^r * [E'].
 
-Coefficients are exact polynomials or ratios in an indeterminate q, so one
-computation covers every finite base field at once.  K_x^r * [E] is derived
-twice, recursively and in closed form, as a table from (word, torsion left)
-to the exponent e of a single monomial q^e, in int arithmetic only; one
-cached expansion straightens the words of either table in Z[q] and
-applies the normalization Q(E), the only ratio, in one step.
+Coefficients are exact polynomials in an indeterminate q, so one
+computation covers every finite base field at once.  Every structure
+constant is a count, so a HallElement is a Z[q]-combination.  The only
+ratio is the normalization Q(E) of bundles.q_factor; `_normalized` applies
+it to a Z[q]-combination by one exact division per term, and a remainder
+would mean the engine is broken, so it raises HallIntegrityError.  K_x^r *
+[E] is derived twice, recursively and in closed form, as a table from
+(word, torsion left) to the exponent e of a single monomial q^e, in int
+arithmetic only; one cached expansion straightens the words of either
+table in Z[q] and normalizes by Q(E) once.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import NamedTuple
 
 from .bundles import BundleType, q_factor
 from .deltas import enumerate_deltas, weight
-from .qcalc import QPoly, QRat, q_factorial
+from .qcalc import ONE, ZERO, QPoly, q_factorial
 
 __all__ = [
     "HallTerm",
@@ -45,7 +49,6 @@ __all__ = [
     "realizing_deltas",
 ]
 
-_ONE = QPoly((1,))
 _QQ_MINUS = QPoly((-1, 0, 1))  # q^2 - 1
 _Q_MINUS = QPoly((-1, 1))  # q - 1
 
@@ -67,31 +70,30 @@ class HallTerm(NamedTuple):
 
 
 class HallElement:
-    """Finite QRat-combination of HallTerms; zero coefficients dropped."""
+    """Finite Z[q]-combination of HallTerms: QPoly coefficients, zeros dropped."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         for term, coeff in (terms or {}).items():
-            if not isinstance(coeff, QRat):
-                coeff = QRat.of(coeff)
-            if not coeff.is_zero():
+            if not isinstance(coeff, QPoly):
+                coeff = QPoly(coeff)
+            if coeff:
                 clean[term] = coeff
         self.terms = clean
 
-    def coeff(self, term: HallTerm) -> QRat:
-        return self.terms.get(term, QRat.of(0))
+    def coeff(self, term: HallTerm) -> QPoly:
+        return self.terms.get(term, ZERO)
 
     def __add__(self, other: "HallElement") -> "HallElement":
         out = dict(self.terms)
         for term, coeff in other.terms.items():
-            out[term] = out.get(term, QRat.of(0)) + coeff
+            out[term] = out.get(term, ZERO) + coeff
         return HallElement(out)
 
     def scale(self, factor) -> "HallElement":
-        if not isinstance(factor, QRat):
-            factor = QRat.of(factor)
+        """Every coefficient times factor, an int or a QPoly."""
         return HallElement({t: c * factor for t, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -116,8 +118,8 @@ class HallElement:
             {
                 "degrees": list(term.bundle.degrees),
                 "torsion": term.torsion_weight,
-                "coeff_num": list(coeff.num.coeffs),
-                "coeff_den": list(coeff.den.coeffs),
+                "coeff_num": list(coeff.coeffs),
+                "coeff_den": [1],
             }
             for term, coeff in self.items()
         ]
@@ -137,7 +139,7 @@ def _straighten(word: tuple) -> tuple:
         if word[j] > word[j + 1]:
             break
     else:
-        return ((word, _ONE),)
+        return ((word, ONE),)
     hi, lo = word[j], word[j + 1]
     pre, suf = word[:j], word[j + 2 :]
     gap = hi - lo
@@ -152,7 +154,7 @@ def _straighten(word: tuple) -> tuple:
     out: dict[tuple, QPoly] = {}
     for pair, coeff in replacements:
         for asc, c in _straighten(pre + pair + suf):
-            out[asc] = out.get(asc, QPoly(())) + coeff * c
+            out[asc] = out.get(asc, ZERO) + coeff * c
     return tuple(sorted((w, c) for w, c in out.items() if not c.is_zero()))
 
 
@@ -179,15 +181,34 @@ def word_product(degrees) -> HallElement:
     """
     if not degrees:
         raise ValueError("empty word has no bundle terms")
-    return HallElement(
-        {HallTerm(E, 0): QRat.of(c) for E, c in _word_element(tuple(degrees)).items()}
-    )
+    return HallElement({HallTerm(E, 0): c for E, c in _word_element(tuple(degrees)).items()})
+
+
+def _normalized(coeffs: dict, factor) -> HallElement:
+    """The Z[q]-combination coeffs times factor, a product of Q(E)s.
+
+    Each coefficient is multiplied by factor's numerator and divided
+    exactly by its denominator; a remainder means a count that is not in
+    Z[q], so the engine is broken.
+    """
+    if factor == 1:  # no repeated degree
+        return HallElement(coeffs)
+    out = {}
+    for term, c in coeffs.items():
+        try:
+            out[term] = c * factor.num // factor.den
+        except ValueError:
+            raise HallIntegrityError(
+                f"coefficient {c.pretty()} of [{term.pretty()}] times "
+                f"{factor.pretty()} is not in Z[q]"
+            ) from None
+    return HallElement(out)
 
 
 def bundle_product(F: BundleType, G: BundleType) -> HallElement:
-    """[F] * [G]: normalize both words by Q and multiply."""
-    factor = q_factor(F) * q_factor(G)
-    return word_product(tuple(F.degrees) + tuple(G.degrees)).scale(factor)
+    """[F] * [G]: the word product of both degree lists, normalized by Q(F)*Q(G)."""
+    word = word_product(F.degrees + G.degrees)
+    return _normalized(word.terms, q_factor(F) * q_factor(G))
 
 
 def _kx_recursive_table(r: int, E: BundleType, d: int) -> dict:
@@ -236,8 +257,8 @@ def _kx_expansion(r: int, E: BundleType, d: int, method: str) -> HallElement:
     for (word, s), e in _KX_TABLES[method](r, E, d).items():
         for B, wc in _word_element(word).items():
             term = HallTerm(B, s)
-            out[term] = out.get(term, QPoly(())) + QPoly.monomial(e) * wc
-    return HallElement(out).scale(q_factor(E))
+            out[term] = out.get(term, ZERO) + QPoly.monomial(e) * wc
+    return _normalized(out, q_factor(E))
 
 
 def kx_times(r: int, E: BundleType, d: int, method: str = "recursive") -> HallElement:
@@ -259,23 +280,17 @@ def vec_part(h: HallElement) -> HallElement:
 def hall_multiplicity(E_prime: BundleType, E: BundleType, d: int, r: int) -> QPoly:
     """m_{x,r}(E', E) as a polynomial in q: coeff of [E] in K_x^r * [E'].
 
-    Zero when the degree bookkeeping deg E - deg E' = r*d fails.  A
-    coefficient that does not reduce to denominator one would mean the
-    engine is broken, so that aborts rather than returning.
+    Zero when the degree bookkeeping deg E - deg E' = r*d fails.  The
+    product is a Z[q]-combination; a coefficient outside Z[q] already
+    raised HallIntegrityError when kx_times normalized it.
     """
     if E_prime.rank != E.rank:
         raise ValueError(f"rank mismatch: {E_prime.pretty()} vs {E.pretty()}")
     if E.degree - E_prime.degree != r * d:
-        return QPoly(())
+        return ZERO
     if r == 0:
-        return _ONE if E_prime == E else QPoly(())
-    coeff = kx_times(r, E_prime, d).coeff(HallTerm(E, 0))
-    if not coeff.is_polynomial():
-        raise HallIntegrityError(
-            f"non-polynomial multiplicity {coeff.pretty()} for "
-            f"[{E_prime.pretty()} -> {E.pretty()}], d={d}, r={r}"
-        )
-    return coeff.as_poly()
+        return ONE if E_prime == E else ZERO
+    return kx_times(r, E_prime, d).coeff(HallTerm(E, 0))
 
 
 def realizing_deltas(E_prime: BundleType, E: BundleType, d: int, r: int):

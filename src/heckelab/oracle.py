@@ -64,10 +64,23 @@ def default_budget(kind: str) -> int:
     env = os.environ.get("HECKELAB_BUDGET")
     if env:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ValueError(f"HECKELAB_BUDGET must be an integer, got {env!r}") from None
+        if value < 1:
+            raise ValueError(f"HECKELAB_BUDGET must be at least 1, got {value}")
+        return value
     return SUBSPACE_BUDGET if kind == "subspaces" else MATRIX_BUDGET
+
+
+def _limit(budget: int | None, kind: str) -> int:
+    """The budget to enforce: the given one, which must be at least 1, or
+    the default for kind."""
+    if budget is None:
+        return default_budget(kind)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    return budget
 
 
 # --- the residue field F_{q^d} --------------------------------------------
@@ -198,7 +211,7 @@ def check_subspace_budget(n: int, r: int, q: int, d: int, budget: int | None = N
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if d < 1:
         raise ValueError(f"point degree must be >= 1, got {d}")
-    limit = budget if budget is not None else default_budget("subspaces")
+    limit = _limit(budget, "subspaces")
     k = n - r
     if 0 < k < n and d > limit.bit_length():
         # the count exceeds q^d >= 2^d > limit; q^d itself may be too big to form
@@ -456,7 +469,7 @@ def _matrix_spaces(rows: tuple, cols: tuple, q: int, budget) -> list:
     n = len(rows)
     dims = [max(0, rows[i] - cols[j] + 1) for i in range(n) for j in range(n)]
     total = q ** sum(dims)
-    limit = budget if budget is not None else default_budget("matrices")
+    limit = _limit(budget, "matrices")
     if total > limit:
         raise BudgetExceeded(f"{total} matrices exceed budget {limit}")
     return [_all_polys_up_to(dim - 1, q) for dim in dims]

@@ -1,10 +1,10 @@
 """Exact arithmetic in Z[q] and its fraction field, plus q-combinatorial counts.
 
 A QPoly is an integer-coefficient polynomial in the formal variable q, stored
-little-endian: coeffs[i] is the coefficient of q^i.  A QRat is a reduced ratio
-num/den of two QPolys; every structure constant of the Hall algebra of
-Coh(P^1) lives here, and the ones with enumerative meaning reduce to honest
-polynomials (denominator 1).
+little-endian: coeffs[i] is the coefficient of q^i; every structure constant
+of the Hall algebra of Coh(P^1) is one.  A QRat is a reduced ratio num/den of
+two QPolys.  QRat now only carries Q(E), the normalization of
+bundles.q_factor, which the Hall engine applies by exact division.
 
 Canonical form for QRat: gcd(num, den) = 1 in Z[q] (including integer
 content) and the leading coefficient of den is positive, so equality of
@@ -31,7 +31,6 @@ __all__ = [
     "gaussian_binomial",
     "q_int",
     "q_factorial",
-    "eval_at",
 ]
 
 
@@ -277,15 +276,6 @@ class QRat:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
-    def as_poly(self) -> QPoly:
-        """The numerator, after asserting the denominator reduced to 1."""
-        if self.den != ONE:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
     def __bool__(self):
         return bool(self.num)
 
@@ -344,10 +334,6 @@ class QRat:
         return f"QRat({self.pretty()})"
 
 
-RAT_ZERO = QRat(0)
-RAT_ONE = QRat(1)
-
-
 @lru_cache(maxsize=None)
 def gaussian_binomial(k: int, n: int) -> QPoly:
     """#Gr(k,n)(F_q) as a polynomial in q.
@@ -380,12 +366,3 @@ def q_factorial(a: int) -> QPoly:
     for i in range(1, a + 1):
         out = out * q_int(i)
     return out
-
-
-def eval_at(p, q0):
-    """Evaluate a QPoly (-> int) or QRat (-> Fraction) at an integer q0."""
-    if isinstance(p, QPoly):
-        return p.evaluate(q0)
-    if isinstance(p, QRat):
-        return p.evaluate(q0)
-    raise TypeError(f"eval_at expects QPoly or QRat, got {type(p).__name__}")

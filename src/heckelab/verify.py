@@ -188,8 +188,8 @@ def _hall_integrity(rng, words, shapes, integral):
                 recursive = kx_times(r, E, d, method="recursive")
                 if closed != recursive:
                     return f"kx closed != recursive on {E.pretty()} d={d} r={r}"
-    # the denominator-one guard: hall_multiplicity raises HallIntegrityError
-    # on any coefficient that is not a polynomial
+    # the Z[q] guard: kx_times raises HallIntegrityError when a coefficient
+    # times Q(E') leaves a remainder, so every multiplicity is in Z[q]
     for degrees, d in integral:
         E = BundleType(degrees)
         for r in range(1, E.rank + 1):

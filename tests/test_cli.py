@@ -124,6 +124,45 @@ def test_hall_kx_closed_equals_recursive_output(capsys):
     assert torsions == {(0, 0): 1, (0, 2): 0, (1, 1): 0}
 
 
+def _term(degrees, torsion, num, at_q):
+    return {"at_q": at_q, "coeff_den": [1], "coeff_num": num, "degrees": degrees,
+            "torsion": torsion}
+
+
+_KX_TERMS = [
+    _term([0, 0], 1, [0, 0, 0, 0, 1], "81"),
+    _term([0, 2], 0, [0, 0, 1], "9"),
+    _term([1, 1], 0, [0, -1, 1], "6"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        *(
+            (
+                f"hall kx --bundle 0,0 --weight 1 --point-degree 2 --q 3 --method {method}",
+                {"bundle": [0, 0], "command": "hall kx", "method": method,
+                 "point_degree": 2, "terms": _KX_TERMS, "weight": 1},
+            )
+            for method in ("recursive", "closed")
+        ),
+        (
+            "hall mul --f 2 --g 0 --q 3",
+            {"command": "hall mul", "f": [2], "g": [0], "terms": [
+                _term([0, 2], 0, [0, 0, 0, 1], "27"),
+                _term([1, 1], 0, [0, -1, 0, 1], "24"),
+            ]},
+        ),
+    ],
+)
+def test_exact_json_of_hall_commands(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv.split(), "--format", "json")
+    doc = {"schema": "heckelab/1", **want}
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_hecke_neighbors_worked_example(capsys):
     doc = run_json(capsys, "hecke", "neighbors", "--bundle", "0,0",
                    "--point-degree", "2", "--weight", "1", "--q", "2")
@@ -292,6 +331,32 @@ def test_malformed_budget_variable_is_named(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "delta", "--n", "3", "--r", "1")
     assert (code, out) == (2, "")
     assert err == "heckelab: error: HECKELAB_BUDGET must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_budget_variable_below_one_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("HECKELAB_BUDGET", value)
+    code, out, err = run_cli(capsys, "delta", "--n", "3", "--r", "1")
+    assert (code, out) == (2, "")
+    assert err == f"heckelab: error: HECKELAB_BUDGET must be at least 1, got {value}\n"
+    code, out, err = run_cli(capsys, "oracle", "census", "--bundle", "0,0", "--q", "2",
+                             "--point", "1,1,1", "--weight", "1")
+    assert (code, out) == (2, "")
+    assert err == f"heckelab: error: HECKELAB_BUDGET must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [("0", "budget must be at least 1, got 0"), ("-1", "budget must be at least 1, got -1"),
+     ("abc", "budget must be an integer, got 'abc'")],
+)
+def test_budget_flag_below_one_is_a_usage_error(capsys, value, want):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "census", "--bundle", "0,0", "--q", "2", "--point", "1,1,1",
+              "--weight", "1", "--budget", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument --budget: {want}\n")
 
 
 def test_oracle_census_point_and_point_degree_must_agree(capsys):

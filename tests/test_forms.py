@@ -13,6 +13,7 @@ from heckelab.bundles import (
     ext1_dim,
     hom_dim,
     proj_class,
+    q_factor,
 )
 from heckelab.forms import (
     EigenQuery,
@@ -27,7 +28,7 @@ from heckelab.forms import (
     hecke_matrix,
     toroidal_sum,
 )
-from heckelab.hall import bundle_product
+from heckelab.hall import word_product
 from heckelab.qcalc import Q, ONE, gaussian_binomial
 
 X1 = ClosedPoint(2, 1, (0, 1))  # the point t = 0 over F_2
@@ -280,17 +281,22 @@ def test_extension_mass_identity_grid():
 
 
 def reference_middle_distribution(F, G, q0):
-    """The counts from the full rational-function product bundle_product."""
-    scale = aut_order(F, q0) * aut_order(G, q0) * q0 ** hom_dim(F, G)
-    return {
-        term.bundle: coeff.evaluate(q0) * scale / aut_order(term.bundle, q0)
-        for term, coeff in bundle_product(F, G).items()
-    }
+    """The counts evaluated first: word_product(F + G) and Q(F) * Q(G)
+    each taken at q0, with no product of rational functions."""
+    scale = (q_factor(F) * q_factor(G)).evaluate(q0)
+    scale *= aut_order(F, q0) * aut_order(G, q0) * q0 ** hom_dim(F, G)
+    out = {}
+    for term, coeff in word_product(F.degrees + G.degrees).items():
+        g = coeff.evaluate(q0) * scale / aut_order(term.bundle, q0)
+        assert g.denominator == 1 and g > 0, (F, G, term, g)
+        out[term.bundle] = int(g)
+    return out
 
 
 def test_extension_distribution_matches_bundle_product():
+    # extension_middle_distribution reads phi^B off bundle_product in Z[q]
     shapes = [(a,) for a in range(4)] + [(a, b) for a in range(4) for b in range(a, 4)]
-    for q0 in (2, 3, 5):
+    for q0 in (2, 3, 4, 5):
         for fdeg in shapes:
             for gdeg in shapes:
                 F, G = B(*fdeg), B(*gdeg)

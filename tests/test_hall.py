@@ -1,17 +1,22 @@
 """Hall-product engine: worked examples, algebra laws, oracle agreement."""
 
+import json
 import random
 from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
+from heckelab import hall
 from heckelab.bundles import BundleType, ClosedPoint, q_factor
+from heckelab.cli import main
 from heckelab.deltas import DeltaVec
 from heckelab.hall import (
     HallElement,
+    HallIntegrityError,
     HallTerm,
     _kx_closed_table,
+    _kx_expansion,
     _kx_recursive_table,
     bundle_product,
     hall_multiplicity,
@@ -34,7 +39,7 @@ def B(*degrees):
 
 
 def elem(pairs):
-    return HallElement({HallTerm(b, s): QRat.of(c) for b, s, c in pairs})
+    return HallElement({HallTerm(b, s): c for b, s, c in pairs})
 
 
 def test_word_product_ascending_pair():
@@ -172,7 +177,8 @@ def test_kx_closed_equals_recursive():
 
 
 def reference_kx(r, E, d):
-    """K_x^r * [E] with a QPoly coefficient per state, summed as QRats."""
+    """K_x^r * [E] as {term: QRat}: a QPoly coefficient per state, the
+    states summed as QRats and each sum times Q(E)."""
     states = {((), r): ONE}
     for m in E.degrees:
         nxt = {}
@@ -187,8 +193,16 @@ def reference_kx(r, E, d):
     for (w, s), c in states.items():
         for term, wc in word_product(w).items():
             key = HallTerm(term.bundle, s)
-            out[key] = out.get(key, QRat.of(0)) + wc * c
-    return HallElement(out).scale(q_factor(E))
+            out[key] = out.get(key, QRat(0)) + QRat(wc * c)
+    return {term: c * q_factor(E) for term, c in out.items() if c}
+
+
+def assert_matches_rational(got, want, context):
+    """got, a HallElement, equals want, a {term: QRat} whose every
+    coefficient has denominator one."""
+    assert set(got.terms) == set(want), context
+    for term, c in want.items():
+        assert c.den == ONE and c.num == got.coeff(term), (context, term)
 
 
 def test_kx_times_matches_the_state_sum_reference():
@@ -199,8 +213,43 @@ def test_kx_times_matches_the_state_sum_reference():
         r = rng.randint(1, E.rank + 2)
         want = reference_kx(r, E, d)
         for method in ("recursive", "closed"):
-            got = kx_times(r, E, d, method=method)
-            assert got == want and got.to_json() == want.to_json(), (E, r, d, method)
+            assert_matches_rational(kx_times(r, E, d, method=method), want, (E, r, d, method))
+
+
+def test_bundle_product_matches_the_rational_reference():
+    # the word product times Q(F)*Q(G) as QRats, against exact division in Z[q]
+    rng = random.Random(20261019)
+    for _ in range(200):
+        F, G = (BundleType(rng.randint(-1, 2) for _ in range(rng.randint(1, 3))) for _ in "FG")
+        factor = q_factor(F) * q_factor(G)
+        word = word_product(F.degrees + G.degrees)
+        want = {term: QRat(c) * factor for term, c in word.items()}
+        assert_matches_rational(bundle_product(F, G), want, (F, G))
+
+
+@pytest.fixture
+def broken_q_factor(monkeypatch):
+    """Q(E) = 1/(q+2) for every E: no nonzero count divides exactly."""
+    _kx_expansion.cache_clear()
+    monkeypatch.setattr(hall, "q_factor", lambda E: QRat(ONE, Q + 2))
+    yield
+    monkeypatch.undo()
+    _kx_expansion.cache_clear()
+
+
+def test_a_coefficient_outside_z_q_raises(broken_q_factor, capsys):
+    with pytest.raises(HallIntegrityError, match=r"of \[O\(2\)\] times \(1\)/\(q\+2\) is not in Z\[q\]"):
+        kx_times(1, B(0), 2)
+    with pytest.raises(HallIntegrityError, match="is not in Z"):
+        bundle_product(B(2), B(0))
+    with pytest.raises(HallIntegrityError, match="is not in Z"):
+        hall_multiplicity(B(-1, -1), B(0, 0), 2, 1)
+    code = main("hall kx --bundle 0,0 --weight 1 --point-degree 2".split())
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    doc = json.loads(err)
+    assert doc["schema"] == "heckelab/1" and doc["error"] == "HallIntegrityError"
+    assert doc["detail"].endswith("times (1)/(q+2) is not in Z[q]")
 
 
 def test_kx_weight_can_exceed_rank():

@@ -1,5 +1,5 @@
 """Module boundaries: no heckelab module imports another's private names,
-the rational-function type stays in three modules, every module is in
+the rational-function type stays in two modules, every module is in
 README's module map, and every exported name exists."""
 
 import ast
@@ -61,10 +61,10 @@ def names_qrat(path):
     return "QRat" in names or any(name.startswith("RAT_") for name in names)
 
 
-def test_only_qcalc_bundles_and_hall_name_qrat():
-    # keeps removing QRat (Hall coefficients kept in Z[q]) a three-module change
+def test_only_qcalc_and_bundles_name_qrat():
+    # QRat only carries bundles.q_factor; Hall coefficients stay in Z[q]
     users = {path.stem for path in PACKAGE.glob("*.py") if names_qrat(path)}
-    assert users == {"qcalc", "bundles", "hall"}
+    assert users == {"qcalc", "bundles"}
 
 
 def test_every_module_is_in_the_readme_module_map():

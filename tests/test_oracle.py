@@ -97,6 +97,25 @@ def test_enumerate_subspaces_budget():
         check_subspace_budget(2, 3, 2, 1)
 
 
+@pytest.mark.parametrize("budget", [0, -1, -5])
+def test_a_budget_below_one_is_refused(budget, monkeypatch):
+    E = BundleType((0, 1))
+    calls = [
+        lambda: check_subspace_budget(2, 1, 2, 1, budget=budget),
+        lambda: list(enumerate_subspaces(2, 1, Field(2, 1), budget=budget)),
+        lambda: brute_multiplicity(E, X1, 1, budget=budget),
+        lambda: brute_aut_order(E, 2, budget=budget),
+        lambda: count_monomorphisms(BundleType((-1, 1)), E, X1, budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^budget must be at least 1, got {budget}$"):
+            call()
+    monkeypatch.setenv("HECKELAB_BUDGET", str(budget))
+    for call in (lambda: check_subspace_budget(2, 1, 2, 1), lambda: brute_aut_order(E, 2)):
+        with pytest.raises(ValueError, match=f"^HECKELAB_BUDGET must be at least 1, got {budget}$"):
+            call()
+
+
 def test_field_of_point_skips_a_second_irreducibility_test(monkeypatch):
     x = ClosedPoint(3, 2, (1, 0, 1))  # t^2 + 1, validated here, once
     monkeypatch.setattr(fpoly, "is_irreducible", lambda f, p: pytest.fail("tested again"))

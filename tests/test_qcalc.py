@@ -12,7 +12,6 @@ from heckelab.qcalc import (
     ZERO,
     QPoly,
     QRat,
-    eval_at,
     gaussian_binomial,
     poly_gcd,
     q_factorial,
@@ -183,12 +182,10 @@ def test_q_int_and_factorial():
     assert q_factorial(3) == (Q + 1) * QPoly((1, 1, 1))
 
 
-def test_eval_at():
-    assert eval_at(Q + 1, 4) == 5
-    assert eval_at(ZERO, 17) == 0
-    assert eval_at(gaussian_binomial(1, 3), 2) == 7
-    assert eval_at(QRat(ONE, Q + 1), 2) == Fraction(1, 3)
+def test_evaluate():
+    assert (Q + 1).evaluate(4) == 5
+    assert ZERO.evaluate(17) == 0
+    assert gaussian_binomial(1, 3).evaluate(2) == 7
+    assert QRat(ONE, Q + 1).evaluate(2) == Fraction(1, 3)
     with pytest.raises(ZeroDivisionError):
-        eval_at(QRat(ONE, Q - 2), 2)
-    with pytest.raises(TypeError):
-        eval_at(3, 2)
+        QRat(ONE, Q - 2).evaluate(2)
