@@ -11,6 +11,8 @@ else.  We verify the transform matrices exactly: L * D * R = M over F_q[t].
 
 import random
 
+from heckelab import fpoly
+from heckelab.bundles import ClosedPoint
 from heckelab.verify import random_modification_matrix
 from heckelab.oracle import Field, smith_normal_form
 from heckelab.qcalc import QPoly
@@ -36,7 +38,7 @@ print()
 
 rng = random.Random(2)
 for q0, d, n, r in [(2, 2, 2, 1), (3, 1, 3, 2)]:
-    field = Field(q0, d)
+    field = Field(ClosedPoint(q0, d, fpoly.first_irreducible(q0, d)))
     M = random_modification_matrix(rng, field, n, r)
     diag, _, _ = smith_normal_form(M, q0)
     print(f"random {n}x{n} weight-{r} matrix over F_{q0}[t], pi = {t_str(field.poly)}:")

@@ -39,6 +39,6 @@ print(f"cusp defects over {len(defects)} quotient/sub pairs: {nonzero} nonzero")
 print(f"  the split pair (O, O) already gives {defects[(BundleType((0,)), BundleType((0,)))]}")
 print()
 
-print(f"toroidal sum of f: {toroidal_sum(f, 2)}")
+print(f"toroidal sum of f: {toroidal_sum(f)}")
 forced = eigenform_solve(query, base_value=0)
 print(f"forcing the toroidal sum to 0 leaves only the zero form: {forced.is_zero()}")

@@ -299,7 +299,7 @@ def cmd_oracle_snf(args) -> int:
 def _solve_forms(args) -> tuple:
     """The eigenform of --n/--q/--lambda/--depth, with the document fields
     that every forms command shares."""
-    query = EigenQuery(args.lams, ClosedPoint(args.q, 1, (0, 1)), args.depth)
+    query = EigenQuery(args.lams, ClosedPoint(args.q, 1), args.depth)
     if query.n != args.n:
         raise ValueError(f"--lambda needs n-1 = {args.n - 1} values, got {len(query.lams)}")
     doc = {
@@ -320,7 +320,7 @@ def cmd_forms_eigen(args) -> int:
 
 def cmd_forms_toroidal(args) -> int:
     f, doc = _solve_forms(args)
-    total = toroidal_sum(f, args.n)
+    total = toroidal_sum(f)
     doc.update(toroidal_sum=str(total), is_zero=total == 0)
     return _emit(args, doc, [f"toroidal sum {total}"])
 
@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         pf = forms_sub.add_parser(name, parents=[fmt])
         pf.add_argument("--n", type=int, required=True)
-        pf.add_argument("--q", type=_prime, required=True)
+        pf.add_argument("--q", type=_field_size, required=True)
         pf.add_argument("--lambda", dest="lams", type=_rationals, required=True, metavar="RATS")
         pf.add_argument("--depth", type=int, required=True)
         if name == "cusp":

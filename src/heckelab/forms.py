@@ -313,15 +313,16 @@ def cusp_defect(f: FormVector, n1: int, n2: int, space: TruncatedPBun, q0: int) 
     return out
 
 
-def toroidal_sum(f: FormVector, n: int) -> Fraction:
-    """Sum of f over trace bundles of line classes on the degree-n cover.
+def toroidal_sum(f: FormVector) -> Fraction:
+    """Sum of f over trace bundles of line classes on the degree-n cover,
+    n the rank of f's space.
 
     For the constant extension of degree n, the pushforward of any line
     bundle O(k) is the balanced bundle O(k)^n (projection formula), so
     all coset representatives of Pic mod pullbacks share the class of
     O^n and the sum reduces to f at the base class.
     """
-    reps = [BundleType([k] * n) for k in (0,)]  # the quotient is trivial
+    reps = [BundleType([k] * f.space.n) for k in (0,)]  # the quotient is trivial
     return sum(f[proj_class(rep)] for rep in reps)
 
 
@@ -332,6 +333,8 @@ def eigenvalue_of_balanced_relation(query: EigenQuery, f: FormVector, r: int) ->
     neighbor of O^n has multiplicity #Gr(r,n)(F_q).
     """
     n = query.n
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"need 1 <= r <= n-1, got r={r}, n={n}")
     cls = ProjBundleClass(BundleType([0] * r + [1] * (n - r)))
     count = gaussian_binomial(r, n).evaluate(query.x.q)
     return query.lams[r - 1] * f[f.space.base_class] == count * f[cls]

@@ -16,11 +16,13 @@ number of rows that were dependent.  The scan stops eliminating once the
 echelon spans the quotient kappa^n / W: every later row is dependent and is
 only counted.
 
-Field elements of F_{q^d} = F_q[t]/(poly) are plain int tuples of length d
-(coefficients of the reduced representative, little-endian); q must be
-prime.  Linear algebra over the extension is expanded to F_q, where
-`fpoly.insert_row` is the one elimination step; the modulus is checked
-irreducible once, when a Field or the ClosedPoint it comes from is built.
+The residue field kappa(x) = F_{q^d} = F_q[t]/(poly) is built only from a
+ClosedPoint with an explicit polynomial, which has already checked that q
+is prime and poly monic irreducible of degree d; the Field checks none of
+it again.  Its elements are plain int tuples of length d (coefficients of
+the reduced representative, little-endian).  Linear algebra over the
+extension is expanded to F_q, where `fpoly.insert_row` is the one
+elimination step.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .qcalc import gaussian_binomial
 __all__ = [
     "BudgetExceeded",
     "Field",
-    "FieldElem",
     "FiberSubspace",
     "check_subspace_budget",
     "enumerate_subspaces",
@@ -48,9 +49,6 @@ __all__ = [
     "default_budget",
     "matrix_rank",
 ]
-
-#: an element of F_{q^d}: reduced residue as little-endian int tuple
-FieldElem = tuple
 
 SUBSPACE_BUDGET = 10**6
 MATRIX_BUDGET = 10**7
@@ -87,67 +85,34 @@ def _limit(budget: int | None, kind: str) -> int:
 
 
 class Field:
-    """F_{q^d} = F_q[t]/(poly), q prime, poly monic irreducible of degree d.
+    """The residue field kappa(x) = F_q[t]/(poly) of a closed point x.
 
-    Elements are int tuples.  Without poly, the first monic irreducible of
-    degree d in lexicographic order is used.
+    Only a point with an explicit polynomial has one.  ClosedPoint has
+    already checked that q is prime and poly monic irreducible of degree d;
+    the field copies the three.  Elements are int tuples.
     """
 
-    def __init__(self, q: int, d: int, poly=None):
-        if not fpoly.is_prime(q):
-            raise ValueError(f"oracle fields need prime q, got {q}")
-        if poly is None:
-            poly = fpoly.first_irreducible(q, d)
-        poly = tuple(int(c) % q for c in poly)
-        if len(poly) - 1 != d or poly[-1] != 1:
-            raise ValueError("field poly must be monic of degree d")
-        if not fpoly.is_irreducible(poly, q):
-            raise ValueError(f"field poly {list(poly)} reducible over F_{q}")
-        self._set(q, d, poly)
+    zero = ()
+    one = (1,)
 
-    def _set(self, q: int, d: int, poly: tuple) -> None:
-        self.q = q
-        self.d = d
-        self.poly = poly
-        self.size = q**d
-        self.zero = ()
-        self.one = (1,)
-
-    @staticmethod
-    def of_point(x: ClosedPoint) -> "Field":
-        """The residue field of x; ClosedPoint has already checked that its
-        polynomial is monic and irreducible of degree d over a prime q."""
+    def __init__(self, x: ClosedPoint):
         if x.poly is None:
             raise ValueError("point has no explicit polynomial")
-        field = Field.__new__(Field)
-        field._set(x.q, x.d, x.poly)
-        return field
+        self.q = x.q
+        self.d = x.d
+        self.poly = x.poly
+        self.size = x.q**x.d
 
     def elements(self):
         """All q^d elements in counting order: 0, 1, ..., t, t+1, ..."""
         for digits in product(range(self.q), repeat=self.d):
             yield fpoly.trim(reversed(digits))
 
-    def add(self, a, b):
-        return fpoly.add(a, b, self.q)
-
     def sub(self, a, b):
         return fpoly.sub(a, b, self.q)
 
     def mul(self, a, b):
         return fpoly.div(fpoly.mul(a, b, self.q), self.poly, self.q)[1]
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("field inverse of zero")
-        # a^(q^d - 2) by square-and-multiply
-        out, base, e = self.one, a, self.size - 2
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
 
     def reduce(self, coeffs):
         """Reduce an arbitrary F_q[t] polynomial into the field."""
@@ -157,25 +122,18 @@ class Field:
         """d base-field coordinates of an element."""
         return tuple(a[i] if i < len(a) else 0 for i in range(self.d))
 
-    def t_powers(self, count: int) -> list:
-        """t^0, ..., t^(count-1) reduced into the field."""
-        out = [self.one]
-        for _ in range(count - 1):
-            out.append(self.mul(out[-1], (0, 1)))
-        return out
-
 
 def matrix_rank(field: Field, rows) -> int:
     """Rank over F_{q^d} of a matrix with Field entries.
 
     The rows times t^k, k < d, span over F_q a space of dimension d times
-    the rank, so the elimination runs over the prime field.
+    the rank, so the elimination runs over the prime field.  t^k with
+    k < d is already reduced: k zeros, then a one.
     """
-    tpow = field.t_powers(field.d)
     expanded = [
-        [c for elem in row for c in field.expand(field.mul(tk, elem))]
+        [c for elem in row for c in field.expand(field.mul((0,) * k + (1,), elem))]
         for row in rows
-        for tk in tpow
+        for k in range(field.d)
     ]
     return fpoly.rank(expanded, field.q) // field.d
 
@@ -255,15 +213,16 @@ def subspace_count(k: int, n: int, q0: int, budget: int | None = None) -> int:
     """#Gr(k,n)(F_{q0}) by honest enumeration; q0 a prime power p^e."""
     p, e = fpoly.prime_power(q0)
     check_subspace_budget(n, n - k, p, e, budget)
-    field = Field(p, e)
+    field = Field(ClosedPoint(p, e, fpoly.first_irreducible(p, e)))
     return sum(1 for _ in enumerate_subspaces(n, n - k, field, budget=budget))
 
 
 # --- splitting type from section counts ------------------------------------
 
 
-def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleType:
-    """Splitting type of the kernel subsheaf E' = {s : s(x) in W}.
+def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
+    """Splitting type of the kernel subsheaf E' = {s : s(x) in W}, where x
+    is the point of W's field.
 
     h^0(E'(k)) - h^0(E'(k-1)) = #{i : d_i' >= -k}; scanning k recovers the
     degree multiset.  The scan must reach k = d - min(d_i) at the top so the
@@ -279,11 +238,8 @@ def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleTyp
     Once the echelon holds r*d pivots, the F_q-dimension of kappa^n / W,
     every later row is dependent and is counted without being built.
     """
-    if x.poly is None:
-        raise ValueError("splitting_type needs a point with explicit poly")
     field = W.field
-    if (field.q, field.poly) != (x.q, x.poly):
-        raise ValueError("subspace W lies in the fiber of another point than x")
+    d = field.d
     n = E.rank
     r = n - W.dim
     pivot_rows = dict(zip(W.pivots, W.basis))
@@ -294,8 +250,8 @@ def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleTyp
         else [field.one if j == i else field.zero for j in free]
         for i in range(n)
     ]
-    lo = -(max(E.degrees) + x.d + 1)
-    hi = max(max(E.degrees), x.d - min(E.degrees))
+    lo = -(max(E.degrees) + d + 1)
+    hi = max(max(E.degrees), d - min(E.degrees))
     echelon = {}
     degrees = []
     h0 = prev_h0 = prev_c = 0
@@ -303,7 +259,7 @@ def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleTyp
         for i, di in enumerate(E.degrees):
             if di + k < 0:
                 continue
-            if len(echelon) == r * x.d:  # the echelon spans kappa^n / W
+            if len(echelon) == r * d:  # the echelon spans kappa^n / W
                 h0 += 1
                 continue
             if di + k > 0:
@@ -314,17 +270,17 @@ def splitting_type(E: BundleType, W: FiberSubspace, x: ClosedPoint) -> BundleTyp
         degrees += [-k] * (c - prev_c)
         prev_h0, prev_c = h0, c
     out = BundleType(degrees)
-    assert out.rank == n and out.degree == E.degree - r * x.d
-    assert all(0 <= a - b <= x.d for a, b in zip(E.degrees, out.degrees))
+    assert out.rank == n and out.degree == E.degree - r * d
+    assert all(0 <= a - b <= d for a, b in zip(E.degrees, out.degrees))
     return out
 
 
 def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
     """Census of splitting types over all codim-r subspaces of the fiber."""
-    field = Field.of_point(x)
+    field = Field(x)
     census: dict[BundleType, int] = {}
     for W in enumerate_subspaces(E.rank, r, field, budget=budget):
-        t = splitting_type(E, W, x)
+        t = splitting_type(E, W)
         census[t] = census.get(t, 0) + 1
     assert sum(census.values()) == gaussian_binomial(E.rank - r, E.rank).evaluate(
         field.size

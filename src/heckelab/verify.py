@@ -245,7 +245,7 @@ def _smith_normal_form(rng, cases, per_case):
         if diag != [(1,), pi]:
             return f"phi matrix SNF {diag}"
     for q0, d, n, r in cases:
-        field = Field(q0, d)
+        field = Field(ClosedPoint(q0, d, fpoly.first_irreducible(q0, d)))
         for _ in range(per_case):
             M = random_modification_matrix(rng, field, n, r)
             diag, _, _ = smith_normal_form(M, q0)
@@ -290,10 +290,10 @@ def _triviality(rng, top, qs, cases):
         # toroidal vanishing: forcing f(O^n), the whole toroidal sum, to
         # zero kills the eigenform
         forced = eigenform_solve(query, base_value=0)
-        if not forced.is_zero() or toroidal_sum(forced, n) != 0:
+        if not forced.is_zero() or toroidal_sum(forced) != 0:
             return f"toroidal-vanishing solution is not identically zero at {where}"
         f = eigenform_solve(query)
-        if toroidal_sum(f, n) != 1:
+        if toroidal_sum(f) != 1:
             return f"toroidal sum of normalized eigenform != 1 at {where}"
         # no cusp forms: a nonzero eigenform has a nonzero constant term
         defects = cusp_defect(f, 1, n - 1, f.space, q0)

@@ -73,13 +73,17 @@ def test_closed_point_validation():
     for q in (6, 1, 0, -3):  # no field F_q
         with pytest.raises(ValueError, match="prime power"):
             ClosedPoint(q, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reducible"):
         ClosedPoint(2, 2, [1, 0, 1])  # t^2+1 = (t+1)^2 over F_2
+    with pytest.raises(ValueError, match="reducible"):
+        ClosedPoint(3, 2, [2, 0, 1])  # t^2-1 = (t-1)(t+1) over F_3
+    with pytest.raises(ValueError, match="degree 1 != point degree 2"):
+        ClosedPoint(2, 2, [1, 1])
     with pytest.raises(ValueError):
         ClosedPoint(2, 2, [1, 1, 2])  # not monic after reduction
     with pytest.raises(ValueError):
         ClosedPoint(2, 3, [1, 1, 1])  # degree mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need prime q, got 4"):
         ClosedPoint(4, 2, [1, 1, 1])  # q must be prime with explicit poly
     with pytest.raises(ValueError):
         ClosedPoint(2, 0)

@@ -227,6 +227,18 @@ def test_forms_toroidal_and_cusp(capsys):
     assert base["defect"] == "1"
 
 
+@pytest.mark.parametrize("command", ["eigen", "toroidal", "cusp"])
+def test_forms_take_a_prime_power_q(capsys, command):
+    # forms only evaluates polynomials at q, so q need not be prime
+    doc = run_json(capsys, "forms", command, "--n", "3", "--q", "4",
+                   "--lambda", "3,7", "--depth", "5")
+    assert doc["q"] == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["forms", command, "--n", "3", "--q", "6", "--lambda", "3,7", "--depth", "5"])
+    assert exc.value.code == 2
+    assert "q must be a prime power, got 6" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

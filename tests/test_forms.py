@@ -33,6 +33,7 @@ from heckelab.qcalc import Q, ONE, gaussian_binomial
 
 X1 = ClosedPoint(2, 1, (0, 1))  # the point t = 0 over F_2
 X1_Q3 = ClosedPoint(3, 1, (0, 1))
+X1_Q4 = ClosedPoint(4, 1)  # forms only evaluate at q, so q need not be prime
 
 
 def B(*degrees):
@@ -222,7 +223,7 @@ def test_eigenform_nullity_one_random():
 def test_balanced_relation_uses_grassmannian_count():
     """lambda_r / f(balanced neighbor) equals #Gr(r,n)(F_q), which differs
     from the plain power q^{r(n-r)} for every 1 <= r <= n-1."""
-    for n, x in [(2, X1), (3, X1), (3, X1_Q3)]:
+    for n, x in [(2, X1), (3, X1), (3, X1_Q3), (2, X1_Q4), (3, X1_Q4)]:
         q0 = x.q
         lams = [Fraction(13, 2) + r for r in range(n - 1)]
         query = EigenQuery(lams, x, 4)
@@ -235,6 +236,14 @@ def test_balanced_relation_uses_grassmannian_count():
             target = cl(*([0] * r + [1] * (n - r)))
             assert f[target] == lams[r - 1] / grass
             assert f[target] != lams[r - 1] / plain
+
+
+@pytest.mark.parametrize("lams, r", [((1,), 0), ((1,), 2), ((2, 3), 0), ((2, 3), 3)])
+def test_balanced_relation_needs_r_between_1_and_n_minus_1(lams, r):
+    query = EigenQuery([Fraction(l) for l in lams], X1, 3)
+    f = eigenform_solve(query)
+    with pytest.raises(ValueError, match=f"^need 1 <= r <= n-1, got r={r}, n={query.n}$"):
+        eigenvalue_of_balanced_relation(query, f, r)
 
 
 def test_eigen_query_validation():
@@ -341,11 +350,11 @@ def test_cusp_defect_rank_split_validation():
 
 def test_toroidal_sum_reduces_to_base_value():
     f = eigenform_solve(EigenQuery([Fraction(5)], X1, 3))
-    assert toroidal_sum(f, 2) == 1
+    assert toroidal_sum(f) == 1
     zero = eigenform_solve(EigenQuery([Fraction(5)], X1, 3), base_value=0)
-    assert toroidal_sum(zero, 2) == 0
+    assert toroidal_sum(zero) == 0
     f3 = eigenform_solve(EigenQuery([Fraction(2), Fraction(3)], X1, 3))
-    assert toroidal_sum(f3, 3) == 1
+    assert toroidal_sum(f3) == 1
 
 
 def test_toroidal_vanishing_forces_zero_form():

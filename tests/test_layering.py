@@ -1,6 +1,7 @@
 """Module boundaries: no heckelab module imports another's private names,
-the rational-function type stays in two modules, every module is in
-README's module map, and every exported name exists."""
+the rational-function type stays in two modules, only ClosedPoint tests
+a polynomial for irreducibility, every module is in README's module map,
+and every exported name exists."""
 
 import ast
 import importlib
@@ -65,6 +66,32 @@ def test_only_qcalc_and_bundles_name_qrat():
     # QRat only carries bundles.q_factor; Hall coefficients stay in Z[q]
     users = {path.stem for path in PACKAGE.glob("*.py") if names_qrat(path)}
     assert users == {"qcalc", "bundles"}
+
+
+def calls_is_irreducible(path):
+    """True when the module calls is_irreducible, as a name or an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "is_irreducible":
+                return True
+    return False
+
+
+def test_scan_flags_irreducibility_calls(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from . import fpoly\nok = fpoly.is_irreducible((1, 1), 2)\n")
+    assert calls_is_irreducible(sample)
+    sample.write_text("from .fpoly import is_irreducible as test\nok = is_irreducible\n")
+    assert not calls_is_irreducible(sample)
+
+
+def test_only_closed_point_tests_irreducibility():
+    # a point's (q, d, poly) is validated once, by ClosedPoint
+    users = {path.stem for path in PACKAGE.glob("*.py") if calls_is_irreducible(path)}
+    assert users == {"bundles", "fpoly"}
 
 
 def test_every_module_is_in_the_readme_module_map():

@@ -1,0 +1,124 @@
+"""Fault injection: each cross-check of heckelab.verify reports a wrong answer.
+
+Every case perturbs one answer path with monkeypatch and runs its check on
+the quick grid; the check must return a one-line failure, not None.  The
+perturbations wrap names that hold no cache, so nothing wrong outlives a
+test.
+"""
+
+import json
+import random
+
+import pytest
+
+from heckelab import cli, hecke, oracle, verify
+from heckelab.forms import FormVector
+
+
+def _bump_census(brute_multiplicity):
+    """A brute census with every count one too high."""
+
+    def wrong(*args, **kwargs):
+        return {F: c + 1 for F, c in brute_multiplicity(*args, **kwargs).items()}
+
+    return wrong
+
+
+def _twisted_splitting_type(splitting_type):
+    """Kernel types one degree too low, outside every candidate list."""
+
+    def wrong(*args):
+        return splitting_type(*args).twist(-1)
+
+    return wrong
+
+
+def _plus_one(func):
+    def wrong(*args, **kwargs):
+        return func(*args, **kwargs) + 1
+
+    return wrong
+
+
+def _negated(func):
+    def wrong(*args, **kwargs):
+        return not func(*args, **kwargs)
+
+    return wrong
+
+
+def _doubled_closed_kx(kx_times):
+    def wrong(r, E, d, method="recursive"):
+        out = kx_times(r, E, d, method=method)
+        return out.scale(2) if method == "closed" else out
+
+    return wrong
+
+
+def _reversed_diag(smith_normal_form):
+    def wrong(M, q):
+        diag, L, R = smith_normal_form(M, q)
+        return diag[::-1], L, R
+
+    return wrong
+
+
+def _extra_nullity(eigenform_solve):
+    def wrong(*args, **kwargs):
+        f = eigenform_solve(*args, **kwargs)
+        return FormVector(f.space, f.values, f.nullity + 1)
+
+    return wrong
+
+
+def _extra_middle(extension_middle_distribution):
+    def wrong(F, G, q0):
+        dist = dict(extension_middle_distribution(F, G, q0))
+        first = min(dist)
+        dist[first] += 1
+        return dist
+
+    return wrong
+
+
+#: check name -> (module, attribute, perturbation of the attribute)
+FAULTS = {
+    "worked-example": (verify, "brute_multiplicity", _bump_census),
+    "rank2-table": (hecke, "_rank2_table", _plus_one),
+    "deg1-classification": (hecke, "_deg1_multiplicity", _plus_one),
+    "oracle-equivalence": (oracle, "splitting_type", _twisted_splitting_type),
+    "weight-one-criterion": (verify, "exists_modification", _negated),
+    "spaced-factorization": (verify, "hall_multiplicity", _plus_one),
+    "hall-integrity": (verify, "kx_times", _doubled_closed_kx),
+    "smith-normal-form": (verify, "smith_normal_form", _reversed_diag),
+    "eigen-nullity": (verify, "eigenform_solve", _extra_nullity),
+    "triviality-theorems": (verify, "extension_middle_distribution", _extra_middle),
+}
+
+
+def test_every_check_has_a_fault():
+    assert set(FAULTS) == set(verify.CHECKS)
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_a_perturbed_answer_path_fails_its_check(name, monkeypatch):
+    check, grid = verify.CHECKS[name], verify.GRIDS["quick"][name]
+    assert check(random.Random(7), **grid) is None
+    module, attr, perturb = FAULTS[name]
+    monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
+    detail = check(random.Random(7), **grid)
+    assert isinstance(detail, str) and detail and "\n" not in detail
+
+
+def test_cli_verify_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "smith_normal_form", _reversed_diag(verify.smith_normal_form))
+    code = cli.main(["verify", "--quick"])
+    captured = capsys.readouterr()
+    assert code == 3
+    status = [l.split()[0] for l in captured.out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert status == ["FAIL" if n == "smith-normal-form" else "PASS" for n in verify.CHECKS]
+    assert "checks passed" not in captured.out
+    doc = json.loads(captured.err)
+    assert doc["schema"] == "heckelab/1" and doc["command"] == "verify"
+    assert [f["check"] for f in doc["failures"]] == ["smith-normal-form"]
+    assert doc["failures"][0]["detail"].startswith("phi matrix SNF")
