@@ -2,9 +2,10 @@
 
 Birkhoff-Grothendieck: every bundle on P^1 is O(d_1) + ... + O(d_n) for a
 unique non-decreasing degree multiset, the splitting type.  BundleType is
-that multiset in sorted canonical form; ProjBundleClass is its image modulo
-uniform twist (minimum degree shifted to 0), the natural domain for PGL_n
-automorphic forms.
+that multiset in sorted canonical form, built from int degrees only: any
+other entry, bool included, raises TypeError.  ProjBundleClass is its image
+modulo uniform twist (minimum degree shifted to 0), the natural domain for
+PGL_n automorphic forms.
 
 A closed point x of degree d is a Galois orbit of geometric points with
 residue field kappa(x) = F_{q^d}; for the brute-force oracle it is pinned to
@@ -39,7 +40,9 @@ class BundleType:
     __slots__ = ("degrees",)
 
     def __init__(self, degrees):
-        degrees = tuple(sorted(int(d) for d in degrees))
+        degrees = tuple(sorted(degrees))
+        if not set(map(type, degrees)) <= {int}:
+            raise TypeError(f"bundle degrees must be ints, got {degrees!r}")
         if not degrees:
             raise ValueError("a bundle has rank >= 1")
         object.__setattr__(self, "degrees", degrees)

@@ -5,8 +5,9 @@ document together with its text lines, and `_emit` prints one of the two:
 `--format json` prints the document under a top-level "schema": "heckelab/1"
 marker, text prints the lines.  Polynomials appear as coefficient lists in
 JSON and as pretty strings in both; --q adds their values at q.  Exit
-codes: 0 success, 2 usage or domain error, 3 internal identity violation
-(with a diagnostic JSON document on stderr).
+codes: 0 success, 1 stdout closed before the output was written, 2 usage
+or domain error, 3 internal identity violation (with a diagnostic JSON
+document on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -38,7 +40,7 @@ from .oracle import (
     default_budget,
     smith_normal_form,
 )
-from .qcalc import QPoly, gaussian_binomial
+from .qcalc import ZERO, QPoly, gaussian_binomial
 
 SCHEMA = "heckelab/1"
 
@@ -224,7 +226,7 @@ def cmd_hecke_neighbors(args) -> int:
             line += f" = {row['at_q']}"
         rows.append(row)
         lines.append(f"{line}   [{method}]")
-    total = sum((poly for poly, _ in census.values()), QPoly(()))
+    total = sum((poly for poly, _ in census.values()), ZERO)
     doc = {
         "command": "hecke neighbors",
         "bundle": list(E.degrees),
@@ -479,7 +481,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`| head`): send the rest, and the flush at
+        # exit, to devnull so nothing reaches stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (HallIntegrityError, TheoremViolation, BudgetExceeded) as exc:
         print(
             json.dumps(

@@ -1,7 +1,9 @@
 """Delta vectors: the combinatorial index of Hecke neighbors.
 
 Delta_r^n is the set of 0/1 vectors of length n with exactly r ones; the
-ones mark which line-bundle components drop degree.  Two statistics drive
+ones mark which line-bundle components drop degree.  A DeltaVec takes int
+bits: any other entry, bool or str included, raises TypeError, and an int
+other than 0 or 1 raises ValueError.  Two statistics drive
 the multiplicity formulas (positions 1-based, as in all formulas here;
 serialized bit arrays are plain 0-based lists):
 
@@ -28,8 +30,10 @@ class DeltaVec:
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(bits)
+        if not set(map(type, bits)) <= {int}:
+            raise TypeError(f"delta bits must be ints, got {bits!r}")
+        if not set(bits) <= {0, 1}:
             raise ValueError(f"bits must be 0/1, got {bits}")
         object.__setattr__(self, "bits", bits)
 

@@ -291,9 +291,12 @@ def cusp_defect(f: FormVector, n1: int, n2: int, space: TruncatedPBun, q0: int) 
 
     A cusp form makes every such sum vanish.  Pairs range over degree
     tuples in [0, D] with combined minimum 0 (simultaneous twists give the
-    same middles), keeping only pairs whose middles all stay inside the
-    space where f is defined.
+    same middles).  Every middle B of 0 -> G -> B -> F -> 0 is a
+    generization of F + G, so its degrees lie in [0, D] too and its class
+    is in the space where f is defined; space must be that truncation.
     """
+    if (space.n, space.D) != (f.space.n, f.space.D):
+        raise ValueError(f"space must be the truncation of f, {f.space}, got {space}")
     if n1 + n2 != space.n:
         raise ValueError(f"need n1+n2 = {space.n}, got {n1}+{n2}")
     out = {}
@@ -304,12 +307,7 @@ def cusp_defect(f: FormVector, n1: int, n2: int, space: TruncatedPBun, q0: int) 
                 continue
             F, G = BundleType(fdeg), BundleType(gdeg)
             dist = extension_middle_distribution(F, G, q0)
-            classes = {B: proj_class(B) for B in dist}
-            if not all(c in f.space for c in classes.values()):
-                continue
-            out[(F, G)] = sum(
-                count * f[classes[B]] for B, count in dist.items()
-            )
+            out[(F, G)] = sum(count * f[B] for B, count in dist.items())
     return out
 
 

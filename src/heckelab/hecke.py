@@ -16,7 +16,7 @@ from itertools import product
 from .bundles import BundleType, ClosedPoint
 from .deltas import DeltaVec, weight
 from .hall import HallIntegrityError, hall_multiplicity
-from .qcalc import QPoly, gaussian_binomial
+from .qcalc import ONE, ZERO, QPoly, gaussian_binomial
 
 __all__ = [
     "ModificationQuery",
@@ -28,9 +28,6 @@ __all__ = [
     "neighbors_detail",
     "dual_existence_check",
 ]
-
-_ONE = QPoly((1,))
-_ZERO = QPoly(())
 
 #: instances with rank * point-degree at most this are re-verified against
 #: the hall engine on every closed-formula dispatch
@@ -147,8 +144,8 @@ def _rank2_table(dp: tuple, dd: tuple, d: int) -> QPoly:
         if (a, b) == tuple(sorted((d1, d2 - d))):
             return QPoly.monomial(d)
         if (a, b) == (d1 - d, d2):
-            return _ONE
-        return _ZERO
+            return ONE
+        return ZERO
     if g == 0:
         if d % 2 == 0 and (a, b) == (d1 - d // 2, d1 - d // 2):
             return QPoly.monomial(d) - QPoly.monomial(d - 1)
@@ -157,19 +154,19 @@ def _rank2_table(dp: tuple, dd: tuple, d: int) -> QPoly:
         i = d1 - b
         if 1 <= i <= (d - 1) // 2 and a == d1 - d + i:
             return QPoly.monomial(2 * i + 1) - QPoly.monomial(2 * i - 1)
-        return _ZERO
+        return ZERO
     # 0 < g < d
     if (d + g) % 2 == 0 and (a, b) == ((d1 + d2 - d) // 2, (d1 + d2 - d) // 2):
         return QPoly.monomial(d) - QPoly.monomial(d - 1)
     if (a, b) == (d2 - d, d1):
         return QPoly.monomial(g + 1)
     if (a, b) == (d1 - d, d2):
-        return _ONE
+        return ONE
     i = d1 - b
     ell = (d - g - 1) // 2
     if 1 <= i <= ell and a == d2 - d + i:
         return QPoly.monomial(g + 2 * i + 1) - QPoly.monomial(g + 2 * i - 1)
-    return _ZERO
+    return ZERO
 
 
 def _deg1_multiplicity(dp: tuple, dd: tuple, r: int) -> QPoly:
@@ -182,7 +179,7 @@ def _deg1_multiplicity(dp: tuple, dd: tuple, r: int) -> QPoly:
     """
     eps = [a - b for a, b in zip(dd, dp)]
     E = BundleType(dd)
-    out = _ONE
+    out = ONE
     alpha = 0
     consumed = 0
     start = 0
@@ -199,12 +196,12 @@ def _multiplicity_core(dp: tuple, dd: tuple, d: int, r: int) -> tuple:
     """Dispatch to the first applicable formula; returns (poly, method)."""
     n = len(dd)
     if not _exists(dp, dd, d, r):
-        return _ZERO, "nonexistent"
+        return ZERO, "nonexistent"
     if r == 0:
-        return _ONE, "trivial"
+        return ONE, "trivial"
     if r == n:
         # the zero subspace is the only choice: E' = E twisted down by d
-        return _ONE, "full-twist"
+        return ONE, "full-twist"
     if n == 2:
         return _rank2_table(dp, dd, d), "rank2-table"
     if d == 1:

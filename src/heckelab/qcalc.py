@@ -2,7 +2,10 @@
 
 A QPoly is an integer-coefficient polynomial in the formal variable q, stored
 little-endian: coeffs[i] is the coefficient of q^i; every structure constant
-of the Hall algebra of Coh(P^1) is one.  A QRat is a reduced ratio num/den of
+of the Hall algebra of Coh(P^1) is one.  Its one constructor checks that each
+coefficient is an int (bool is refused) and raises TypeError otherwise; it
+converts nothing, so a Fraction or a float can never be silently truncated,
+and it trims trailing zeros.  A QRat is a reduced ratio num/den of
 two QPolys.  QRat now only carries Q(E), the normalization of
 bundles.q_factor, which the Hall engine applies by exact division.
 
@@ -42,10 +45,13 @@ class QPoly:
     def __init__(self, coeffs=()):
         if isinstance(coeffs, int):
             coeffs = (coeffs,)
-        coeffs = tuple(int(c) for c in coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = tuple(coeffs)
+        if not set(map(type, coeffs)) <= {int}:
+            raise TypeError(f"QPoly coefficients must be ints, got {coeffs!r}")
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        object.__setattr__(self, "coeffs", coeffs[:n])
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -141,21 +147,17 @@ class QPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        db, lb = other.degree, other.leading()
+        b = other.coeffs
+        db, lb = len(b) - 1, b[-1]
         quo = [0] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < db:
-                break
-            c, r = divmod(rem[-1], lb)
+        for shift in range(len(quo) - 1, -1, -1):
+            c, r = divmod(rem[shift + db], lb)
             if r:
                 raise ValueError(f"non-exact division: {self} by {other}")
-            shift = len(rem) - 1 - db
-            quo[shift] = c
-            for i, cb in enumerate(other.coeffs):
-                rem[shift + i] -= c * cb
-            rem.pop()
+            if c:
+                quo[shift] = c
+                for i, cb in enumerate(b, shift):
+                    rem[i] -= c * cb
         return QPoly(quo), QPoly(rem)
 
     def __floordiv__(self, other):
@@ -346,9 +348,7 @@ def gaussian_binomial(k: int, n: int) -> QPoly:
     for i in range(k):
         num = num * (QPoly.monomial(n - i) - 1)
         den = den * (QPoly.monomial(k - i) - 1)
-    quo, rem = num.divmod(den)
-    assert rem.is_zero()
-    return quo
+    return num // den
 
 
 @lru_cache(maxsize=None)

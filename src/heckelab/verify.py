@@ -31,7 +31,7 @@ from .forms import (
 from .hall import HallElement, bundle_product, hall_multiplicity, kx_times, word_product
 from .hecke import ModificationQuery, candidates, exists_modification, multiplicity_detail
 from .oracle import Field, brute_multiplicity, matrix_rank, smith_normal_form
-from .qcalc import QPoly, gaussian_binomial
+from .qcalc import ZERO, QPoly, gaussian_binomial
 
 __all__ = ["CHECKS", "GRIDS", "random_modification_matrix"]
 
@@ -58,7 +58,7 @@ def _rank2_table(rng, top, ds):
             E = BundleType((d1, d2))
             for d in ds:
                 x = ClosedPoint(2, d)
-                total = QPoly(())
+                total = ZERO
                 for E_prime in candidates(E, d, 1):
                     got, method = multiplicity_detail(
                         ModificationQuery(E, E_prime, x, 1), cross_check=False
@@ -85,7 +85,7 @@ def _deg1_classification(rng, nmax, top):
         for degrees in combinations_with_replacement(range(top + 1), n):
             E = BundleType(degrees)
             for r in range(1, n + 1):
-                total = QPoly(())
+                total = ZERO
                 for E_prime in candidates(E, 1, r):
                     got = multiplicity_detail(
                         ModificationQuery(E, E_prime, x, r), cross_check=False

@@ -1,5 +1,7 @@
 """Splitting types, projective classes, aut orders, closed points."""
 
+from fractions import Fraction
+
 import pytest
 
 from heckelab.bundles import (
@@ -25,6 +27,15 @@ def test_grouped_and_pretty():
     assert E.grouped() == ((0, 2), (2, 1), (3, 3))
     assert E.rank == 6 and E.degree == 11
     assert E.pretty() == "O^2+O(2)+O(3)^3"
+
+
+@pytest.mark.parametrize(
+    "degrees", [(1.7, 2), ("1", "2"), (0, True), [Fraction(1)], "12", (2.0,)], ids=repr
+)
+def test_bundle_type_rejects_degrees_that_are_not_ints(degrees):
+    """(1.7, 2) used to be O(1)+O(2)."""
+    with pytest.raises(TypeError):
+        BundleType(degrees)
 
 
 def test_proj_class():

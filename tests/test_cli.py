@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,55 +48,80 @@ def test_gr_text_and_json(capsys):
     assert doc["at_q"] == 5
 
 
-@pytest.mark.parametrize(
-    "argv, want",
-    [
-        ("gr --k 1 --n 2 --q 4", "#Gr(1,2) = q+1\nat q=4: 5\n"),
-        (
-            "hecke neighbors --bundle 0,0 --point-degree 2 --weight 1 --q 2",
-            "O(-2)+O: q+1 = 3   [rank2-table]\n"
-            "O(-1)^2: q^2-q = 2   [rank2-table]\n"
-            "total q^2+1 = 5\n",
-        ),
-        (
-            "hecke mult --bundle 0,2 --target=-1,1 --point-degree 2 --weight 1",
-            "m(O(-1)+O(1) -> O+O(2)) = 0   [nonexistent]\n",
-        ),
-        (
-            "hall mul --f 2 --g 0 --q 3",
-            "[O+O(2)]: q^3   (at q=3: 27)\n[O(1)^2]: q^3-q   (at q=3: 24)\n",
-        ),
-        (
-            "hall kx --bundle 0,0 --weight 1 --point-degree 2 --method closed",
-            "[O^2+K^1]: q^4\n[O+O(2)]: q^2\n[O(1)^2]: q^2-q\n",
-        ),
-        (
-            "oracle census --bundle 0,0 --q 2 --point 1,1,1 --weight 1",
-            "point t^2+t+1 over F_2 (degree 2)\nO(-2)+O: 3\nO(-1)^2: 2\ntotal 5\n",
-        ),
-        ("oracle snf --matrix 0,1|1,1;1|0,1 --q 2", "diag: 1, t^2+t+1\n"),
-        (
-            "forms eigen --n 2 --q 2 --lambda 3 --depth 5",
-            "nullity 1\nO^2: 1\nO+O(1): 1\nO+O(2): 1\nO+O(3): 1\n"
-            "O+O(4): 1\nO+O(5): 1\nO+O(6): 1\n",
-        ),
-        (
-            "forms cusp --n 2 --q 2 --lambda 5 --depth 4",
-            "(O, O): 1\n(O, O(1)): 5/3\n(O, O(2)): 19/3\n(O, O(3)): 85/3\n"
-            "(O, O(4)): 129\n(O(1), O): 5/3\n(O(2), O): 22/3\n(O(3), O): 100/3\n"
-            "(O(4), O): 152\nall zero: False\n",
-        ),
-        ("forms toroidal --n 2 --q 2 --lambda 5 --depth 4", "toroidal sum 1\n"),
-        (
-            "delta --n 3 --r 2",
-            "bits\tweight\tomega\n(1, 1, 0)\t0\t3\n(1, 0, 1)\t1\t4\n(0, 1, 1)\t2\t5\n"
-            "count 3; schubert sum q^2+q+1\n",
-        ),
-    ],
-)
+#: README's command-line examples with their text output, copied by hand
+README_EXAMPLES = [
+    ("gr --k 1 --n 2 --q 4", "#Gr(1,2) = q+1\nat q=4: 5\n"),
+    (
+        "hecke neighbors --bundle 0,0 --point-degree 2 --weight 1 --q 2",
+        "O(-2)+O: q+1 = 3   [rank2-table]\n"
+        "O(-1)^2: q^2-q = 2   [rank2-table]\n"
+        "total q^2+1 = 5\n",
+    ),
+    (
+        "hecke mult --bundle 0,2 --target=-1,1 --point-degree 2 --weight 1",
+        "m(O(-1)+O(1) -> O+O(2)) = 0   [nonexistent]\n",
+    ),
+    (
+        "hall mul --f 2 --g 0 --q 3",
+        "[O+O(2)]: q^3   (at q=3: 27)\n[O(1)^2]: q^3-q   (at q=3: 24)\n",
+    ),
+    (
+        "hall kx --bundle 0,0 --weight 1 --point-degree 2 --method closed",
+        "[O^2+K^1]: q^4\n[O+O(2)]: q^2\n[O(1)^2]: q^2-q\n",
+    ),
+    (
+        "oracle census --bundle 0,0 --q 2 --point 1,1,1 --weight 1",
+        "point t^2+t+1 over F_2 (degree 2)\nO(-2)+O: 3\nO(-1)^2: 2\ntotal 5\n",
+    ),
+    ("oracle snf --matrix 0,1|1,1;1|0,1 --q 2", "diag: 1, t^2+t+1\n"),
+    (
+        "forms eigen --n 2 --q 2 --lambda 3 --depth 5",
+        "nullity 1\nO^2: 1\nO+O(1): 1\nO+O(2): 1\nO+O(3): 1\n"
+        "O+O(4): 1\nO+O(5): 1\nO+O(6): 1\n",
+    ),
+    (
+        "forms cusp --n 2 --q 2 --lambda 5 --depth 4",
+        "(O, O): 1\n(O, O(1)): 5/3\n(O, O(2)): 19/3\n(O, O(3)): 85/3\n"
+        "(O, O(4)): 129\n(O(1), O): 5/3\n(O(2), O): 22/3\n(O(3), O): 100/3\n"
+        "(O(4), O): 152\nall zero: False\n",
+    ),
+    ("forms toroidal --n 2 --q 2 --lambda 5 --depth 4", "toroidal sum 1\n"),
+    (
+        "delta --n 3 --r 2",
+        "bits\tweight\tomega\n(1, 1, 0)\t0\t3\n(1, 0, 1)\t1\t4\n(0, 1, 1)\t2\t5\n"
+        "count 3; schubert sum q^2+q+1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want", README_EXAMPLES)
 def test_text_output_of_each_readme_example(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out, err) == (0, want, "")
+
+
+def readme_commands():
+    """Every `heckelab ...` line of README's shell blocks, comments cut."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = text.split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    return [
+        shlex.split(line, comments=True)[1:] for line in lines if line.startswith("heckelab ")
+    ]
+
+
+def test_readme_commands_are_the_copied_examples():
+    copied = [argv.split() for argv, _ in README_EXAMPLES]
+    assert readme_commands() == [["verify", "--quick"], ["verify", "--full"]] + copied
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in readme_commands() if argv != ["verify", "--full"]], ids=" ".join
+)
+def test_each_readme_command_runs(capsys, argv):
+    """`verify --full` is left out: the acceptance grid contains its grid."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
 
 
 def test_delta_listing(capsys):
@@ -402,6 +430,29 @@ def test_verify_quick_passes(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10 and all(l.startswith("PASS") for l in lines)
     assert "all 10 checks passed (quick)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forms", "eigen", "--n", "3", "--q", "4", "--lambda", "3,7", "--depth", "5"],
+        ["verify", "--quick"],
+    ],
+    ids=" ".join,
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "heckelab.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")
 
 
 def test_console_script_entry_point():

@@ -1,5 +1,7 @@
 """Delta-vector combinatorics: enumeration, weight, omega, Schubert count."""
 
+from fractions import Fraction
+
 import pytest
 
 from heckelab.deltas import DeltaVec, enumerate_deltas, omega, schubert_count, weight
@@ -66,3 +68,12 @@ def test_concatenation_law():
 def test_one_based_call():
     d = DeltaVec([0, 1, 1, 0])
     assert d(1) == 0 and d(2) == 1 and d(3) == 1 and d(4) == 0
+
+
+@pytest.mark.parametrize(
+    "bits", ["101", (True, False), (1.0, 0), [Fraction(1)], ("1", "0")], ids=repr
+)
+def test_delta_vec_rejects_bits_that_are_not_ints(bits):
+    with pytest.raises(TypeError):
+        DeltaVec(bits)
+

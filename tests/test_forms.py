@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -342,10 +343,31 @@ def test_cusp_defect_of_zero_form_vanishes():
     assert defects and all(v == 0 for v in defects.values())
 
 
+@pytest.mark.parametrize(
+    "lams, n1, D", [((5,), 1, 4), ((2, 3), 1, 3), ((2, 3), 2, 3), ((2, 3, 5), 2, 2)]
+)
+def test_cusp_defect_covers_every_pair_with_minimum_zero(lams, n1, D):
+    """Every middle of a pair in [0, D] stays in the truncation, so no pair
+    is skipped."""
+    f = eigenform_solve(EigenQuery([Fraction(v) for v in lams], X1, D))
+    n2 = f.space.n - n1
+    defects = cusp_defect(f, n1, n2, f.space, 2)
+    want = {
+        (B(*fdeg), B(*gdeg))
+        for fdeg in product(range(D + 1), repeat=n1)
+        for gdeg in product(range(D + 1), repeat=n2)
+        if min(fdeg + gdeg) == 0
+    }
+    assert set(defects) == want
+
+
 def test_cusp_defect_rank_split_validation():
     f = eigenform_solve(EigenQuery([Fraction(5)], X1, 3))
     with pytest.raises(ValueError):
         cusp_defect(f, 1, 2, f.space, 2)
+    for other in (TruncatedPBun(2, 5), TruncatedPBun(2, 2), TruncatedPBun(3, 3)):
+        with pytest.raises(ValueError, match="truncation of f"):
+            cusp_defect(f, 1, 1, other, 2)
 
 
 def test_toroidal_sum_reduces_to_base_value():

@@ -1,7 +1,8 @@
 """Module boundaries: no heckelab module imports another's private names,
 the rational-function type stays in two modules, only ClosedPoint tests
-a polynomial for irreducibility, every module is in README's module map,
-and every exported name exists."""
+a polynomial for irreducibility, the value types check their entries
+without converting them, every module is in README's module map, and
+every exported name exists."""
 
 import ast
 import importlib
@@ -92,6 +93,35 @@ def test_only_closed_point_tests_irreducibility():
     # a point's (q, d, poly) is validated once, by ClosedPoint
     users = {path.stem for path in PACKAGE.glob("*.py") if calls_is_irreducible(path)}
     assert users == {"bundles", "fpoly"}
+
+
+def class_node(module, name):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+
+
+def calls_int(node):
+    return any(
+        isinstance(n, ast.Call) and getattr(n.func, "id", None) == "int" for n in ast.walk(node)
+    )
+
+
+def test_value_types_check_entries_without_converting_them():
+    for module, name in (("qcalc", "QPoly"), ("bundles", "BundleType"), ("deltas", "DeltaVec")):
+        cls = class_node(module, name)
+        init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+        assert not calls_int(init), name
+    assert calls_int(ast.parse("x = int('1')"))
+
+
+def test_qpoly_has_one_construction_path():
+    # every QPoly goes through __init__: no __new__ bypass, no classmethod
+    assert "__new__" not in (PACKAGE / "qcalc.py").read_text()
+    cls = class_node("qcalc", "QPoly")
+    decorators = {
+        getattr(d, "id", None) for n in ast.walk(cls) for d in getattr(n, "decorator_list", [])
+    }
+    assert decorators == {"staticmethod", "property"}
 
 
 def test_every_module_is_in_the_readme_module_map():

@@ -58,9 +58,24 @@ def test_qpoly_basics():
     assert p.pretty() == "q^2+1"
     assert (Q + 1) * (Q - 1) == QPoly((-1, 0, 1))
     assert QPoly((0, 0, 0)) == ZERO
+    assert QPoly((1, 2, 0, 0)).coeffs == (1, 2) and QPoly((0, 0, 3)).coeffs == (0, 0, 3)
+    assert QPoly(0).coeffs == QPoly().coeffs == ()
+    assert QPoly(iter([-1, 0, 1])) == Q**2 - 1
     assert Q**3 == QPoly.monomial(3)
     assert (-Q).pretty() == "-q"
     assert (2 * Q**3 - Q + 5).pretty() == "2q^3-q+5"
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[Fraction(1, 2)], (2.9, "3"), (1.0,), 1.0, "12", (True,), True, (1, False), [Fraction(2)]],
+    ids=repr,
+)
+def test_qpoly_rejects_entries_that_are_not_ints(coeffs):
+    """No int() conversion: Fraction(1, 2) used to become 0 and (2.9, "3")
+    the polynomial 3q+2."""
+    with pytest.raises(TypeError):
+        QPoly(coeffs)
 
 
 def test_qpoly_divmod_exact_and_errors():
@@ -72,6 +87,36 @@ def test_qpoly_divmod_exact_and_errors():
     # 1 step of non-exact integer division must refuse, not truncate
     with pytest.raises(ValueError):
         Q.divmod(QPoly(2) * Q)
+
+
+def test_qpoly_divmod_recovers_quotient_and_remainder():
+    """(a*b + r).divmod(b) == (a, r) whenever deg r < deg b and the leading
+    coefficient of b is +-1, so every quotient step divides exactly."""
+    rng = random.Random(20261018)
+
+    def rand_poly(deg, lead=None):
+        coeffs = [rng.randint(-6, 6) for _ in range(deg + 1)]
+        if lead is not None:
+            coeffs[-1] = lead
+        return QPoly(coeffs)
+
+    for trial in range(300):
+        lead = (1, 1, -1)[trial % 3]  # monic b twice as often as lead -1
+        b = rand_poly(rng.randint(0, 5), lead)
+        a = rand_poly(rng.randint(-1, 6))
+        r = rand_poly(rng.randint(-1, b.degree - 1))
+        assert r.degree < b.degree
+        assert (a * b + r).divmod(b) == (a, r)
+        assert (a * b) // b == a
+    with pytest.raises(ZeroDivisionError):
+        (Q + 1).divmod(ZERO)
+    with pytest.raises(ZeroDivisionError):
+        ZERO.divmod(ZERO)
+    # the first step is exact, the second is not: 2q^2 + q by 2q + 2
+    with pytest.raises(ValueError, match="non-exact division"):
+        QPoly((0, 1, 2)).divmod(QPoly((2, 2)))
+    with pytest.raises(ValueError, match="non-exact division"):
+        (Q**3 + 1) // (Q + 2)
 
 
 def test_qrat_examples():
