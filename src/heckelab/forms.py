@@ -13,17 +13,32 @@ therefore live on the padded set of spread at most D+1, so no equation is
 ever cut off at the boundary.
 
 Elimination: each equation has at most C(n,r)+1 nonzero entries, so the
-system is kept as sparse {column: Fraction} rows and eliminated row by row
-(_kernel_of).  A new row pivots on its widest class, largest by (spread,
-index); the solution is then unique up to scale, so the normalized
-eigenform does not depend on the pivot order.
+system is kept as sparse {column: int or Fraction} rows and eliminated
+row by row (_kernel_of).  A new row pivots on its widest class, largest
+by (spread, index); the solution is then unique up to scale, so the
+normalized eigenform does not depend on the pivot order.
+
+Caching: the operators and the extension counts depend on the rank, the
+truncation D and q, never on the eigenvalues, so two bounded module-level
+caches keep them, every number an int in a tuple:
+  * _hecke_operators, keyed by (n, D, q0): the truncation and the rows of
+    every weight's hecke_matrix valued at q0, as column indices and
+    multiplicities.  Each solve builds fresh row dicts from them, and only
+    the diagonal entry - lambda_r is a Fraction;
+  * _cusp_middles, keyed by (n1, n2, D, q0): every pair (F, G) of
+    cusp_defect with the column index and count of each middle.  Each
+    cusp sum is then an exact integer sum over the common denominator
+    of f.
+Only lambda and f change from one solve to the next.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .bundles import (
     BundleType,
@@ -69,6 +84,9 @@ class TruncatedPBun:
 
     The padded list extends to spread D+1: every neighbor of an equation
     row lies there, so the row is always complete.
+
+    eigenform_solve takes its truncation from a cache, so the FormVectors
+    of one (n, D, q) share one instance: treat it as read-only.
     """
 
     def __init__(self, n: int, D: int):
@@ -146,7 +164,8 @@ def hecke_matrix(space: TruncatedPBun, r: int) -> dict:
     """Sparse weight-r Hecke operator: row class -> {neighbor class: QPoly}.
 
     Rows run over spread <= D; every neighbor class lands in the padded
-    set, which is checked, so each row is complete.
+    set, which is checked (TheoremViolation otherwise), so each row is
+    complete.
     """
     n = space.n
     if not 1 <= r <= n - 1:
@@ -156,16 +175,21 @@ def hecke_matrix(space: TruncatedPBun, r: int) -> dict:
         row = {}
         for E_prime, poly in neighbors(c.degrees, 1, r).items():
             target = proj_class(E_prime)
-            assert target in space, (c, target)
+            if target not in space:
+                raise TheoremViolation(
+                    f"neighbor {target.degrees.pretty()} of {c.degrees.pretty()} "
+                    f"leaves the padded truncation {space}"
+                )
             row[target] = poly
         out[c] = row
     return out
 
 
 def _kernel_of(rows, ncols, order):
-    """Kernel basis of a sparse exact-rational matrix.
+    """Kernel basis of a sparse exact matrix.
 
-    rows are {column: Fraction} dicts over columns 0..ncols-1; order[c] is
+    rows are {column: int or Fraction} dicts over columns 0..ncols-1, and
+    the basis is the same whichever type an integral entry has; order[c] is
     the sort key of column c.  Each row in turn is reduced against the
     pivot rows found so far, oldest pivot first, and, if anything is left,
     pivots on its nonzero column with the largest key.  Back substitution
@@ -213,17 +237,36 @@ def _kernel_of(rows, ncols, order):
     return basis
 
 
+#: bounded; holds the eigen benchmark's working set of 75 (n, D, q0) systems
+@lru_cache(maxsize=128)
+def _hecke_operators(n: int, D: int, q0: int) -> tuple:
+    """(space, operators) of TruncatedPBun(n, D) at q0.
+
+    operators[r-1] holds the weight-r rows of hecke_matrix as int tuples
+    (row index, ((column index, multiplicity at q0), ...)).
+    """
+    space = TruncatedPBun(n, D)
+    operators = tuple(
+        tuple(
+            (
+                space.index[c],
+                tuple((space.index[t], poly.evaluate(q0)) for t, poly in row.items()),
+            )
+            for c, row in hecke_matrix(space, r).items()
+        )
+        for r in range(1, n)
+    )
+    return space, operators
+
+
 def _eigen_system(query: EigenQuery):
-    """(space, rows): one {column: Fraction} row per equation
+    """(space, rows): one {column: int or Fraction} row per equation
     (Phi_r f)(c) = lambda_r f(c), for every weight r and row class c."""
-    space = TruncatedPBun(query.n, query.D)
-    q0 = query.x.q
+    space, operators = _hecke_operators(query.n, query.D, query.x.q)
     rows = []
-    for r in range(1, query.n):
-        lam = query.lams[r - 1]
-        for c, row in hecke_matrix(space, r).items():
-            eq = {space.index[t]: Fraction(poly.evaluate(q0)) for t, poly in row.items()}
-            i = space.index[c]
+    for lam, operator in zip(query.lams, operators):
+        for i, entries in operator:
+            eq = dict(entries)
             eq[i] = eq.get(i, 0) - lam
             rows.append(eq)
     return space, rows
@@ -274,7 +317,11 @@ def extension_middle_distribution(F: BundleType, G: BundleType, q0: int) -> dict
     for term, coeff in bundle_product(F, G).items():
         B = term.bundle
         g, rem = divmod(coeff.evaluate(q0) * scale, aut_order(B, q0))
-        assert rem == 0 and g > 0, (F, G, B, g)
+        if rem or g <= 0:
+            raise HallIntegrityError(
+                f"extension count {g} + {rem}/|Aut B| is not a positive integer for "
+                f"F={F.pretty()}, G={G.pretty()}, B={B.pretty()}, q={q0}"
+            )
         out[B] = g
     total = sum(out.values())
     expected = q0 ** ext1_dim(F, G)
@@ -286,6 +333,25 @@ def extension_middle_distribution(F: BundleType, G: BundleType, q0: int) -> dict
     return out
 
 
+#: bounded; holds the eigen benchmark's working set of about 110 cusp keys
+@lru_cache(maxsize=128)
+def _cusp_middles(n1: int, n2: int, D: int, q0: int) -> tuple:
+    """((F, G), ((middle column, count), ...)) for every pair cusp_defect
+    sums over: degree tuples in [0, D] with combined minimum 0.  A middle
+    column indexes the padded classes of TruncatedPBun(n1 + n2, D)."""
+    index = TruncatedPBun(n1 + n2, D).index
+    out = []
+    rng = range(D + 1)
+    for fdeg in combinations_with_replacement(rng, n1):
+        for gdeg in combinations_with_replacement(rng, n2):
+            if min(fdeg + gdeg) != 0:
+                continue
+            F, G = BundleType(fdeg), BundleType(gdeg)
+            dist = extension_middle_distribution(F, G, q0)
+            out.append(((F, G), tuple((index[proj_class(B)], g) for B, g in dist.items())))
+    return tuple(out)
+
+
 def cusp_defect(f: FormVector, n1: int, n2: int, space: TruncatedPBun, q0: int) -> dict:
     """Sums of f over extension middles, per quotient/sub pair (F, G).
 
@@ -294,21 +360,22 @@ def cusp_defect(f: FormVector, n1: int, n2: int, space: TruncatedPBun, q0: int) 
     same middles).  Every middle B of 0 -> G -> B -> F -> 0 is a
     generization of F + G, so its degrees lie in [0, D] too and its class
     is in the space where f is defined; space must be that truncation.
+
+    The extension counts come from a cache keyed by (n1, n2, D, q0).  Each
+    sum is exact in integers: with L the lcm of f's denominators it adds
+    count * L*f(B) and divides by L once.
     """
     if (space.n, space.D) != (f.space.n, f.space.D):
         raise ValueError(f"space must be the truncation of f, {f.space}, got {space}")
     if n1 + n2 != space.n:
         raise ValueError(f"need n1+n2 = {space.n}, got {n1}+{n2}")
-    out = {}
-    rng = range(space.D + 1)
-    for fdeg in combinations_with_replacement(rng, n1):
-        for gdeg in combinations_with_replacement(rng, n2):
-            if min(fdeg + gdeg) != 0:
-                continue
-            F, G = BundleType(fdeg), BundleType(gdeg)
-            dist = extension_middle_distribution(F, G, q0)
-            out[(F, G)] = sum(count * f[B] for B, count in dist.items())
-    return out
+    values = [f.values[c] for c in f.space.padded]
+    L = lcm(*(v.denominator for v in values))
+    num = [v.numerator * (L // v.denominator) for v in values]
+    return {
+        pair: Fraction(sum(g * num[j] for j, g in middles), L)
+        for pair, middles in _cusp_middles(n1, n2, space.D, q0)
+    }
 
 
 def toroidal_sum(f: FormVector) -> Fraction:

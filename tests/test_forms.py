@@ -1,11 +1,15 @@
 """Tests for the automorphic-forms layer: eigenforms, cusp defects, toroidal sums."""
 
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from heckelab import forms
 from heckelab.bundles import (
     BundleType,
     ClosedPoint,
@@ -16,9 +20,11 @@ from heckelab.bundles import (
     proj_class,
     q_factor,
 )
+from heckelab.cli import main
 from heckelab.forms import (
     EigenQuery,
     FormVector,
+    TheoremViolation,
     TruncatedPBun,
     _eigen_system,
     _kernel_of,
@@ -29,7 +35,7 @@ from heckelab.forms import (
     hecke_matrix,
     toroidal_sum,
 )
-from heckelab.hall import word_product
+from heckelab.hall import HallElement, HallIntegrityError, word_product
 from heckelab.qcalc import Q, ONE, gaussian_binomial
 
 X1 = ClosedPoint(2, 1, (0, 1))  # the point t = 0 over F_2
@@ -43,6 +49,11 @@ def B(*degrees):
 
 def cl(*degrees):
     return proj_class(B(*degrees))
+
+
+def clear_form_caches():
+    forms._hecke_operators.cache_clear()
+    forms._cusp_middles.cache_clear()
 
 
 def test_truncation_shape():
@@ -73,6 +84,12 @@ def test_hecke_matrix_rank3_base_row():
     assert M1[cl(0, 0, 0)] == {cl(0, 1, 1): Q * Q + Q + ONE}
     M2 = hecke_matrix(sp, 2)
     assert M2[cl(0, 0, 0)] == {cl(0, 0, 1): Q * Q + Q + ONE}
+
+
+def test_hecke_matrix_refuses_a_neighbor_outside_the_padded_set(monkeypatch):
+    monkeypatch.setattr(forms, "neighbors", lambda E, d, r: {B(0, 9): ONE})
+    with pytest.raises(TheoremViolation, match="leaves the padded truncation"):
+        hecke_matrix(TruncatedPBun(2, 2), 1)
 
 
 def test_hecke_matrix_weight_bounds():
@@ -151,9 +168,19 @@ def as_dict_rows(rows):
     return [{j: v for j, v in enumerate(row) if v} for row in rows]
 
 
+def as_int_rows(rows):
+    """The dict rows with every integral entry as an int, as _eigen_system
+    builds them."""
+    return [
+        {j: v.numerator if v.denominator == 1 else v for j, v in row.items()}
+        for row in as_dict_rows(rows)
+    ]
+
+
 def test_kernel_of_matches_dense_reference():
     rng = random.Random(20261018)
     cases = [[[Fraction(0)] * 4 for _ in range(3)]]  # the zero matrix
+    cases.append([[Fraction(rng.randint(-9, 9)) for _ in range(5)] for _ in range(4)])
     for _ in range(60):
         ncols = rng.randint(1, 9)
         cases.append(
@@ -166,6 +193,7 @@ def test_kernel_of_matches_dense_reference():
         rng.shuffle(shuffled)
         for order in (range(ncols), shuffled):
             got = _kernel_of(as_dict_rows(rows), ncols, order)
+            assert _kernel_of(as_int_rows(rows), ncols, order) == got
             assert len(got) == len(ref)
             for v in got:  # each vector solves every row
                 assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
@@ -387,3 +415,121 @@ def test_toroidal_vanishing_forces_zero_form():
         lams = [Fraction(rng.randint(-9, 9)) for _ in range(n - 1)]
         f = eigenform_solve(EigenQuery(lams, x, 3), base_value=0)
         assert f.is_zero()
+
+
+#: (n, D, lambdas): two eigenvalue tuples per truncation
+CACHED_CASES = [
+    (2, 4, [Fraction(5)]),
+    (2, 4, [Fraction(-3, 2)]),
+    (3, 3, [Fraction(3), Fraction(5)]),
+    (3, 3, [Fraction(7, 2), Fraction(-3)]),
+    (4, 2, [Fraction(2), Fraction(9, 5), Fraction(-1)]),
+    (4, 2, [Fraction(3), Fraction(5), Fraction(7)]),
+]
+
+
+def solve_and_cusp(n, D, q0, lams):
+    f = eigenform_solve(EigenQuery(lams, ClosedPoint(q0, 1), D))
+    defects = {n1: cusp_defect(f, n1, n - n1, f.space, q0) for n1 in range(1, n)}
+    return f.nullity, f.values, defects
+
+
+def test_cached_answers_equal_cold_ones():
+    """Every solve after the first reuses what earlier ones cached, at
+    another q or with other eigenvalues; a key missing a component would
+    hand it the wrong operators or counts."""
+    clear_form_caches()
+    cases = [(n, D, q0, lams) for n, D, lams in CACHED_CASES for q0 in (2, 3, 4)]
+    cases.sort(key=lambda case: (case[0], case[1], case[2]))
+    warm = [solve_and_cusp(*case) for case in cases]
+    assert forms._hecke_operators.cache_info().hits > 0
+    assert forms._cusp_middles.cache_info().hits > 0
+    for case, got in zip(cases, warm):
+        clear_form_caches()
+        assert solve_and_cusp(*case) == got, case
+
+
+def test_mutating_returned_values_changes_no_later_answer():
+    query = EigenQuery([Fraction(7, 2), Fraction(-3)], X1_Q3, 3)
+    f = eigenform_solve(query)
+    defects = cusp_defect(f, 1, 2, f.space, 3)
+    want = (dict(f.values), dict(defects))
+    want_row = dict(hecke_matrix(f.space, 1)[f.space.base_class])
+    want_dist = extension_middle_distribution(B(2), B(0), 3)
+
+    hecke_matrix(f.space, 1)[f.space.base_class][cl(0, 0, 1)] = ONE
+    extension_middle_distribution(B(2), B(0), 3)[B(0, 2)] = 7
+    defects[(B(0), B(0, 0))] = Fraction(99)
+    f.values[f.space.base_class] = Fraction(99)
+    f.values.pop(cl(0, 1, 1))
+
+    again = eigenform_solve(query)
+    assert (again.values, cusp_defect(again, 1, 2, again.space, 3)) == want
+    assert hecke_matrix(again.space, 1)[again.space.base_class] == want_row
+    assert extension_middle_distribution(B(2), B(0), 3) == want_dist
+
+
+def with_first_coefficient(real, change):
+    """A bundle_product whose first coefficient is change(coefficient)."""
+
+    def product(F, G):
+        terms = dict(real(F, G).terms)
+        first = next(iter(terms))
+        terms[first] = change(terms[first])
+        return HallElement(terms)
+
+    return product
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [(lambda c: c + c, "extension mass"), (lambda c: c + ONE, "not a positive integer")],
+)
+def test_wrong_hall_number_raises_integrity_error(monkeypatch, change, message):
+    clear_form_caches()
+    monkeypatch.setattr(forms, "bundle_product", with_first_coefficient(forms.bundle_product, change))
+    with pytest.raises(HallIntegrityError, match=message):
+        extension_middle_distribution(B(0), B(0), 2)
+    f = eigenform_solve(EigenQuery([Fraction(5)], X1, 4))
+    with pytest.raises(HallIntegrityError, match=message):
+        cusp_defect(f, 1, 1, f.space, 2)
+
+
+def test_wrong_hall_number_exits_3_through_the_cli(monkeypatch, capsys):
+    clear_form_caches()
+    monkeypatch.setattr(
+        forms, "bundle_product", with_first_coefficient(forms.bundle_product, lambda c: c + c)
+    )
+    code = main("forms cusp --n 2 --q 2 --lambda 5 --depth 4".split())
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["schema"] == "heckelab/1" and doc["error"] == "HallIntegrityError"
+
+
+def test_integrity_check_survives_optimized_python():
+    # [O]*[O] = (q+1)[O+O]; q+2 instead makes the count at q=2 a fraction,
+    # 8/6, whose floor is the right count 1, so only the integrality check
+    # sees the fault, and under -O an assert would not run
+    script = (
+        "import sys\n"
+        "from heckelab import forms\n"
+        "from heckelab.cli import main\n"
+        "from heckelab.hall import HallElement\n"
+        "from heckelab.qcalc import ONE\n"
+        "real = forms.bundle_product\n"
+        "def product(F, G):\n"
+        "    out = real(F, G)\n"
+        "    if F.degrees == G.degrees == (0,):\n"
+        "        ((term, coeff),) = out.items()\n"
+        "        out = HallElement({term: coeff + ONE})\n"
+        "    return out\n"
+        "forms.bundle_product = product\n"
+        "sys.exit(main('forms cusp --n 2 --q 2 --lambda 5 --depth 4'.split()))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 3, out.stderr
+    doc = json.loads(out.stderr)
+    assert doc["error"] == "HallIntegrityError" and "not a positive integer" in doc["detail"]

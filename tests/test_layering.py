@@ -1,19 +1,23 @@
 """Module boundaries: no heckelab module imports another's private names,
 the rational-function type stays in two modules, only ClosedPoint tests
 a polynomial for irreducibility, the value types check their entries
-without converting them, every module is in README's module map, and
-every exported name exists."""
+without converting them, every lru_cache decorates a module-level
+function, every module is in README's module map, and every exported
+name exists."""
 
 import ast
 import importlib
+import importlib.util
 import re
 import tokenize
 from pathlib import Path
 
 import heckelab
+from heckelab import forms
 
 PACKAGE = Path(heckelab.__file__).parent
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 
 
@@ -122,6 +126,99 @@ def test_qpoly_has_one_construction_path():
         getattr(d, "id", None) for n in ast.walk(cls) for d in getattr(n, "decorator_list", [])
     }
     assert decorators == {"staticmethod", "property"}
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def misplaced_caches(path):
+    """(line, name) for each use of functools' lru_cache or cache other than
+    as the decorator of a module-level function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    local = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in CACHE_DECORATORS
+    }
+    allowed = {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for dec in node.decorator_list
+        for sub in ast.walk(dec)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in local:
+            used = node.id
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHE_DECORATORS
+            and getattr(node.value, "id", None) == "functools"
+        ):
+            used = node.attr
+        else:
+            continue
+        if id(node) not in allowed:
+            out.append((node.lineno, used))
+    return out
+
+
+def test_scan_flags_caches_below_module_level(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import functools\n"
+        "from functools import lru_cache, cache as memo\n"
+        "@lru_cache(maxsize=8)\n"
+        "def top(x):\n"
+        "    return x\n"
+        "@functools.cache\n"
+        "def other(x):\n"
+        "    return x\n"
+        "class K:\n"
+        "    @memo\n"
+        "    def method(self):\n"
+        "        return 1\n"
+        "def outer():\n"
+        "    @lru_cache\n"
+        "    def inner(x):\n"
+        "        return x\n"
+        "    return functools.lru_cache()(inner)\n"
+    )
+    assert misplaced_caches(sample) == [(10, "memo"), (14, "lru_cache"), (17, "lru_cache")]
+
+
+def test_every_cache_is_a_module_level_function():
+    # perfbench's reset_caches finds caches as module attributes; one on a
+    # method or a nested function would stay warm across its cold runs
+    offenders = {
+        path.name: found for path in PACKAGE.glob("*.py") if (found := misplaced_caches(path))
+    }
+    assert offenders == {}
+    assert hasattr(forms._hecke_operators, "cache_clear")
+    assert hasattr(forms._cusp_middles, "cache_clear")
+
+
+def eigen_working_set():
+    """The (n, D, q0) systems and (n1, n2, D, q0) cusp keys of the eigen
+    benchmark's first thousand ops."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.first_ops(workloads.WORKLOADS["eigen"], 0, 1000)
+    systems = {(n, D, q0) for n, D, q0, _, _ in ops}
+    cusps = {(n1, n - n1, D, q0) for n, D, q0, _, n1 in ops}
+    return systems, cusps
+
+
+def test_forms_caches_are_bounded_and_hold_the_eigen_working_set():
+    systems, cusps = eigen_working_set()
+    assert len(systems) == 75 and 100 <= len(cusps) <= 120
+    for cache, keys in ((forms._hecke_operators, systems), (forms._cusp_middles, cusps)):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and len(keys) <= maxsize
 
 
 def test_every_module_is_in_the_readme_module_map():
