@@ -35,6 +35,7 @@ from .hall import HallIntegrityError, bundle_product, kx_times
 from .hecke import ModificationQuery, exists_modification, multiplicity_detail, neighbors_detail
 from .oracle import (
     BudgetExceeded,
+    OracleIntegrityError,
     brute_multiplicity,
     check_subspace_budget,
     default_budget,
@@ -489,7 +490,7 @@ def main(argv=None) -> int:
         # exit, to devnull so nothing reaches stderr
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (HallIntegrityError, TheoremViolation, BudgetExceeded) as exc:
+    except (HallIntegrityError, TheoremViolation, OracleIntegrityError, BudgetExceeded) as exc:
         print(
             json.dumps(
                 {"schema": SCHEMA, "error": type(exc).__name__, "detail": str(exc)}

@@ -4,8 +4,8 @@ A form is a function on projective bundle classes; the Hecke operator at a
 rational point x sends f to E -> sum of m(E', E) f(E') over the weight-r
 neighbors E'.  Working on classes with bounded spread gives a finite exact
 linear system: eigenforms exist and are unique up to scale, there are no
-cusp forms, and every toroidal eigenform vanishes.  All arithmetic is in
-exact rationals.
+cusp forms, and every toroidal eigenform vanishes.  All arithmetic is
+exact.
 
 Truncation semantics: equations are written only for classes of spread at
 most D, whose neighbors can raise the spread by at most one; the unknowns
@@ -13,18 +13,22 @@ therefore live on the padded set of spread at most D+1, so no equation is
 ever cut off at the boundary.
 
 Elimination: each equation has at most C(n,r)+1 nonzero entries, so the
-system is kept as sparse {column: int or Fraction} rows and eliminated
-row by row (_kernel_of).  A new row pivots on its widest class, largest
-by (spread, index); the solution is then unique up to scale, so the
-normalized eigenform does not depend on the pivot order.
+system is kept as sparse {column: int} rows, the weight-r equations
+scaled by the denominator of lambda_r, and eliminated row by row over Z
+(_kernel_of): fraction-free, each row stays a multiple of the row an
+elimination over Q would hold.  A new row pivots on its widest class,
+largest by (spread, index); the solution is then unique up to scale, so
+the normalized eigenform does not depend on the pivot order.  The kernel
+vector comes back as ints over one common denominator, and the only
+Fractions of a solve are the values of f, one per class, built when
+eigenform_solve divides by the value at the base class.
 
 Caching: the operators and the extension counts depend on the rank, the
 truncation D and q, never on the eigenvalues, so two bounded module-level
 caches keep them, every number an int in a tuple:
   * _hecke_operators, keyed by (n, D, q0): the truncation and the rows of
     every weight's hecke_matrix valued at q0, as column indices and
-    multiplicities.  Each solve builds fresh row dicts from them, and only
-    the diagonal entry - lambda_r is a Fraction;
+    multiplicities.  Each solve builds fresh int row dicts from them;
   * _cusp_middles, keyed by (n1, n2, D, q0): every pair (F, G) of
     cusp_defect with the column index and count of each middle.  Each
     cusp sum is then an exact integer sum over the common denominator
@@ -38,7 +42,7 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 
 from .bundles import (
     BundleType,
@@ -186,20 +190,30 @@ def hecke_matrix(space: TruncatedPBun, r: int) -> dict:
 
 
 def _kernel_of(rows, ncols, order):
-    """Kernel basis of a sparse exact matrix.
+    """Kernel basis of a sparse exact matrix, by elimination over Z.
 
-    rows are {column: int or Fraction} dicts over columns 0..ncols-1, and
-    the basis is the same whichever type an integral entry has; order[c] is
-    the sort key of column c.  Each row in turn is reduced against the
-    pivot rows found so far, oldest pivot first, and, if anything is left,
-    pivots on its nonzero column with the largest key.  Back substitution
-    in reverse pivot order then gives one kernel vector per free column,
-    as a dense list that is 1 there and 0 on the other free columns.
+    rows are {column: int or Fraction} dicts over columns 0..ncols-1;
+    order[c] is the sort key of column c.  Each row is scaled by the lcm
+    of its denominators on entry, so every later number is an int.  Each
+    row in turn is reduced against the pivot rows found so far, oldest
+    pivot first: with pivot p of pivot row P and entry c of the row, the
+    row becomes (p/g)*row - (c/g)*P, g = gcd(p, c).  If anything is left,
+    it pivots on its nonzero column with the largest key and, divided by
+    its content and signed so that the pivot is positive, becomes a pivot
+    row.  Every row stays a nonzero multiple of the row an elimination
+    over Q in the same order holds, so the zero patterns and the pivots
+    are those of that elimination (Bareiss-style integer preservation).
+
+    Back substitution in reverse pivot order then gives one kernel vector
+    per free column, the rational vector that is 1 there and 0 on the
+    other free columns.  It is returned as (nums, den): ints over one
+    common positive denominator, entry k being Fraction(nums[k], den).
     """
-    pivot_rows = []  # (pivot column, row scaled so that row[column] == 1)
+    pivot_rows = []  # (pivot column, primitive int row whose pivot is > 0)
     found = {}  # pivot column -> index into pivot_rows
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         pending = [found[c] for c in row if c in found]
         heapq.heapify(pending)
         while pending:
@@ -207,33 +221,58 @@ def _kernel_of(rows, ncols, order):
             c = row.get(col)
             if c is None:
                 continue
+            p = prow[col]
+            g = gcd(p, c)
+            a, b = p // g, c // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
             # prow holds no column of an older pivot, so what it brings in
             # is cancelled later in this loop
             for j, v in prow.items():
                 w = row.get(j)
                 if w is None:
-                    row[j] = -c * v
+                    row[j] = -b * v
                     if j in found:
                         heapq.heappush(pending, found[j])
-                elif w == c * v:
-                    del row[j]
                 else:
-                    row[j] = w - c * v
+                    w -= b * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
         if not row:
             continue
         col = max(row, key=order.__getitem__)
-        inv = Fraction(1) / row[col]
+        g = gcd(*row.values())
+        if row[col] < 0:
+            g = -g
+        if g != 1:
+            row = {j: v // g for j, v in row.items()}
         found[col] = len(pivot_rows)
-        pivot_rows.append((col, {j: v * inv for j, v in row.items()}))
+        pivot_rows.append((col, row))
     basis = []
     for fc in range(ncols):
         if fc in found:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        nums = [0] * ncols
+        nums[fc] = 1
+        den = 1
         for col, prow in reversed(pivot_rows):
-            v[col] = -sum((a * v[j] for j, a in prow.items() if j != col), Fraction(0))
-        basis.append(v)
+            # nums[col] is still 0, so the sum is over the other columns;
+            # the entry is -s / (p * den)
+            s = sum(a * nums[j] for j, a in prow.items())
+            if not s:
+                continue
+            p = prow[col]
+            g = gcd(s, p)
+            if g != p:
+                m = p // g
+                nums = [m * a for a in nums]
+                den *= m
+                s *= m
+            nums[col] = -s // p
+        basis.append((nums, den))
     return basis
 
 
@@ -260,14 +299,19 @@ def _hecke_operators(n: int, D: int, q0: int) -> tuple:
 
 
 def _eigen_system(query: EigenQuery):
-    """(space, rows): one {column: int or Fraction} row per equation
-    (Phi_r f)(c) = lambda_r f(c), for every weight r and row class c."""
+    """(space, rows): one {column: int} row per equation
+    (Phi_r f)(c) = lambda_r f(c), for every weight r and row class c.
+
+    With lambda_r = a/b in lowest terms, the weight-r equation is scaled
+    by b: its entries are b * multiplicity, and b * m_cc - a on the
+    diagonal."""
     space, operators = _hecke_operators(query.n, query.D, query.x.q)
     rows = []
     for lam, operator in zip(query.lams, operators):
+        a, b = lam.numerator, lam.denominator
         for i, entries in operator:
-            eq = dict(entries)
-            eq[i] = eq.get(i, 0) - lam
+            eq = {j: b * m for j, m in entries}
+            eq[i] = eq.get(i, 0) - a
             rows.append(eq)
     return space, rows
 
@@ -292,14 +336,15 @@ def eigenform_solve(query: EigenQuery, base_value=1) -> FormVector:
             f"eigenspace dimension {len(kernel)} != 1 for lambda={query.lams}, "
             f"q={q0}, n={query.n}, D={query.D}"
         )
-    v = kernel[0]
-    base = v[space.index[space.base_class]]
+    ((nums, _),) = kernel  # the common denominator cancels in f/f(O^n)
+    base = nums[space.index[space.base_class]]
     if base == 0:
         raise TheoremViolation(
             f"eigenform vanishes at the base class for lambda={query.lams}"
         )
-    scale = Fraction(base_value) / base
-    values = {c: v[space.index[c]] * scale for c in space.padded}
+    value = Fraction(base_value)
+    top, bottom = value.numerator, value.denominator * base
+    values = {c: Fraction(top * a, bottom) for c, a in zip(space.padded, nums)}
     return FormVector(space, values, nullity=1)
 
 

@@ -36,6 +36,7 @@ from .qcalc import gaussian_binomial
 
 __all__ = [
     "BudgetExceeded",
+    "OracleIntegrityError",
     "Field",
     "FiberSubspace",
     "check_subspace_budget",
@@ -56,6 +57,12 @@ MATRIX_BUDGET = 10**7
 
 class BudgetExceeded(RuntimeError):
     """Enumeration would exceed the configured budget; never truncated."""
+
+
+class OracleIntegrityError(RuntimeError):
+    """An enumerated answer failed a check it cannot fail unless the oracle
+    is broken: a splitting type of the wrong shape, a census mass that is
+    not #Gr, or a Smith normal form that is not one."""
 
 
 def default_budget(kind: str) -> int:
@@ -270,8 +277,16 @@ def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
         degrees += [-k] * (c - prev_c)
         prev_h0, prev_c = h0, c
     out = BundleType(degrees)
-    assert out.rank == n and out.degree == E.degree - r * d
-    assert all(0 <= a - b <= d for a, b in zip(E.degrees, out.degrees))
+    if out.rank != n or out.degree != E.degree - r * d:
+        raise OracleIntegrityError(
+            f"splitting type {out.pretty()} of {E.pretty()} has rank {out.rank} and "
+            f"degree {out.degree}, not {n} and {E.degree - r * d}"
+        )
+    if not all(0 <= a - b <= d for a, b in zip(E.degrees, out.degrees)):
+        raise OracleIntegrityError(
+            f"splitting type {out.pretty()} of {E.pretty()} drops a degree by "
+            f"less than 0 or more than d={d}"
+        )
     return out
 
 
@@ -282,9 +297,13 @@ def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
     for W in enumerate_subspaces(E.rank, r, field, budget=budget):
         t = splitting_type(E, W)
         census[t] = census.get(t, 0) + 1
-    assert sum(census.values()) == gaussian_binomial(E.rank - r, E.rank).evaluate(
-        field.size
-    )
+    total = sum(census.values())
+    expected = gaussian_binomial(E.rank - r, E.rank).evaluate(field.size)
+    if total != expected:
+        raise OracleIntegrityError(
+            f"census mass {total} != #Gr = {expected} for E={E.pretty()}, r={r}, "
+            f"q^d={field.size}"
+        )
     return dict(sorted(census.items()))
 
 
@@ -400,11 +419,13 @@ def smith_normal_form(M, q: int):
                 row[k] = fpoly.scale(row[k], lead, q)
         diag.append(A[k][k])
     for i in range(n - 1):
-        assert not fpoly.div(diag[i + 1], diag[i], q)[1], "divisibility chain broken"
+        if fpoly.div(diag[i + 1], diag[i], q)[1]:
+            raise OracleIntegrityError(f"SNF divisibility chain broken at entry {i + 1}")
     D = [[diag[i] if i == j else () for j in range(n)] for i in range(n)]
     check = _poly_mat_mul(_poly_mat_mul(L, D, q), R, q)
     orig = [[fpoly.trim(int(c) % q for c in entry) for entry in row] for row in M]
-    assert check == orig, "SNF verification L*D*R == M failed"
+    if check != orig:
+        raise OracleIntegrityError("SNF verification L*D*R == M failed")
     return diag, L, R
 
 

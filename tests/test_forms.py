@@ -1,11 +1,13 @@
 """Tests for the automorphic-forms layer: eigenforms, cusp defects, toroidal sums."""
 
+import heapq
 import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -103,13 +105,71 @@ def test_hecke_matrix_weight_bounds():
 def test_kernel_of_simple_matrices():
     one = Fraction(1)
     assert _kernel_of([{0: one}, {1: one}], 2, range(2)) == []
-    # x + y = 0 has kernel spanned by (-1, 1) after normalization
-    basis = _kernel_of([{0: one, 1: one}], 2, range(2))
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] + v[1] == 0 and v != [0, 0]
+    # x + y = 0 pivots on y, so the kernel vector is 1 at x: (1, -1)
+    assert _kernel_of([{0: one, 1: one}], 2, range(2)) == [([1, -1], 1)]
+    # 2x = 3y over Z: the kernel vector (1, 2/3) comes over denominator 3
+    assert _kernel_of([{0: 2, 1: -3}], 2, range(2)) == [([3, 2], 3)]
     # zero matrix: full kernel
     assert len(_kernel_of([{0: Fraction(0), 1: Fraction(0)}], 2, range(2))) == 2
+
+
+def fraction_kernel_of(rows, ncols, order):
+    """Reference: the elimination over Q that _kernel_of replaced.
+
+    The same sparse loop, heap order and pivot choice, with each pivot row
+    scaled to pivot 1 in Fractions; returns Fraction vectors.
+    """
+    pivot_rows = []  # (pivot column, row scaled so that row[column] == 1)
+    found = {}  # pivot column -> index into pivot_rows
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        pending = [found[c] for c in row if c in found]
+        heapq.heapify(pending)
+        while pending:
+            col, prow = pivot_rows[heapq.heappop(pending)]
+            c = row.get(col)
+            if c is None:
+                continue
+            for j, v in prow.items():
+                w = row.get(j)
+                if w is None:
+                    row[j] = -c * v
+                    if j in found:
+                        heapq.heappush(pending, found[j])
+                elif w == c * v:
+                    del row[j]
+                else:
+                    row[j] = w - c * v
+        if not row:
+            continue
+        col = max(row, key=order.__getitem__)
+        inv = Fraction(1) / row[col]
+        found[col] = len(pivot_rows)
+        pivot_rows.append((col, {j: v * inv for j, v in row.items()}))
+    basis = []
+    for fc in range(ncols):
+        if fc in found:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for col, prow in reversed(pivot_rows):
+            v[col] = -sum((a * v[j] for j, a in prow.items() if j != col), Fraction(0))
+        basis.append(v)
+    return basis
+
+
+def as_fractions(basis):
+    """_kernel_of's (nums, den) vectors as Fraction lists."""
+    return [[Fraction(a, den) for a in nums] for nums, den in basis]
+
+
+def reference_kernel_of(rows, ncols, order):
+    """fraction_kernel_of in _kernel_of's (nums, den) form, to patch in."""
+    out = []
+    for v in fraction_kernel_of(rows, ncols, order):
+        den = lcm(*(x.denominator for x in v))
+        out.append(([x.numerator * (den // x.denominator) for x in v], den))
+    return out
 
 
 def dense_kernel(rows, ncols):
@@ -164,6 +224,39 @@ def random_deficient_matrix(rng, nrows, ncols, rank):
     return rows
 
 
+def random_sparse_matrix(rng, ncols, nullity):
+    """Sparse {column: Fraction} rows over ncols columns with exactly the
+    given nullity.  The independent rows are in echelon form over a
+    shuffled column order, each with a nonzero leading entry, negative or
+    non-unit as often as not, and up to three entries further on.  Rows
+    that are sums of multiples of one or two of them, a zero row and a
+    duplicated row are mixed in."""
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+
+    def value():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    independent = []
+    for i in range(ncols - nullity):
+        row = {cols[i]: value()}
+        for _ in range(rng.randint(0, 3)):
+            row[cols[rng.randrange(i, ncols)]] = value()
+        independent.append(row)
+    rows = [dict(row) for row in independent]
+    for _ in range(rng.randint(0, len(independent) // 2 + 1) if independent else 0):
+        combo = {}
+        for row in rng.sample(independent, min(2, len(independent))):
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            for j, v in row.items():
+                combo[j] = combo.get(j, 0) + k * v
+        rows.append(combo)
+    rows.append({})
+    rows.append(dict(rng.choice(rows)))
+    rng.shuffle(rows)
+    return rows
+
+
 def as_dict_rows(rows):
     return [{j: v for j, v in enumerate(row) if v} for row in rows]
 
@@ -192,13 +285,33 @@ def test_kernel_of_matches_dense_reference():
         shuffled = list(range(ncols))
         rng.shuffle(shuffled)
         for order in (range(ncols), shuffled):
-            got = _kernel_of(as_dict_rows(rows), ncols, order)
-            assert _kernel_of(as_int_rows(rows), ncols, order) == got
+            got = as_fractions(_kernel_of(as_dict_rows(rows), ncols, order))
+            assert got == fraction_kernel_of(as_dict_rows(rows), ncols, order)
+            assert as_fractions(_kernel_of(as_int_rows(rows), ncols, order)) == got
             assert len(got) == len(ref)
             for v in got:  # each vector solves every row
                 assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
             for u in ref:  # and they span the reference kernel
                 assert dense_rank(got + [u], ncols) == len(got)
+    # sparse matrices up to 60 columns: the very list the elimination over
+    # Q returns, in index order and in a shuffled order
+    nullities = []
+    for _ in range(200):
+        ncols = rng.randint(1, 60)
+        nullity = min(ncols, rng.choice((0, 1, 2, rng.randint(3, 60))))
+        rows = random_sparse_matrix(rng, ncols, nullity)
+        shuffled = list(range(ncols))
+        rng.shuffle(shuffled)
+        for order in (range(ncols), shuffled):
+            got = _kernel_of(rows, ncols, order)
+            assert as_fractions(got) == fraction_kernel_of(rows, ncols, order)
+            assert all(den > 0 for _, den in got)
+            assert len(got) == nullity
+            for nums, _ in got:
+                for row in rows:
+                    assert sum(v * nums[j] for j, v in row.items()) == 0
+        nullities.append(nullity)
+    assert {0, 1, 2} <= set(nullities) and max(nullities) > 2
 
 
 def test_eigenform_independent_of_pivot_order():
@@ -213,17 +326,125 @@ def test_eigenform_independent_of_pivot_order():
         f = eigenform_solve(query)
         space, rows = _eigen_system(query)
         ncols = len(space.padded)
-        (v,) = _kernel_of(rows, ncols, range(ncols))
-        base = v[space.index[space.base_class]]
-        assert {c: v[space.index[c]] / base for c in space.padded} == f.values
+        ((nums, _),) = _kernel_of(rows, ncols, range(ncols))
+        base = nums[space.index[space.base_class]]
+        assert {c: Fraction(nums[space.index[c]], base) for c in space.padded} == f.values
 
 
-@pytest.mark.parametrize("n, D", [(4, 6), (3, 40)])
+def reference_eigen_system(query):
+    """_eigen_system as it was over Q: rows of multiplicities with the
+    Fraction - lambda_r added on the diagonal."""
+    space, operators = forms._hecke_operators(query.n, query.D, query.x.q)
+    rows = []
+    for lam, operator in zip(query.lams, operators):
+        for i, entries in operator:
+            eq = dict(entries)
+            eq[i] = eq.get(i, 0) - lam
+            rows.append(eq)
+    return space, rows
+
+
+def solve_outcome(query):
+    """(nullity, values) of eigenform_solve, or the TheoremViolation text."""
+    try:
+        f = eigenform_solve(query)
+    except TheoremViolation as exc:
+        return str(exc)
+    return f.nullity, f.space, f.values
+
+
+def test_eigenform_solve_matches_the_fraction_reference(monkeypatch):
+    """50 seeded queries drawn as the eigen benchmark draws them."""
+    strata = [(2, D) for D in range(8, 25)] + [(3, D) for D in range(3, 8)]
+    strata += [(4, D) for D in range(2, 5)]
+    rng = random.Random(20261018)
+    queries = []
+    for _ in range(50):
+        n, D = rng.choice(strata)
+        lams = [Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(n - 1)]
+        queries.append(EigenQuery(lams, ClosedPoint(rng.choice((2, 3, 5)), 1), D))
+    got = [solve_outcome(query) for query in queries]
+    monkeypatch.setattr(forms, "_eigen_system", reference_eigen_system)
+    monkeypatch.setattr(forms, "_kernel_of", reference_kernel_of)
+    assert [solve_outcome(query) for query in queries] == got
+
+
+def without_weight(system, r):
+    """An _eigen_system that leaves out the weight-r equations."""
+
+    def patched(query):
+        space, rows = system(query)
+        per_weight = len(space.classes)
+        return space, rows[: (r - 1) * per_weight] + rows[r * per_weight :]
+
+    return patched
+
+
+def with_base_row(system):
+    """An _eigen_system with the extra equation f(O^n) = 0."""
+
+    def patched(query):
+        space, rows = system(query)
+        return space, rows + [{space.index[space.base_class]: 1}]
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "lams, D, patch",
+    [
+        pytest.param([5], 4, lambda system: without_weight(system, 1), id="n2-no-weight-1"),
+        pytest.param(
+            [Fraction(7, 2), -3], 3, lambda system: without_weight(system, 1), id="n3-no-weight-1"
+        ),
+        pytest.param(
+            [Fraction(7, 2), -3], 3, lambda system: without_weight(system, 2), id="n3-no-weight-2"
+        ),
+        pytest.param(
+            [2, Fraction(9, 5), -1], 2, lambda system: without_weight(system, 3), id="n4-no-weight-3"
+        ),
+        pytest.param([Fraction(7, 2), -3], 3, with_base_row, id="n3-base-row-nullity-0"),
+    ],
+)
+def test_wrong_nullity_raises_the_reference_message(monkeypatch, lams, D, patch):
+    query = EigenQuery([Fraction(v) for v in lams], X1_Q3, D)
+    monkeypatch.setattr(forms, "_eigen_system", patch(forms._eigen_system))
+    with pytest.raises(TheoremViolation, match="eigenspace dimension") as new:
+        eigenform_solve(query)
+    monkeypatch.setattr(forms, "_kernel_of", reference_kernel_of)
+    with pytest.raises(TheoremViolation) as ref:
+        eigenform_solve(query)
+    assert str(new.value) == str(ref.value)
+    assert "dimension 1 !=" not in str(new.value)
+
+
+#: f at three classes, by degrees, of the solve with lambda_r = (3+2r)/r
+#: at q = 2, recorded from the elimination over Q
+LARGE_TRUNCATIONS = {
+    (4, 6): {(0, 1, 1, 2): "-1", (0, 1, 3, 6): "2755/12", (0, 0, 0, 7): "2717/5"},
+    (3, 40): {
+        (0, 1, 2): "-1/2",
+        (0, 20, 40): "-30096452763155163460682057/1835008",
+        (0, 0, 41): "-2339475974247186298693222653353/15393162788864",
+    },
+    (4, 12): {(0, 1, 1, 2): "-1", (0, 1, 6, 12): "66342989/96", (0, 0, 0, 13): "7350953/5"},
+    (3, 80): {
+        (0, 1, 2): "-1/2",
+        (0, 40, 80): "11952485836055031128478104957069796450725603444511787/7696581394432",
+        (0, 0, 81): "-133775040203289154909423678254060091022269614977009707962959"
+        "/2417851639229258349412352",
+    },
+}
+
+
+@pytest.mark.parametrize("n, D", list(LARGE_TRUNCATIONS))
 def test_larger_truncations_solve_with_nullity_one(n, D):
     query = EigenQuery([Fraction(3 + 2 * r, r) for r in range(1, n)], X1, D)
     f = eigenform_solve(query)
     assert f.nullity == 1 and f[f.space.base_class] == 1
     assert all(eigenvalue_of_balanced_relation(query, f, r) for r in range(1, n))
+    for degrees, value in LARGE_TRUNCATIONS[n, D].items():
+        assert f[B(*degrees)] == Fraction(value)
 
 
 def test_eigenform_rank2_recurrence():

@@ -1,4 +1,5 @@
 """Module boundaries: no heckelab module imports another's private names,
+the oracle imports neither the Hall engine nor the forms layer,
 the rational-function type stays in two modules, only ClosedPoint tests
 a polynomial for irreducibility, the value types check their entries
 without converting them, every lru_cache decorates a module-level
@@ -97,6 +98,50 @@ def test_only_closed_point_tests_irreducibility():
     # a point's (q, d, poly) is validated once, by ClosedPoint
     users = {path.stem for path in PACKAGE.glob("*.py") if calls_is_irreducible(path)}
     assert users == {"bundles", "fpoly"}
+
+
+def heckelab_imports(path):
+    """The heckelab modules a module imports, relatively or by full name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if not module.startswith("heckelab"):
+                    continue
+                module = module.removeprefix("heckelab").lstrip(".")
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("heckelab.")
+            )
+    return out
+
+
+def test_scan_finds_heckelab_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os\n"
+        "import heckelab.hall\n"
+        "from . import fpoly, qcalc\n"
+        "from .bundles import BundleType\n"
+        "from heckelab.forms import eigenform_solve\n"
+        "def f():\n"
+        "    from .hecke import neighbors\n"
+    )
+    assert heckelab_imports(sample) == {"hall", "fpoly", "qcalc", "bundles", "forms", "hecke"}
+
+
+def test_oracle_imports_neither_hall_nor_forms():
+    # the oracle is the ground truth the Hall engine and the eigen layer
+    # are checked against, so it computes nothing through them
+    assert heckelab_imports(PACKAGE / "oracle.py") & {"hall", "hecke", "forms"} == set()
 
 
 def class_node(module, name):

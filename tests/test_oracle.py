@@ -1,10 +1,14 @@
 """Ground-truth checks: fields, subspace census, splitting types, SNF."""
 
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
-from heckelab import fpoly
+from heckelab import fpoly, oracle
+from heckelab.cli import main
 from heckelab.bundles import BundleType, ClosedPoint, aut_order
 from heckelab.oracle import (
     BudgetExceeded,
@@ -415,3 +419,88 @@ def test_splitting_type_matches_the_from_scratch_scan():
         ranks.add((E.rank, r))
     assert seen >= 15000
     assert ranks == {(n, r) for n in range(1, 5) for r in range(n + 1)}
+
+
+def dropping_one_subspace(real):
+    """An enumerate_subspaces that leaves out the first subspace."""
+
+    def enumerate_subspaces(*args, **kwargs):
+        subspaces = real(*args, **kwargs)
+        next(subspaces, None)
+        yield from subspaces
+
+    return enumerate_subspaces
+
+
+def dropping_the_top_degree(real):
+    """A BundleType that loses its last degree, as a broken scan would."""
+    return lambda degrees: real(list(degrees)[:-1])
+
+
+def corrupting_products(real):
+    """A _poly_mat_mul whose product has its first entry shifted by one."""
+
+    def product(A, B, p):
+        out = real(A, B, p)
+        out[0][0] = fpoly.add(out[0][0], (1,), p)
+        return out
+
+    return product
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, command, detail",
+    [
+        pytest.param(
+            "enumerate_subspaces",
+            dropping_one_subspace,
+            "oracle census --bundle 0,0 --q 2 --point 1,1,1 --weight 1",
+            "census mass 4 != #Gr = 5",
+            id="census-mass",
+        ),
+        pytest.param(
+            "BundleType",
+            dropping_the_top_degree,
+            "oracle census --bundle 0,0 --q 2 --point 1,1,1 --weight 1",
+            "has rank 1 and degree",
+            id="splitting-type-shape",
+        ),
+        pytest.param(
+            "_poly_mat_mul",
+            corrupting_products,
+            "oracle snf --matrix 0,1|1,1;1|0,1 --q 2",
+            "L*D*R == M failed",
+            id="snf-product",
+        ),
+    ],
+)
+def test_broken_oracle_answer_exits_3(monkeypatch, capsys, name, corrupt, command, detail):
+    monkeypatch.setattr(oracle, name, corrupt(getattr(oracle, name)))
+    assert main(command.split()) == 3
+    out, err = capsys.readouterr()
+    doc = json.loads(err)
+    assert out == "" and doc["error"] == "OracleIntegrityError" and detail in doc["detail"]
+
+
+def test_census_mass_check_survives_optimized_python():
+    # with one subspace dropped the census still looks plausible, total 4
+    # where #Gr(1, 2)(F_4) = 5; under -O an assert would not run
+    script = (
+        "import sys\n"
+        "from heckelab import oracle\n"
+        "from heckelab.cli import main\n"
+        "real = oracle.enumerate_subspaces\n"
+        "def enumerate_subspaces(*args, **kwargs):\n"
+        "    subspaces = real(*args, **kwargs)\n"
+        "    next(subspaces, None)\n"
+        "    yield from subspaces\n"
+        "oracle.enumerate_subspaces = enumerate_subspaces\n"
+        "sys.exit(main('oracle census --bundle 0,0 --q 2 --point 1,1,1 --weight 1'.split()))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 3, out.stdout + out.stderr
+    assert "total" not in out.stdout
+    doc = json.loads(out.stderr)
+    assert doc["error"] == "OracleIntegrityError" and "census mass 4" in doc["detail"]
