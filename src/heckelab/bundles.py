@@ -96,13 +96,6 @@ class BundleType:
     def __repr__(self):
         return f"BundleType({list(self.degrees)})"
 
-    def to_json(self) -> dict:
-        return {"degrees": list(self.degrees)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "BundleType":
-        return BundleType(obj["degrees"])
-
 
 class ProjBundleClass:
     """A splitting type modulo uniform degree shift; min degree pinned to 0."""
@@ -209,12 +202,17 @@ class ClosedPoint:
     q must be a prime power, the size of a field.  poly, when present, is
     the monic irreducible of degree d over F_q (prime q required for the
     modular arithmetic), little-endian in t; it is the uniformizer used by
-    the SNF oracle.
+    the SNF oracle.  q, d and the coefficients of poly must be ints, bool
+    refused; anything else raises TypeError and nothing is converted.
     """
 
     __slots__ = ("q", "d", "poly")
 
     def __init__(self, q: int, d: int, poly=None):
+        if poly is not None:
+            poly = tuple(poly)
+        if not set(map(type, (q, d, *(poly or ())))) <= {int}:
+            raise TypeError(f"point q, degree and poly must be ints, got {(q, d, poly)!r}")
         if d < 1:
             raise ValueError("point degree must be >= 1")
         if poly is None:
@@ -222,7 +220,7 @@ class ClosedPoint:
         else:
             if not fpoly.is_prime(q):
                 raise ValueError(f"explicit-poly points need prime q, got {q}")
-            poly = fpoly.trim(int(c) % q for c in poly)
+            poly = fpoly.trim(c % q for c in poly)
             if len(poly) - 1 != d:
                 raise ValueError(f"poly degree {len(poly)-1} != point degree {d}")
             if poly[-1] != 1:
@@ -259,7 +257,3 @@ class ClosedPoint:
         if self.poly is not None:
             out["poly"] = list(self.poly)
         return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "ClosedPoint":
-        return ClosedPoint(obj["q"], obj["degree"], obj.get("poly"))

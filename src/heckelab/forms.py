@@ -432,8 +432,7 @@ def toroidal_sum(f: FormVector) -> Fraction:
     all coset representatives of Pic mod pullbacks share the class of
     O^n and the sum reduces to f at the base class.
     """
-    reps = [BundleType([k] * f.space.n) for k in (0,)]  # the quotient is trivial
-    return sum(f[proj_class(rep)] for rep in reps)
+    return f[f.space.base_class]
 
 
 def eigenvalue_of_balanced_relation(query: EigenQuery, f: FormVector, r: int) -> bool:

@@ -44,7 +44,6 @@ __all__ = [
     "word_product",
     "bundle_product",
     "kx_times",
-    "vec_part",
     "hall_multiplicity",
     "realizing_deltas",
 ]
@@ -270,11 +269,6 @@ def kx_times(r: int, E: BundleType, d: int, method: str = "recursive") -> HallEl
     if method not in _KX_TABLES:
         raise ValueError(f"unknown method {method!r}")
     return _kx_expansion(r, E, d, method)
-
-
-def vec_part(h: HallElement) -> HallElement:
-    """Restriction to torsion-free terms."""
-    return HallElement({t: c for t, c in h.terms.items() if t.torsion_weight == 0})
 
 
 def hall_multiplicity(E_prime: BundleType, E: BundleType, d: int, r: int) -> QPoly:

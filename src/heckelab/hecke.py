@@ -26,7 +26,6 @@ __all__ = [
     "candidates",
     "neighbors",
     "neighbors_detail",
-    "dual_existence_check",
 ]
 
 #: instances with rank * point-degree at most this are re-verified against
@@ -302,16 +301,3 @@ def neighbors(E: BundleType, d: int, r: int, cross_check=None) -> dict:
         E_prime: poly
         for E_prime, (poly, _) in neighbors_detail(E, d, r, cross_check).items()
     }
-
-
-def dual_existence_check(query: ModificationQuery) -> bool:
-    """Existence of the dual modification [E -> E'(d*x)] with weight n-r.
-
-    Twisting E' by O(x) raises every component degree by d; the dual
-    sequence exists exactly when the original one does.
-    """
-    n = query.E.rank
-    if query.r > n:
-        return False
-    raised = tuple(a + query.d for a in query.E_prime.degrees)
-    return _exists(query.E.degrees, raised, query.d, n - query.r)

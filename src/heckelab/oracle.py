@@ -340,6 +340,7 @@ def smith_normal_form(M, q: int):
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
+    orig = [list(row) for row in A]  # the elimination rewrites A in place
     L = _mat_id(n)
     R = _mat_id(n)
 
@@ -423,7 +424,6 @@ def smith_normal_form(M, q: int):
             raise OracleIntegrityError(f"SNF divisibility chain broken at entry {i + 1}")
     D = [[diag[i] if i == j else () for j in range(n)] for i in range(n)]
     check = _poly_mat_mul(_poly_mat_mul(L, D, q), R, q)
-    orig = [[fpoly.trim(int(c) % q for c in entry) for entry in row] for row in M]
     if check != orig:
         raise OracleIntegrityError("SNF verification L*D*R == M failed")
     return diag, L, R

@@ -1,18 +1,20 @@
-"""Exact arithmetic in Z[q] and its fraction field, plus q-combinatorial counts.
+"""Exact arithmetic in Z[q], the ratio Q(E), and q-combinatorial counts.
 
 A QPoly is an integer-coefficient polynomial in the formal variable q, stored
 little-endian: coeffs[i] is the coefficient of q^i; every structure constant
 of the Hall algebra of Coh(P^1) is one.  Its one constructor checks that each
 coefficient is an int (bool is refused) and raises TypeError otherwise; it
 converts nothing, so a Fraction or a float can never be silently truncated,
-and it trims trailing zeros.  A QRat is a reduced ratio num/den of
-two QPolys.  QRat now only carries Q(E), the normalization of
-bundles.q_factor, which the Hall engine applies by exact division.
+and it trims trailing zeros.
 
-Canonical form for QRat: gcd(num, den) = 1 in Z[q] (including integer
-content) and the leading coefficient of den is positive, so equality of
-values is equality of representations.  gcd in Z[q] is computed by the
-content / primitive-part splitting with a pseudo-remainder Euclidean loop.
+A QRat is the normalization Q(E) of bundles.q_factor as a reduced ratio
+num/den of two QPolys, which the Hall engine applies by exact division.
+It is not a field: it compares and multiplies (Q(F)*Q(G)), and nothing
+adds, subtracts or divides QRats.  Canonical form: gcd(num, den) = 1 in
+Z[q] (including integer content) and the leading coefficient of den is
+positive, so equality of values is equality of representations.  gcd in
+Z[q] is computed by the content / primitive-part splitting with a
+pseudo-remainder Euclidean loop.
 
 The Grassmannian point count #Gr(k,n)(F_q) is the Gaussian binomial
     [n choose k]_q = prod_{i=0}^{k-1} (q^{n-i} - 1) / (q^{k-i} - 1),
@@ -243,7 +245,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 
 
 class QRat:
-    """Reduced ratio of QPolys; canonical form, decidable equality."""
+    """Q(E) as a reduced ratio of QPolys: canonical form, == and * only."""
 
     __slots__ = ("num", "den")
 
@@ -269,18 +271,6 @@ class QRat:
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")
 
-    @staticmethod
-    def of(p) -> "QRat":
-        if isinstance(p, QRat):
-            return p
-        return QRat(p)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
     def __eq__(self, other):
         if isinstance(other, (int, QPoly)):
             other = QRat(other)
@@ -288,38 +278,14 @@ class QRat:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash(("QRat", self.num.coeffs, self.den.coeffs))
-
-    def __neg__(self):
-        return QRat(-self.num, self.den)
-
-    def __add__(self, other):
-        other = QRat.of(other)
-        return QRat(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-QRat.of(other))
-
-    def __rsub__(self, other):
-        return QRat.of(other) + (-self)
-
     def __mul__(self, other):
-        other = QRat.of(other)
+        if isinstance(other, (int, QPoly)):
+            other = QRat(other)
+        if not isinstance(other, QRat):
+            return NotImplemented
         return QRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = QRat.of(other)
-        if other.is_zero():
-            raise ZeroDivisionError("QRat division by zero")
-        return QRat(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return QRat.of(other) / self
 
     def evaluate(self, q0) -> Fraction:
         d = self.den.evaluate(q0)

@@ -98,14 +98,27 @@ def test_closed_point_validation():
         ClosedPoint(4, 2, [1, 1, 1])  # q must be prime with explicit poly
     with pytest.raises(ValueError):
         ClosedPoint(2, 0)
+    # q, d and the coefficients are checked, not converted
+    for args in [
+        (2, 2, (1.9, 1, 1)),  # not t^2+t+1
+        (2, 2.0),  # not a degree-2 point
+        (2.0, 2),  # a TypeError, not an AttributeError from fpoly
+        (2, 2, (1, True, 1)),
+        (True, 1),
+        (2, True),
+        (2, 2, (1, Fraction(1), 1)),
+        (2, 2, "111"),
+    ]:
+        with pytest.raises(TypeError):
+            ClosedPoint(*args)
 
 
 def test_json_roundtrip():
-    E = BundleType([0, 0])
-    assert BundleType.from_json(E.to_json()) == E
-    assert E.to_json() == {"degrees": [0, 0]}
+    """The point's JSON, as oracle census prints it, rebuilds the point."""
     x = ClosedPoint(2, 2, [1, 1, 1])
-    assert ClosedPoint.from_json(x.to_json()) == x
     assert x.to_json() == {"q": 2, "degree": 2, "poly": [1, 1, 1]}
     y = ClosedPoint(7, 3)
-    assert ClosedPoint.from_json(y.to_json()) == y
+    assert y.to_json() == {"q": 7, "degree": 3}
+    for point in (x, y):
+        obj = point.to_json()
+        assert ClosedPoint(obj["q"], obj["degree"], obj.get("poly")) == point

@@ -9,7 +9,6 @@ from heckelab.hall import hall_multiplicity
 from heckelab.hecke import (
     ModificationQuery,
     candidates,
-    dual_existence_check,
     exists_modification,
     multiplicity,
     multiplicity_detail,
@@ -238,20 +237,28 @@ def test_neighbors_match_oracle_census():
         assert {e: p.evaluate(x.q) for e, p in nb.items()} == census, (E, x, r)
 
 
+def dual(m):
+    """The dual [E -> E'(x)] of [E' -> E] with weight n - r: twisting by
+    O(x) raises every degree by d."""
+    return ModificationQuery(m.E_prime.twist(m.d), m.E, m.x, m.E.rank - m.r)
+
+
 def test_dual_existence():
     m = query(B(-2, 0), B(0, 0), 2, 1)
-    assert exists_modification(m) and dual_existence_check(m)
+    assert exists_modification(m) and exists_modification(dual(m))
     # full weight: dual has weight 0 and E'(x) must equal E
     m = query(B(-2, -1), B(0, 1), 2, 2)
-    assert dual_existence_check(m)
+    assert exists_modification(dual(m))
+    # each sequence exists exactly when its dual does, in both directions
     for E in small_bundles(2, 0, 2) + small_bundles(3, 0, 2):
         n = E.rank
-        for d in (1, 2):
+        for d in (1, 2, 3):
             for r in range(n + 1):
                 for E_prime in all_candidates(E, d, r):
                     m = ModificationQuery(E, E_prime, ClosedPoint(2, d), r)
-                    if exists_modification(m):
-                        assert dual_existence_check(m), (E_prime, E, d, r)
+                    assert exists_modification(m) == exists_modification(dual(m)), (
+                        E_prime, E, d, r
+                    )
 
 
 def test_dispatch_coherence_rank2_at_d1():
