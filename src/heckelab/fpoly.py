@@ -81,7 +81,8 @@ def scale(a, c, p):
 
 def div(a, b, p):
     """(quotient, remainder) of a by b in F_p[t]; b nonzero."""
-    assert b, "division by zero polynomial"
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
     inv = pow(b[-1], -1, p)
     rem = list(a)
     quo = [0] * max(0, len(rem) - len(b) + 1)

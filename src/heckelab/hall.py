@@ -24,8 +24,11 @@ it to a Z[q]-combination by one exact division per term, and a remainder
 would mean the engine is broken, so it raises HallIntegrityError.  K_x^r *
 [E] is derived twice, recursively and in closed form, as a table from
 (word, torsion left) to the exponent e of a single monomial q^e, in int
-arithmetic only; one cached expansion straightens the words of either
-table in Z[q] and normalizes by Q(E) once.
+arithmetic only.  The expansion is cached one torsion layer at a time:
+layer s straightens, in Z[q], only the words with s copies of torsion left
+and normalizes them by Q(E).  Every term lies in exactly one layer, so the
+layers divide exactly when the whole product does.  A multiplicity reads
+layer 0 alone; kx_times joins the layers max(0, r-n) <= s <= r.
 """
 
 from __future__ import annotations
@@ -168,7 +171,8 @@ def _word_element(degrees: tuple) -> dict[BundleType, QPoly]:
     for asc, coeff in _straighten(tuple(degrees)):  # each ascending word once
         E = BundleType(asc)
         for _, length in E.grouped():
-            coeff = coeff * q_factorial(length)
+            if length > 1:  # [1]_q! = 1
+                coeff = coeff * q_factorial(length)
         out[E] = coeff
     return out
 
@@ -249,34 +253,48 @@ def _kx_closed_table(r: int, E: BundleType, d: int) -> dict:
 _KX_TABLES = {"recursive": _kx_recursive_table, "closed": _kx_closed_table}
 
 
-@lru_cache(maxsize=None)
-def _kx_expansion(r: int, E: BundleType, d: int, method: str) -> HallElement:
-    """Straighten each word of the method's table and normalize by Q(E) once."""
-    out: dict[HallTerm, QPoly] = {}
-    for (word, s), e in _KX_TABLES[method](r, E, d).items():
-        for B, wc in _word_element(word).items():
-            term = HallTerm(B, s)
-            out[term] = out.get(term, ZERO) + QPoly.monomial(e) * wc
-    return _normalized(out, q_factor(E))
-
-
-def kx_times(r: int, E: BundleType, d: int, method: str = "recursive") -> HallElement:
-    """K_x^{r} * [E] at a point of degree d, torsion terms included."""
+def _check_kx(r: int, d: int, method: str) -> None:
     if r < 1:
         raise ValueError(f"kx_times needs r >= 1, got {r}")
     if d < 1:
         raise ValueError(f"point degree must be >= 1, got {d}")
     if method not in _KX_TABLES:
         raise ValueError(f"unknown method {method!r}")
-    return _kx_expansion(r, E, d, method)
+
+
+@lru_cache(maxsize=None)
+def _kx_layer(r: int, E: BundleType, d: int, method: str, s: int) -> HallElement:
+    """The terms of K_x^r * [E] with s torsion copies left.
+
+    Straightens only the table's words in layer s; q^e * c is c's
+    coefficients shifted by e.  Normalized by Q(E).
+    """
+    out: dict[HallTerm, QPoly] = {}
+    for (word, left), e in _KX_TABLES[method](r, E, d).items():
+        if left != s:
+            continue
+        shift = (0,) * e
+        for B, wc in _word_element(word).items():
+            term = HallTerm(B, s)
+            out[term] = out.get(term, ZERO) + QPoly(shift + wc.coeffs)
+    return _normalized(out, q_factor(E))
+
+
+def kx_times(r: int, E: BundleType, d: int, method: str = "recursive") -> HallElement:
+    """K_x^{r} * [E] at a point of degree d, torsion terms included."""
+    _check_kx(r, d, method)
+    out = {}
+    for s in range(max(0, r - E.rank), r + 1):
+        out.update(_kx_layer(r, E, d, method, s).terms)
+    return HallElement(out)
 
 
 def hall_multiplicity(E_prime: BundleType, E: BundleType, d: int, r: int) -> QPoly:
     """m_{x,r}(E', E) as a polynomial in q: coeff of [E] in K_x^r * [E'].
 
-    Zero when the degree bookkeeping deg E - deg E' = r*d fails.  The
-    product is a Z[q]-combination; a coefficient outside Z[q] already
-    raised HallIntegrityError when kx_times normalized it.
+    Zero when the degree bookkeeping deg E - deg E' = r*d fails.  Only the
+    torsion-free layer of the product is built; a coefficient of it outside
+    Z[q] raises HallIntegrityError when the layer is normalized.
     """
     if E_prime.rank != E.rank:
         raise ValueError(f"rank mismatch: {E_prime.pretty()} vs {E.pretty()}")
@@ -284,7 +302,8 @@ def hall_multiplicity(E_prime: BundleType, E: BundleType, d: int, r: int) -> QPo
         return ZERO
     if r == 0:
         return ONE if E_prime == E else ZERO
-    return kx_times(r, E_prime, d).coeff(HallTerm(E, 0))
+    _check_kx(r, d, "recursive")
+    return _kx_layer(r, E_prime, d, "recursive", 0).coeff(HallTerm(E, 0))
 
 
 def realizing_deltas(E_prime: BundleType, E: BundleType, d: int, r: int):

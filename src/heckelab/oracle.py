@@ -332,11 +332,15 @@ def smith_normal_form(M, q: int):
     diag entries are monic with alpha_i | alpha_{i+1}; L and R are products
     of elementary matrices, hence invertible over F_q[t].  Euclidean
     reduction: repeatedly move a minimal-degree entry to the pivot and
-    reduce its row and column by division with remainder.
+    reduce its row and column by division with remainder.  Every
+    coefficient must be an int, bool refused; anything else raises
+    TypeError and nothing is converted.
     """
     if not fpoly.is_prime(q):
         raise ValueError(f"SNF over F_q[t] needs prime q, got {q}")
-    A = [[fpoly.trim(int(c) % q for c in entry) for entry in row] for row in M]
+    if not {type(c) for row in M for entry in row for c in entry} <= {int}:
+        raise TypeError(f"matrix coefficients must be ints, got {M!r}")
+    A = [[fpoly.trim(c % q for c in entry) for entry in row] for row in M]
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")

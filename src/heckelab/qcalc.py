@@ -61,7 +61,8 @@ class QPoly:
     @staticmethod
     def monomial(k: int, c: int = 1) -> "QPoly":
         """c * q^k."""
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"monomial needs k >= 0, got {k}")
         return QPoly((0,) * k + (c,))
 
     @property
@@ -134,7 +135,8 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"QPoly power needs k >= 0, got {k}")
         out = ONE
         base = self
         while k:
@@ -320,14 +322,16 @@ def gaussian_binomial(k: int, n: int) -> QPoly:
 @lru_cache(maxsize=None)
 def q_int(a: int) -> QPoly:
     """[a]_q = 1 + q + ... + q^{a-1} = (q^a - 1)/(q - 1)."""
-    assert a >= 0
+    if a < 0:
+        raise ValueError(f"q_int needs a >= 0, got {a}")
     return QPoly((1,) * a)
 
 
 @lru_cache(maxsize=None)
 def q_factorial(a: int) -> QPoly:
     """[a]_q! = prod_{i=1}^{a} [i]_q."""
-    assert a >= 0
+    if a < 0:
+        raise ValueError(f"q_factorial needs a >= 0, got {a}")
     out = ONE
     for i in range(1, a + 1):
         out = out * q_int(i)

@@ -46,6 +46,13 @@ def test_rabin_edge_cases():
     assert not fpoly.is_irreducible((0, 0, 2), 3)  # 2 t^2
 
 
+def test_div_by_the_zero_polynomial_raises():
+    # not an assert: under python -O that leaked an IndexError
+    with pytest.raises(ZeroDivisionError):
+        fpoly.div((1, 1), (), 2)
+    assert fpoly.div((1, 0, 1), (1, 1), 2) == ((1, 1), ())
+
+
 def test_first_irreducible_is_the_lexicographic_first():
     for p, top in EXHAUSTIVE:
         for d in range(1, top + 1):

@@ -16,7 +16,7 @@ from heckelab.hall import (
     HallIntegrityError,
     HallTerm,
     _kx_closed_table,
-    _kx_expansion,
+    _kx_layer,
     _kx_recursive_table,
     bundle_product,
     hall_multiplicity,
@@ -208,6 +208,26 @@ def test_kx_times_matches_the_state_sum_reference():
             assert_matches_rational(kx_times(r, E, d, method=method), want, (E, r, d, method))
 
 
+def test_hall_multiplicity_is_the_torsion_free_coefficient_of_kx_times():
+    """The layer-0 read equals the coefficient of [E] in the full product,
+    for every E that K_x^r * [E'] can reach, and no torsion-free term of
+    the product falls outside those E."""
+    rng = random.Random(20261020)
+    for _ in range(80):
+        E_prime = BundleType(rng.randint(-2, 3) for _ in range(rng.randint(1, 5)))
+        n = E_prime.rank
+        d = rng.randint(1, 3)
+        r = rng.randint(1, n)
+        targets = candidates(E_prime.twist(d), d, n - r)
+        for method in ("recursive", "closed"):
+            product = kx_times(r, E_prime, d, method=method)
+            free = {term.bundle for term in product.terms if term.torsion_weight == 0}
+            assert free <= set(targets), (E_prime, d, r, method)
+            for E in targets:
+                want = product.coeff(HallTerm(E, 0))
+                assert hall_multiplicity(E_prime, E, d, r) == want, (E_prime, E, d, r, method)
+
+
 def test_bundle_product_matches_the_rational_reference():
     # the word product times Q(F)*Q(G) as QRats, against exact division in Z[q]
     rng = random.Random(20261019)
@@ -222,11 +242,11 @@ def test_bundle_product_matches_the_rational_reference():
 @pytest.fixture
 def broken_q_factor(monkeypatch):
     """Q(E) = 1/(q+2) for every E: no nonzero count divides exactly."""
-    _kx_expansion.cache_clear()
+    _kx_layer.cache_clear()
     monkeypatch.setattr(hall, "q_factor", lambda E: QRat(ONE, Q + 2))
     yield
     monkeypatch.undo()
-    _kx_expansion.cache_clear()
+    _kx_layer.cache_clear()
 
 
 def test_a_coefficient_outside_z_q_raises(broken_q_factor, capsys):
@@ -242,6 +262,27 @@ def test_a_coefficient_outside_z_q_raises(broken_q_factor, capsys):
     doc = json.loads(err)
     assert doc["schema"] == "heckelab/1" and doc["error"] == "HallIntegrityError"
     assert doc["detail"].endswith("times (1)/(q+2) is not in Z[q]")
+
+
+def test_hall_multiplicity_straightens_no_torsion_word(monkeypatch):
+    """Every word a multiplicity straightens has degree deg E' + r*d: all r
+    torsion copies absorbed, none left over."""
+    E, d, r = B(0, 1, 1, 2, 5), 3, 2
+    seen = []
+    real = hall._word_element
+
+    def spy(degrees):
+        seen.append(degrees)
+        return real(degrees)
+
+    _kx_layer.cache_clear()
+    monkeypatch.setattr(hall, "_word_element", spy)
+    found = 0
+    for E_prime in candidates(E, d, r):
+        found += bool(hall_multiplicity(E_prime, E, d, r))
+        assert seen and all(sum(w) == E_prime.degree + r * d for w in seen), E_prime
+        seen.clear()
+    assert found > 1
 
 
 def test_kx_weight_can_exceed_rank():

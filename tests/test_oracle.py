@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -202,6 +203,17 @@ def test_snf_singular_and_nonsquare():
         smith_normal_form([[T, T, T], [T, T, T]], 2)
     with pytest.raises(ValueError, match="prime q"):
         smith_normal_form([[ONE]], 4)
+
+
+@pytest.mark.parametrize(
+    "M, q",
+    [([[(2.5,)]], 3), ([[(1.9,), (0,)], [(0,), (True, 1)]], 2), ([[(Fraction(1),)]], 2)],
+    ids=repr,
+)
+def test_snf_refuses_coefficients_that_are_not_ints(M, q):
+    """No int() conversion: (2.5,) over F_3 used to give diag [(1,)]."""
+    with pytest.raises(TypeError, match="must be ints"):
+        smith_normal_form(M, q)
 
 
 def test_snf_random_matrices_verify():

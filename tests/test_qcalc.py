@@ -223,6 +223,28 @@ def test_q_int_and_factorial():
     assert q_factorial(3) == (Q + 1) * QPoly((1, 1, 1))
 
 
+# Range guards raise, so they hold under python -O too: an assert there
+# let monomial(-2) and q_factorial(-2) return 1 and q_int(-3) return 0.
+def test_monomial_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="k >= 0"):
+        QPoly.monomial(-2)
+
+
+def test_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="k >= 0"):
+        Q ** -1
+
+
+def test_q_int_refuses_a_negative_argument():
+    with pytest.raises(ValueError, match="a >= 0"):
+        q_int(-3)
+
+
+def test_q_factorial_refuses_a_negative_argument():
+    with pytest.raises(ValueError, match="a >= 0"):
+        q_factorial(-2)
+
+
 def test_evaluate():
     assert (Q + 1).evaluate(4) == 5
     assert ZERO.evaluate(17) == 0
