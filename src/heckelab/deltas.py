@@ -63,9 +63,6 @@ class DeltaVec:
     def __iter__(self):
         return iter(self.bits)
 
-    def concat(self, other: "DeltaVec") -> "DeltaVec":
-        return DeltaVec(self.bits + other.bits)
-
     def __repr__(self):
         return f"DeltaVec({list(self.bits)})"
 

@@ -13,15 +13,20 @@ side.  Everything reduces to two rewriting moves:
       K_x^s * O(m) = [O(m+d) + K_x^{s-1}] + q^{sd} [O(m) + K_x^s]
 
 plus the degenerate facts that ascending distinct products split with
-coefficient 1 and a_fold equal products give [a]_q! copies.  Multiplicity
-extraction: m_{x,r}(E', E) is the coefficient of [E] in K_x^r * [E'].
+coefficient 1 and a_fold equal products give [a]_q! copies.  So straightening
+a word returns bundle classes directly: an ascending word with runs l_i is
+prod_i [l_i]_q! times its class.  Multiplicity extraction: m_{x,r}(E', E) is
+the coefficient of [E] in K_x^r * [E'].
 
 Coefficients are exact polynomials in an indeterminate q, so one
 computation covers every finite base field at once.  Every structure
 constant is a count, so a HallElement is a Z[q]-combination.  The only
 ratio is the normalization Q(E) of bundles.q_factor; `_normalized` applies
 it to a Z[q]-combination by one exact division per term, and a remainder
-would mean the engine is broken, so it raises HallIntegrityError.  K_x^r *
+would mean the engine is broken, so it raises HallIntegrityError.  The run
+factors prod_i [l_i]_q! are computed here with q_factorial, not read off
+Q(E): if both came from q_factor, a wrong Q(E) would multiply in and divide
+out again, and the exact division would no longer check it.  K_x^r *
 [E] is derived twice, recursively and in closed form, as a table from
 (word, torsion left) to the exponent e of a single monomial q^e, in int
 arithmetic only.  The expansion is cached one torsion layer at a time:
@@ -48,7 +53,6 @@ __all__ = [
     "bundle_product",
     "kx_times",
     "hall_multiplicity",
-    "realizing_deltas",
 ]
 
 _QQ_MINUS = QPoly((-1, 0, 1))  # q^2 - 1
@@ -129,19 +133,28 @@ class HallElement:
 
 @lru_cache(maxsize=None)
 def _straighten(word: tuple) -> tuple:
-    """Expand a word over ascending words: tuple of (ascending_word, QPoly).
+    """O(e_1)*...*O(e_k) over bundle classes: a sorted tuple of (BundleType, QPoly).
 
     Rewrites the rightmost adjacent inversion O(n)*O(m), n > m.  The middle
     term of the rewriting rule with equal degrees c = (n+m)/2 is a class
     [O(c)+O(c)] = word(c,c)/(q+1); the division cancels against q^2-1 and
     keeps every coefficient in Z[q].  Terminates because each rewrite
-    strictly decreases the total inversion gap.
+    strictly decreases the total inversion gap.  An ascending word with run
+    lengths l_i is prod_i [l_i]_q! times its class, by the equal-degree
+    product rule and the split rule for ascending distinct factors; that
+    factor comes from q_factorial, independently of bundles.q_factor, so
+    `_normalized` still checks Q(E).
     """
     for j in range(len(word) - 2, -1, -1):
         if word[j] > word[j + 1]:
             break
     else:
-        return ((word, ONE),)
+        E = BundleType(word)
+        coeff = ONE
+        for _, length in E.grouped():
+            if length > 1:  # [1]_q! = 1
+                coeff = coeff * q_factorial(length)
+        return ((E, coeff),)
     hi, lo = word[j], word[j + 1]
     pre, suf = word[:j], word[j + 2 :]
     gap = hi - lo
@@ -153,28 +166,11 @@ def _straighten(word: tuple) -> tuple:
             replacements.append(((a, b), _QQ_MINUS * inner))
         else:
             replacements.append(((a, a), _Q_MINUS * inner))
-    out: dict[tuple, QPoly] = {}
-    for pair, coeff in replacements:
-        for asc, c in _straighten(pre + pair + suf):
-            out[asc] = out.get(asc, ZERO) + coeff * c
-    return tuple(sorted((w, c) for w, c in out.items() if not c.is_zero()))
-
-
-def _word_element(degrees: tuple) -> dict[BundleType, QPoly]:
-    """O(e_1)*...*O(e_k) as a Z[q]-combination of bundle classes.
-
-    An ascending word with run lengths l_i is prod_i [l_i]_q! times the
-    bundle class, by the equal-degree product rule and the split rule for
-    ascending distinct factors.
-    """
     out: dict[BundleType, QPoly] = {}
-    for asc, coeff in _straighten(tuple(degrees)):  # each ascending word once
-        E = BundleType(asc)
-        for _, length in E.grouped():
-            if length > 1:  # [1]_q! = 1
-                coeff = coeff * q_factorial(length)
-        out[E] = coeff
-    return out
+    for pair, coeff in replacements:
+        for E, c in _straighten(pre + pair + suf):
+            out[E] = out.get(E, ZERO) + coeff * c
+    return tuple(sorted((E, c) for E, c in out.items() if not c.is_zero()))
 
 
 def word_product(degrees) -> HallElement:
@@ -182,9 +178,13 @@ def word_product(degrees) -> HallElement:
 
     The result has no torsion terms.
     """
-    if not degrees:
+    word = tuple(degrees)
+    if not word:
         raise ValueError("empty word has no bundle terms")
-    return HallElement({HallTerm(E, 0): c for E, c in _word_element(tuple(degrees)).items()})
+    # checked before the cache: True and 1.0 are the same key as 1
+    if not set(map(type, word)) <= {int}:
+        raise TypeError(f"word degrees must be ints, got {word!r}")
+    return HallElement({HallTerm(E, 0): c for E, c in _straighten(word)})
 
 
 def _normalized(coeffs: dict, factor) -> HallElement:
@@ -274,7 +274,7 @@ def _kx_layer(r: int, E: BundleType, d: int, method: str, s: int) -> HallElement
         if left != s:
             continue
         shift = (0,) * e
-        for B, wc in _word_element(word).items():
+        for B, wc in _straighten(word):
             term = HallTerm(B, s)
             out[term] = out.get(term, ZERO) + QPoly(shift + wc.coeffs)
     return _normalized(out, q_factor(E))
@@ -305,24 +305,3 @@ def hall_multiplicity(E_prime: BundleType, E: BundleType, d: int, r: int) -> QPo
     _check_kx(r, d, "recursive")
     return _kx_layer(r, E_prime, d, "recursive", 0).coeff(HallTerm(E, 0))
 
-
-def realizing_deltas(E_prime: BundleType, E: BundleType, d: int, r: int):
-    """Delta vectors realizing the modification, as (delta, maximal) pairs.
-
-    A delta realizes [E' -> E] when [E] appears in the word with degrees
-    d'_i + delta(i)*d; maximal means of largest weight among those.
-    """
-    if E_prime.rank != E.rank:
-        raise ValueError(f"rank mismatch: {E_prime.pretty()} vs {E.pretty()}")
-    n = E.rank
-    realized = []
-    for delta in enumerate_deltas(n, r):
-        shifted = tuple(
-            deg + delta(j + 1) * d for j, deg in enumerate(E_prime.degrees)
-        )
-        if _word_element(shifted).get(E):
-            realized.append(delta)
-    if not realized:
-        return []
-    top = max(weight(delta) for delta in realized)
-    return [(delta, weight(delta) == top) for delta in realized]

@@ -34,12 +34,7 @@ CROSS_CHECK_LIMIT = 8
 
 
 class ModificationQuery:
-    """A candidate modification [E' -> E] at x with weight r.
-
-    Both degree lists are kept sorted ascending and the drops are matched
-    indexwise: eps_i = d_i - d'_i.  A is the 1-based index set where the
-    drop is nonzero, with s = min(A) and B = max(A).
-    """
+    """A candidate modification [E' -> E] at x with weight r."""
 
     __slots__ = ("E", "E_prime", "x", "r")
 
@@ -59,22 +54,6 @@ class ModificationQuery:
     @property
     def d(self) -> int:
         return self.x.d
-
-    @property
-    def eps(self) -> tuple:
-        return tuple(a - b for a, b in zip(self.E.degrees, self.E_prime.degrees))
-
-    @property
-    def A(self) -> tuple:
-        return tuple(i + 1 for i, e in enumerate(self.eps) if e != 0)
-
-    @property
-    def s(self):
-        return self.A[0] if self.A else None
-
-    @property
-    def B(self):
-        return self.A[-1] if self.A else None
 
     def __repr__(self):
         return (

@@ -28,7 +28,14 @@ from .forms import (
     extension_middle_distribution,
     toroidal_sum,
 )
-from .hall import HallElement, bundle_product, hall_multiplicity, kx_times, word_product
+from .hall import (
+    HallElement,
+    HallIntegrityError,
+    bundle_product,
+    hall_multiplicity,
+    kx_times,
+    word_product,
+)
 from .hecke import ModificationQuery, candidates, exists_modification, multiplicity_detail
 from .oracle import Field, brute_multiplicity, matrix_rank, smith_normal_form
 from .qcalc import ZERO, QPoly, gaussian_binomial
@@ -161,11 +168,12 @@ def _spaced_factorization(rng, cases):
 
 def _element_mul(a, b):
     """Bilinear product of two torsion-free hall elements."""
+    for term in (*a.terms, *b.terms):
+        if term.torsion_weight:
+            raise HallIntegrityError(f"torsion term [{term.pretty()}] in a torsion-free product")
     acc = HallElement({})
     for t1, c1 in a.items():
-        assert t1.torsion_weight == 0
         for t2, c2 in b.items():
-            assert t2.torsion_weight == 0
             acc = acc + bundle_product(t1.bundle, t2.bundle).scale(c1 * c2)
     return acc
 

@@ -61,7 +61,7 @@ def test_concatenation_law():
             for d1 in enumerate_deltas(n1, min(2, n1)):
                 for d2 in enumerate_deltas(n2, min(1, n2)):
                     r1, r2 = d1.r, d2.r
-                    lhs = weight(d1.concat(d2)) - weight(d1) - weight(d2)
+                    lhs = weight(DeltaVec(d1.bits + d2.bits)) - weight(d1) - weight(d2)
                     assert lhs == r2 * (n1 - r1)
 
 

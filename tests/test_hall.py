@@ -10,7 +10,6 @@ import pytest
 from heckelab import hall
 from heckelab.bundles import BundleType, ClosedPoint, q_factor
 from heckelab.cli import main
-from heckelab.deltas import DeltaVec
 from heckelab.hall import (
     HallElement,
     HallIntegrityError,
@@ -18,15 +17,15 @@ from heckelab.hall import (
     _kx_closed_table,
     _kx_layer,
     _kx_recursive_table,
+    _straighten,
     bundle_product,
     hall_multiplicity,
     kx_times,
-    realizing_deltas,
     word_product,
 )
 from heckelab.hecke import candidates
 from heckelab.oracle import brute_multiplicity
-from heckelab.qcalc import QPoly, QRat, gaussian_binomial
+from heckelab.qcalc import QPoly, QRat, gaussian_binomial, q_factorial
 from heckelab.verify import _element_mul
 
 Q = QPoly((0, 1))
@@ -146,6 +145,36 @@ def test_associativity_of_random_words():
             assert _element_mul(left, right) == full, (word, cut)
 
 
+def test_element_mul_refuses_torsion_terms():
+    torsion = HallElement({HallTerm(B(0), 1): ONE})
+    for a, b in ((torsion, word_product([0])), (word_product([0]), torsion)):
+        with pytest.raises(HallIntegrityError, match=r"torsion term \[O\+K\^1\]"):
+            _element_mul(a, b)
+
+
+def test_straighten_returns_bundle_classes_with_run_factors():
+    # an ascending word with runs l_i is prod [l_i]_q! times its class
+    word = (0, 0, 1, 1, 1)
+    assert _straighten(word) == ((B(*word), q_factorial(2) * q_factorial(3)),)
+    assert _straighten((0, 1)) == ((B(0, 1), ONE),)
+
+
+def test_word_product_refuses_non_int_letters_on_a_warm_cache():
+    word_product((1, 0))
+    for bad in ((True, 0), (1.0, 0), (0, "1")):
+        with pytest.raises(TypeError, match="word degrees must be ints"):
+            word_product(bad)
+    assert word_product((1, 0)) == elem([(B(0, 1), 0, Q**2)])
+
+
+def test_repeated_word_product_is_a_cache_hit():
+    word = (3, -1, 2, 0, 2)
+    first = word_product(word)
+    misses = _straighten.cache_info().misses
+    assert word_product(word) == first
+    assert _straighten.cache_info().misses == misses
+
+
 def test_kx_closed_equals_recursive():
     degree_sets = [(0,), (0, 1), (0, 0), (-1, 2), (0, 1, 1), (0, 2, 3), (-1, 0, 1)]
     for degrees in degree_sets:
@@ -241,12 +270,15 @@ def test_bundle_product_matches_the_rational_reference():
 
 @pytest.fixture
 def broken_q_factor(monkeypatch):
-    """Q(E) = 1/(q+2) for every E: no nonzero count divides exactly."""
+    """Q(E) = 1/(q+2) for every E: no nonzero count divides exactly.  Both
+    caches start cold, so the straightening runs under the broken Q(E)."""
     _kx_layer.cache_clear()
+    _straighten.cache_clear()
     monkeypatch.setattr(hall, "q_factor", lambda E: QRat(ONE, Q + 2))
     yield
     monkeypatch.undo()
     _kx_layer.cache_clear()
+    _straighten.cache_clear()
 
 
 def test_a_coefficient_outside_z_q_raises(broken_q_factor, capsys):
@@ -269,14 +301,14 @@ def test_hall_multiplicity_straightens_no_torsion_word(monkeypatch):
     torsion copies absorbed, none left over."""
     E, d, r = B(0, 1, 1, 2, 5), 3, 2
     seen = []
-    real = hall._word_element
+    real = hall._straighten
 
-    def spy(degrees):
-        seen.append(degrees)
-        return real(degrees)
+    def spy(word):
+        seen.append(word)
+        return real(word)
 
     _kx_layer.cache_clear()
-    monkeypatch.setattr(hall, "_word_element", spy)
+    monkeypatch.setattr(hall, "_straighten", spy)
     found = 0
     for E_prime in candidates(E, d, r):
         found += bool(hall_multiplicity(E_prime, E, d, r))
@@ -307,17 +339,6 @@ def test_kx_conservation():
                         term.bundle.degree + term.torsion_weight * d
                         == E.degree + r * d
                     )
-
-
-def test_realizing_deltas_examples():
-    got = realizing_deltas(B(-1, 0), B(0, 0), 1, 1)
-    assert got == [(DeltaVec((1, 0)), True)]
-    got = realizing_deltas(B(0, 0), B(0, 1), 1, 1)
-    assert got == [(DeltaVec((1, 0)), False), (DeltaVec((0, 1)), True)]
-    assert realizing_deltas(B(0, 0), B(0, 0), 1, 0) == [(DeltaVec((0, 0)), True)]
-    assert realizing_deltas(B(-1, 0), B(0, 0), 1, 0) == []
-    with pytest.raises(ValueError):
-        realizing_deltas(B(0), B(0, 0), 1, 1)
 
 
 def test_hall_element_json():

@@ -31,17 +31,6 @@ def query(E_prime, E, d, r, q=2):
     return ModificationQuery(E, E_prime, ClosedPoint(q, d), r)
 
 
-def test_query_derived_fields():
-    m = query(B(-2, 0), B(0, 0), 2, 1)
-    assert m.eps == (2, 0)
-    assert m.A == (1,)
-    assert m.s == 1 and m.B == 1
-    m = query(B(-1, -1), B(0, 0), 2, 1)
-    assert m.eps == (1, 1) and m.A == (1, 2) and (m.s, m.B) == (1, 2)
-    m = query(B(0, 0), B(0, 0), 1, 0)
-    assert m.A == () and m.s is None and m.B is None
-
-
 def test_query_validation():
     with pytest.raises(ValueError):
         query(B(0), B(0, 0), 1, 1)

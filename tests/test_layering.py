@@ -1,10 +1,10 @@
 """Module boundaries: no heckelab module imports another's private names,
 the oracle imports neither the Hall engine nor the forms layer,
 the rational-function type stays in two modules, only ClosedPoint tests
-a polynomial for irreducibility, the value types check their entries
-without converting them, every lru_cache decorates a module-level
-function, every module is in README's module map, and every exported
-name exists."""
+a polynomial for irreducibility, no module relies on an assert statement,
+the value types check their entries without converting them, every
+lru_cache decorates a module-level function, every module is in README's
+module map, and every exported name exists."""
 
 import ast
 import importlib
@@ -98,6 +98,34 @@ def test_only_closed_point_tests_irreducibility():
     # a point's (q, d, poly) is validated once, by ClosedPoint
     users = {path.stem for path in PACKAGE.glob("*.py") if calls_is_irreducible(path)}
     assert users == {"bundles", "fpoly"}
+
+
+def assert_lines(path):
+    """The line of each assert statement in the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_scan_flags_assert_statements(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def f(x):\n"
+        "    assert x > 0\n"
+        "    msg = 'assert x'\n"
+        "    return x  # assert x\n"
+        "class K:\n"
+        "    def g(self):\n"
+        "        assert self, 'empty'\n"
+    )
+    assert assert_lines(sample) == [2, 7]
+
+
+def test_no_module_relies_on_assert():
+    # python -O strips asserts, so a check that must hold raises instead
+    offenders = {
+        path.name: found for path in PACKAGE.glob("*.py") if (found := assert_lines(path))
+    }
+    assert offenders == {}
 
 
 def heckelab_imports(path):
