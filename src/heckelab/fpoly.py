@@ -44,23 +44,20 @@ def trim(a):
 
 
 def add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ca = a[i] if i < len(a) else 0
-        cb = b[i] if i < len(b) else 0
-        out[i] = (ca + cb) % p
-    return trim(out)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return trim([c % p for c in out])
 
 
 def sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ca = a[i] if i < len(a) else 0
-        cb = b[i] if i < len(b) else 0
-        out[i] = (ca - cb) % p
-    return trim(out)
+    out = list(a)
+    out += [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return trim([c % p for c in out])
 
 
 def mul(a, b, p):
@@ -70,8 +67,8 @@ def mul(a, b, p):
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return trim(out)
+                out[i + j] += ca * cb
+    return trim([c % p for c in out])
 
 
 def scale(a, c, p):

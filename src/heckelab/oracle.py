@@ -9,12 +9,17 @@ cross-validates the closed formulas: multiplicity censuses, automorphism
 orders, constrained monomorphism counts, and Smith normal forms over
 F_q[t].
 
-The section counts come from one incremental scan per subspace: each twist
-adds one section row per component, the row of the previous twist times t,
-to a single F_q echelon form kept by `fpoly.insert_row`, and h^0 is the
-number of rows that were dependent.  The scan stops eliminating once the
-echelon spans the quotient kappa^n / W: every later row is dependent and is
-only counted.
+The section counts come from a row schedule built once per census,
+`_schedule(E, d)`: the section rows t^m e_i in twist order, with m < d
+only.  A row with m >= d is never independent, since t^m is an F_q
+combination of 1, t, ..., t^(d-1) modulo the point's polynomial and those
+rows of its component came earlier; it is counted and never built.  Per
+subspace one scan builds each scheduled row as the previous row of its
+component times t, by the companion step `Field.times_t` on flat F_q
+coordinates, adds it to a single echelon form kept by `fpoly.insert_row`,
+and stops once the echelon spans the quotient kappa^n / W.  The twists at
+which a row was independent, the drop profile, determine the splitting
+type, so a census finds one profile per subspace and one type per profile.
 
 The residue field kappa(x) = F_{q^d} = F_q[t]/(poly) is built only from a
 ClosedPoint with an explicit polynomial, which has already checked that q
@@ -115,9 +120,6 @@ class Field:
         for digits in product(range(self.q), repeat=self.d):
             yield fpoly.trim(reversed(digits))
 
-    def sub(self, a, b):
-        return fpoly.sub(a, b, self.q)
-
     def mul(self, a, b):
         return fpoly.div(fpoly.mul(a, b, self.q), self.poly, self.q)[1]
 
@@ -128,6 +130,18 @@ class Field:
     def expand(self, a) -> tuple:
         """d base-field coordinates of an element."""
         return tuple(a[i] if i < len(a) else 0 for i in range(self.d))
+
+    def times_t(self, coords) -> list:
+        """t times a vector over the field, given and returned as its flat
+        F_q coordinates, d per element: the companion step of poly, which
+        shifts each element up and folds t^d back in as -(poly - t^d)."""
+        q, d, low = self.q, self.d, self.poly[:-1]
+        out = []
+        for s in range(0, len(coords), d):
+            top = coords[s + d - 1]
+            shifted = [0] + coords[s : s + d - 1]
+            out += [(a - top * c) % q for a, c in zip(shifted, low)] if top else shifted
+        return out
 
 
 def matrix_rank(field: Field, rows) -> int:
@@ -227,56 +241,98 @@ def subspace_count(k: int, n: int, q0: int, budget: int | None = None) -> int:
 # --- splitting type from section counts ------------------------------------
 
 
+def _twists(E: BundleType, d: int) -> range:
+    """The twists k a scan visits: below the first, no component has a
+    section; at the last, k = d - min(d_i), the lowest possible kernel
+    degree min(d_i) - d is visible."""
+    top = max(E.degrees)
+    return range(-(top + d), max(top, d - min(E.degrees)) + 1)
+
+
+def _schedule(E: BundleType, d: int) -> list:
+    """The section rows (k, i, m) of a scan, m = d_i + k, in twist order
+    and with 0 <= m < d: row (k, i, m) is t^m e_i.  The rows with m >= d
+    are left out, as they are never independent."""
+    return [
+        (k, i, di + k)
+        for k in _twists(E, d)
+        for i, di in enumerate(E.degrees)
+        if 0 <= di + k < d
+    ]
+
+
+def _drop_profile(schedule: list, W: FiberSubspace, n: int) -> tuple:
+    """The twists of the scheduled rows that are independent modulo W, a
+    subspace of kappa^n.
+
+    A section lies in E' when its value at x maps to zero in kappa^n / W,
+    and that map is kappa-linear: t^m e_i maps to t^m times the image of
+    e_i, which W's reduced row-echelon basis gives in its non-pivot
+    coordinates (the row whose pivot is i, negated, or a unit vector when
+    column i is no pivot).  The sign is dropped: scaling all rows of a
+    component by -1 changes none of their dependences.  Once the echelon
+    holds r*d pivots, the F_q-dimension of kappa^n / W, every later row is
+    dependent.
+    """
+    field = W.field
+    d = field.d
+    pivot_rows = dict(zip(W.pivots, W.basis))
+    free = [j for j in range(n) if j not in pivot_rows]
+    full = len(free) * d
+    rows = []
+    for i in range(n):
+        if i in pivot_rows:
+            row = []
+            for j in free:  # field.expand, inlined: this runs for every subspace
+                elem = pivot_rows[i][j]
+                row += elem
+                row += [0] * (d - len(elem))
+        else:
+            row = [0] * full
+            row[free.index(i) * d] = 1
+        rows.append(row)
+    echelon = {}
+    profile = []
+    for k, i, m in schedule:
+        if len(echelon) == full:
+            break
+        if m:
+            rows[i] = field.times_t(rows[i])
+        if fpoly.insert_row(echelon, rows[i], field.q):
+            profile.append(k)
+    return tuple(profile)
+
+
+def _type_from_profile(E: BundleType, d: int, profile: tuple) -> BundleType:
+    """The kernel type whose scan has this drop profile.
+
+    h^0(E'(k)) - h^0(E'(k-1)) = #{i : d_i' >= -k}, and that difference is
+    c(k) = #{i : d_i + k >= 0} minus the independent rows at twist k, so
+    c(k) - c(k-1) components of E' have degree -k.
+    """
+    degrees = []
+    prev_c = 0
+    for k in _twists(E, d):
+        c = sum(di + k >= 0 for di in E.degrees) - profile.count(k)
+        degrees += [-k] * (c - prev_c)
+        prev_c = c
+    return BundleType(degrees)
+
+
 def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
     """Splitting type of the kernel subsheaf E' = {s : s(x) in W}, where x
     is the point of W's field.
 
-    h^0(E'(k)) - h^0(E'(k-1)) = #{i : d_i' >= -k}; scanning k recovers the
-    degree multiset.  The scan must reach k = d - min(d_i) at the top so the
-    lowest possible component degree min(d_i) - d is visible.
-
-    One scan keeps one F_q echelon form.  A section lies in E' when its
-    value at x maps to zero in kappa^n / W, and that map is kappa-linear:
-    t^j e_i maps to t^j times the image of e_i, which W's reduced
-    row-echelon basis gives in its non-pivot coordinates (minus the row
-    whose pivot is i, or a unit vector when column i is no pivot).  Twist k
-    adds the section t^(d_i+k) e_i of each component with d_i + k >= 0, and
-    h^0(E'(k)) is the number of section rows so far that were dependent.
-    Once the echelon holds r*d pivots, the F_q-dimension of kappa^n / W,
-    every later row is dependent and is counted without being built.
+    One scan over the row schedule of (E, d) gives W's drop profile, the
+    twists at which a section row was independent, and the profile gives
+    the type.  h^0(E'(k)) is the number of section rows up to twist k that
+    were dependent, rows with m >= d included, and each twist k adds the
+    row t^(d_i+k) e_i of every component with d_i + k >= 0.
     """
-    field = W.field
-    d = field.d
+    d = W.field.d
     n = E.rank
     r = n - W.dim
-    pivot_rows = dict(zip(W.pivots, W.basis))
-    free = [j for j in range(n) if j not in pivot_rows]
-    images = [
-        [field.sub(field.zero, pivot_rows[i][j]) for j in free]
-        if i in pivot_rows
-        else [field.one if j == i else field.zero for j in free]
-        for i in range(n)
-    ]
-    lo = -(max(E.degrees) + d + 1)
-    hi = max(max(E.degrees), d - min(E.degrees))
-    echelon = {}
-    degrees = []
-    h0 = prev_h0 = prev_c = 0
-    for k in range(lo + 1, hi + 1):
-        for i, di in enumerate(E.degrees):
-            if di + k < 0:
-                continue
-            if len(echelon) == r * d:  # the echelon spans kappa^n / W
-                h0 += 1
-                continue
-            if di + k > 0:
-                images[i] = [field.mul(c, (0, 1)) for c in images[i]]
-            row = [c for elem in images[i] for c in field.expand(elem)]
-            h0 += not fpoly.insert_row(echelon, row, field.q)
-        c = h0 - prev_h0
-        degrees += [-k] * (c - prev_c)
-        prev_h0, prev_c = h0, c
-    out = BundleType(degrees)
+    out = _type_from_profile(E, d, _drop_profile(_schedule(E, d), W, n))
     if out.rank != n or out.degree != E.degree - r * d:
         raise OracleIntegrityError(
             f"splitting type {out.pretty()} of {E.pretty()} has rank {out.rank} and "
@@ -291,11 +347,21 @@ def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
 
 
 def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
-    """Census of splitting types over all codim-r subspaces of the fiber."""
+    """Census of splitting types over all codim-r subspaces of the fiber.
+
+    The row schedule is built once; each subspace gets its drop profile,
+    and `splitting_type` runs on the first subspace of each profile only,
+    as the type is a function of the profile.
+    """
     field = Field(x)
+    schedule = _schedule(E, x.d)
+    types: dict[tuple, BundleType] = {}  # drop profile -> splitting type
     census: dict[BundleType, int] = {}
     for W in enumerate_subspaces(E.rank, r, field, budget=budget):
-        t = splitting_type(E, W)
+        profile = _drop_profile(schedule, W, E.rank)
+        t = types.get(profile)
+        if t is None:
+            t = types[profile] = splitting_type(E, W)
         census[t] = census.get(t, 0) + 1
     total = sum(census.values())
     expected = gaussian_binomial(E.rank - r, E.rank).evaluate(field.size)
@@ -315,14 +381,14 @@ def _mat_id(n):
 
 
 def _poly_mat_mul(A, B, p):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = [[() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = ()
-            for l in range(k):
-                acc = fpoly.add(acc, fpoly.mul(A[i][l], B[l][j], p), p)
-            out[i][j] = acc
+    """A*B over F_p[t], row by row; zero entries of A multiply nothing."""
+    out = []
+    for row in A:
+        acc = [()] * len(B[0])
+        for a, b_row in zip(row, B):
+            if a:
+                acc = [fpoly.add(c, fpoly.mul(a, b, p), p) if b else c for c, b in zip(acc, b_row)]
+        out.append(acc)
     return out
 
 
@@ -334,7 +400,8 @@ def smith_normal_form(M, q: int):
     reduction: repeatedly move a minimal-degree entry to the pivot and
     reduce its row and column by division with remainder.  Every
     coefficient must be an int, bool refused; anything else raises
-    TypeError and nothing is converted.
+    TypeError and nothing is converted.  An empty or non-square matrix
+    raises ValueError.
     """
     if not fpoly.is_prime(q):
         raise ValueError(f"SNF over F_q[t] needs prime q, got {q}")
@@ -342,6 +409,8 @@ def smith_normal_form(M, q: int):
         raise TypeError(f"matrix coefficients must be ints, got {M!r}")
     A = [[fpoly.trim(c % q for c in entry) for entry in row] for row in M]
     n = len(A)
+    if not n:
+        raise ValueError("matrix must not be empty")
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
     orig = [list(row) for row in A]  # the elimination rewrites A in place
@@ -360,16 +429,17 @@ def smith_normal_form(M, q: int):
 
     def row_sub(i, j, f):
         # row_i -= f * row_j ; compensate L by col_j += f * col_i
-        for col in range(n):
-            A[i][col] = fpoly.sub(A[i][col], fpoly.mul(f, A[j][col], q), q)
+        A[i] = [fpoly.sub(a, fpoly.mul(f, b, q), q) if b else a for a, b in zip(A[i], A[j])]
         for row in L:
-            row[j] = fpoly.add(row[j], fpoly.mul(f, row[i], q), q)
+            if row[i]:
+                row[j] = fpoly.add(row[j], fpoly.mul(f, row[i], q), q)
 
     def col_sub(i, j, f):
         # col_i -= f * col_j ; compensate R by row_j += f * row_i
         for row in A:
-            row[i] = fpoly.sub(row[i], fpoly.mul(f, row[j], q), q)
-        R[j] = [fpoly.add(a, fpoly.mul(f, b, q), q) for a, b in zip(R[j], R[i])]
+            if row[j]:
+                row[i] = fpoly.sub(row[i], fpoly.mul(f, row[j], q), q)
+        R[j] = [fpoly.add(a, fpoly.mul(f, b, q), q) if b else a for a, b in zip(R[j], R[i])]
 
     for k in range(n):
         while True:
@@ -426,8 +496,8 @@ def smith_normal_form(M, q: int):
     for i in range(n - 1):
         if fpoly.div(diag[i + 1], diag[i], q)[1]:
             raise OracleIntegrityError(f"SNF divisibility chain broken at entry {i + 1}")
-    D = [[diag[i] if i == j else () for j in range(n)] for i in range(n)]
-    check = _poly_mat_mul(_poly_mat_mul(L, D, q), R, q)
+    # L*D scales the columns of L, as D is diagonal
+    check = _poly_mat_mul([[fpoly.mul(a, b, q) for a, b in zip(row, diag)] for row in L], R, q)
     if check != orig:
         raise OracleIntegrityError("SNF verification L*D*R == M failed")
     return diag, L, R

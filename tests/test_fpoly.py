@@ -62,6 +62,41 @@ def test_first_irreducible_is_the_lexicographic_first():
         fpoly.first_irreducible(2, 0)
 
 
+def schoolbook(a, b, p, op):
+    """Reference ring operations on coefficient lists: reduce each result
+    coefficient mod p, then drop the zero top coefficients."""
+    if op == "mul":
+        out = [0] * (len(a) + len(b))
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    else:
+        sign = 1 if op == "add" else -1
+        n = max(len(a), len(b))
+        out = [(a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0) for i in range(n)]
+    out = [c % p for c in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_add_sub_mul_match_the_schoolbook_reference(p):
+    rng = random.Random(f"ring:{p}")
+    pairs = [((), ()), ((), (1,)), ((0, 1), ()), ((1, 1), (1, p - 1)), ((p, 2 * p), (p,))]
+    for _ in range(300):
+        # entries up to 3p - 1, so some are >= p; lengths differ often
+        a = tuple(rng.randrange(3 * p) for _ in range(rng.randint(0, 6)))
+        b = tuple(rng.randrange(3 * p) for _ in range(rng.randint(0, 6)))
+        pairs.append((a, b))
+        if a:  # b = -a above the constant term: the sum cancels at the top
+            pairs.append((a, (rng.randrange(p),) + tuple(p - c % p for c in a[1:])))
+            pairs.append((a, a[:1] + tuple(c + p for c in a[1:])))  # a - b cancels too
+    for a, b in pairs:
+        for op in ("add", "sub", "mul"):
+            assert getattr(fpoly, op)(a, b, p) == schoolbook(a, b, p, op), (op, a, b)
+
+
 def brute_kernel_size(field, rows, ncols):
     """#{x in F^ncols : row . x = 0 for every row}, by enumeration."""
 

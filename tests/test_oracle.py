@@ -49,7 +49,7 @@ def has_inverse(field, a):
 def test_field_f4_arithmetic():
     # t * (t+1) = t^2 + t = 1 modulo t^2+t+1
     assert F4.mul(T, T1) == ONE
-    assert F4.sub((), T) == T  # -1 = 1 in char 2
+    assert fpoly.sub((), T, 2) == T  # -1 = 1 in char 2
     elems = list(F4.elements())
     assert len(elems) == 4 and len(set(elems)) == 4
     assert all(has_inverse(F4, a) for a in elems if a)
@@ -60,6 +60,16 @@ def test_field_f9_arithmetic():
     assert f9.mul(T, T) == (2,)
     assert all(has_inverse(f9, a) for a in f9.elements() if a)
     assert f9.reduce((0, 0, 0, 1)) == f9.mul(f9.mul(T, T), T)
+
+
+@pytest.mark.parametrize("q, d", [(2, 1), (2, 3), (3, 2), (5, 2), (13, 1)])
+def test_times_t_is_the_field_product_by_t(q, d):
+    field = first_field(q, d)
+    elems = list(field.elements())
+    flat = [c for e in elems for c in field.expand(e)]
+    want = [c for e in elems for c in field.expand(field.mul(T, e))]
+    assert field.times_t(flat) == want
+    assert field.times_t([]) == []
 
 
 def test_field_validation():
@@ -194,6 +204,11 @@ PHI_5 = [[PI, ()], [PI, ONE]]
 def test_snf_of_explicit_modification_matrices(phi):
     diag, L, R = smith_normal_form(phi, 2)
     assert diag == [ONE, PI]
+
+
+def test_snf_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match="^matrix must not be empty$"):
+        smith_normal_form([], 2)
 
 
 def test_snf_singular_and_nonsquare():
@@ -367,7 +382,7 @@ def reference_residual(W: FiberSubspace, v):
     for row, p in zip(W.basis, W.pivots):
         c = v[p]
         if c:
-            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+            v = [fpoly.sub(a, f.mul(c, b), f.q) for a, b in zip(v, row)]
     return tuple(v[j] for j in range(len(v)) if j not in W.pivots)
 
 
@@ -431,6 +446,38 @@ def test_splitting_type_matches_the_from_scratch_scan():
         ranks.add((E.rank, r))
     assert seen >= 15000
     assert ranks == {(n, r) for n in range(1, 5) for r in range(n + 1)}
+
+
+def test_census_by_profile_matches_the_per_subspace_tally():
+    """brute_multiplicity runs splitting_type once per drop profile; every
+    subspace on its own must give the same census."""
+    for E, x, r in seeded_grid():
+        tally = {}
+        for W in enumerate_subspaces(E.rank, r, Field(x)):
+            t = splitting_type(E, W)
+            tally[t] = tally.get(t, 0) + 1
+        assert brute_multiplicity(E, x, r) == tally, (E, x, r)
+
+
+def test_a_scan_inserts_at_most_n_times_d_rows(monkeypatch):
+    """A section row t^m e_i with m >= d is never independent, so the scan
+    builds and eliminates at most d rows per component."""
+    inserted = []
+    real = fpoly.insert_row
+
+    def insert_row(echelon, row, p):
+        inserted.append(row)
+        return real(echelon, row, p)
+
+    monkeypatch.setattr(fpoly, "insert_row", insert_row)
+    worst = 0
+    for E, x, r in seeded_grid():
+        for W in enumerate_subspaces(E.rank, r, Field(x)):
+            inserted.clear()
+            splitting_type(E, W)
+            assert len(inserted) <= E.rank * x.d, (E, x, W.basis, len(inserted))
+            worst = max(worst, len(inserted) - (E.rank - W.dim) * x.d)
+    assert worst > 0  # some scans do meet dependent rows before the echelon fills
 
 
 def dropping_one_subspace(real):
