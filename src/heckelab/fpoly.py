@@ -125,7 +125,7 @@ def det(M, p):
     """Determinant of a square matrix of F_p[t] polynomials (cofactors)."""
     n = len(M)
     if n == 1:
-        return trim(M[0][0])
+        return trim(c % p for c in M[0][0])
     out = ()
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in M[1:]]

@@ -34,6 +34,11 @@ layer s straightens, in Z[q], only the words with s copies of torsion left
 and normalizes them by Q(E).  Every term lies in exactly one layer, so the
 layers divide exactly when the whole product does.  A multiplicity reads
 layer 0 alone; kx_times joins the layers max(0, r-n) <= s <= r.
+
+Inside the straightening and a layer, every coefficient is multiplied only
+by signed monomials +-q^k, so both sum Z[q] coefficients as plain int
+lists, each cached sub-result added at its shift, and build one QPoly per
+class when the sum is done.
 """
 
 from __future__ import annotations
@@ -54,10 +59,6 @@ __all__ = [
     "kx_times",
     "hall_multiplicity",
 ]
-
-_QQ_MINUS = QPoly((-1, 0, 1))  # q^2 - 1
-_Q_MINUS = QPoly((-1, 1))  # q - 1
-
 
 class HallIntegrityError(RuntimeError):
     """An exact identity the engine guarantees failed; abort loudly."""
@@ -131,6 +132,16 @@ class HallElement:
         ]
 
 
+def _add_shifted(acc: list, coeffs: tuple, shift: int, sign: int = 1) -> None:
+    """acc += sign * q^shift * coeffs on little-endian int lists; acc grows
+    as needed."""
+    grow = shift + len(coeffs) - len(acc)
+    if grow > 0:
+        acc.extend([0] * grow)
+    for k, x in enumerate(coeffs, shift):
+        acc[k] += sign * x
+
+
 @lru_cache(maxsize=None)
 def _straighten(word: tuple) -> tuple:
     """O(e_1)*...*O(e_k) over bundle classes: a sorted tuple of (BundleType, QPoly).
@@ -144,6 +155,11 @@ def _straighten(word: tuple) -> tuple:
     product rule and the split rule for ascending distinct factors; that
     factor comes from q_factorial, independently of bundles.q_factor, so
     `_normalized` still checks Q(E).
+
+    Each replacement coefficient is a sum of signed monomials: q^(gap+1),
+    (q^2-1)q^(gap-1) = q^(gap+1) - q^(gap-1) and (q-1)q^(gap-1) = q^gap -
+    q^(gap-1).  The sub-results' coefficients are added into one int list
+    per class at those shifts, and each list becomes one QPoly.
     """
     for j in range(len(word) - 2, -1, -1):
         if word[j] > word[j + 1]:
@@ -158,19 +174,20 @@ def _straighten(word: tuple) -> tuple:
     hi, lo = word[j], word[j + 1]
     pre, suf = word[:j], word[j + 2 :]
     gap = hi - lo
-    replacements = [((lo, hi), QPoly.monomial(gap + 1))]
-    inner = QPoly.monomial(gap - 1)
+    # each replacement's coefficient as (shift, sign) monomials
+    replacements = [((lo, hi), ((gap + 1, 1),))]
     for i in range(1, gap // 2 + 1):
         a, b = lo + i, hi - i
-        if a < b:
-            replacements.append(((a, b), _QQ_MINUS * inner))
-        else:
-            replacements.append(((a, a), _Q_MINUS * inner))
-    out: dict[BundleType, QPoly] = {}
-    for pair, coeff in replacements:
+        top = gap + 1 if a < b else gap
+        replacements.append(((a, b), ((top, 1), (gap - 1, -1))))
+    sums: dict[BundleType, list] = {}
+    for pair, monomials in replacements:
         for E, c in _straighten(pre + pair + suf):
-            out[E] = out.get(E, ZERO) + coeff * c
-    return tuple(sorted((E, c) for E, c in out.items() if not c.is_zero()))
+            acc = sums.setdefault(E, [])
+            for shift, sign in monomials:
+                _add_shifted(acc, c.coeffs, shift, sign)
+    out = ((E, QPoly(acc)) for E, acc in sums.items())
+    return tuple(sorted((E, c) for E, c in out if c))
 
 
 def word_product(degrees) -> HallElement:
@@ -190,16 +207,18 @@ def word_product(degrees) -> HallElement:
 def _normalized(coeffs: dict, factor) -> HallElement:
     """The Z[q]-combination coeffs times factor, a product of Q(E)s.
 
-    Each coefficient is multiplied by factor's numerator and divided
-    exactly by its denominator; a remainder means a count that is not in
-    Z[q], so the engine is broken.
+    Q(E) = 1/prod_i [l_i]_q!, so factor's numerator is 1 and each
+    coefficient is only divided, exactly, by its denominator (a numerator
+    other than 1 would multiply in first); a remainder means a count that
+    is not in Z[q], so the engine is broken.
     """
-    if factor == 1:  # no repeated degree
+    num, den = factor.num, factor.den
+    if den.coeffs == (1,) and num.coeffs == (1,):  # no repeated degree
         return HallElement(coeffs)
     out = {}
     for term, c in coeffs.items():
         try:
-            out[term] = c * factor.num // factor.den
+            out[term] = (c if num.coeffs == (1,) else c * num) // den
         except ValueError:
             raise HallIntegrityError(
                 f"coefficient {c.pretty()} of [{term.pretty()}] times "
@@ -267,17 +286,16 @@ def _kx_layer(r: int, E: BundleType, d: int, method: str, s: int) -> HallElement
     """The terms of K_x^r * [E] with s torsion copies left.
 
     Straightens only the table's words in layer s; q^e * c is c's
-    coefficients shifted by e.  Normalized by Q(E).
+    coefficients shifted by e, added into one int list per term.  Each
+    list becomes one QPoly, normalized by Q(E).
     """
-    out: dict[HallTerm, QPoly] = {}
+    sums: dict[HallTerm, list] = {}
     for (word, left), e in _KX_TABLES[method](r, E, d).items():
         if left != s:
             continue
-        shift = (0,) * e
         for B, wc in _straighten(word):
-            term = HallTerm(B, s)
-            out[term] = out.get(term, ZERO) + QPoly(shift + wc.coeffs)
-    return _normalized(out, q_factor(E))
+            _add_shifted(sums.setdefault(HallTerm(B, s), []), wc.coeffs, e)
+    return _normalized({term: QPoly(acc) for term, acc in sums.items()}, q_factor(E))
 
 
 def kx_times(r: int, E: BundleType, d: int, method: str = "recursive") -> HallElement:

@@ -192,7 +192,9 @@ def check_subspace_budget(n: int, r: int, q: int, d: int, budget: int | None = N
         raise ValueError(f"point degree must be >= 1, got {d}")
     limit = _limit(budget, "subspaces")
     k = n - r
-    if 0 < k < n and d > limit.bit_length():
+    if k in (0, n):
+        return 1  # the whole fiber or the zero subspace, within any budget
+    if d > limit.bit_length():
         # the count exceeds q^d >= 2^d > limit; q^d itself may be too big to form
         raise BudgetExceeded(f"more than 2^{d} subspaces exceed budget {limit}")
     total = gaussian_binomial(k, n).evaluate(q**d)

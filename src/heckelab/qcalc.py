@@ -148,29 +148,16 @@ class QPoly:
 
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         """Long division over Z; every quotient step must divide exactly."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        b = other.coeffs
-        db, lb = len(b) - 1, b[-1]
-        quo = [0] * max(0, len(rem) - db)
-        for shift in range(len(quo) - 1, -1, -1):
-            c, r = divmod(rem[shift + db], lb)
-            if r:
-                raise ValueError(f"non-exact division: {self} by {other}")
-            if c:
-                quo[shift] = c
-                for i, cb in enumerate(b, shift):
-                    rem[i] -= c * cb
+        quo, rem = _long_division(self, other)
         return QPoly(quo), QPoly(rem)
 
     def __floordiv__(self, other):
         if isinstance(other, int):
             other = QPoly(other)
-        q, r = self.divmod(other)
-        if not r.is_zero():
+        quo, rem = _long_division(self, other)
+        if any(rem):
             raise ValueError(f"non-exact division: {self} by {other}")
-        return q
+        return QPoly(quo)
 
     def content(self) -> int:
         """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
@@ -218,6 +205,26 @@ class QPoly:
 ZERO = QPoly()
 ONE = QPoly(1)
 Q = QPoly((0, 1))
+
+
+def _long_division(a: QPoly, b: QPoly) -> tuple[list, list]:
+    """Quotient and remainder of a by b over Z as int lists, untrimmed;
+    every quotient step must divide exactly."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    b_coeffs = b.coeffs
+    db, lb = len(b_coeffs) - 1, b_coeffs[-1]
+    quo = [0] * max(0, len(rem) - db)
+    for shift in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[shift + db], lb)
+        if r:
+            raise ValueError(f"non-exact division: {a} by {b}")
+        if c:
+            quo[shift] = c
+            for i, cb in enumerate(b_coeffs, shift):
+                rem[i] -= c * cb
+    return quo, rem
 
 
 def _pseudo_rem(a: QPoly, b: QPoly) -> QPoly:

@@ -215,12 +215,22 @@ _PHI_MATRICES = [
 ]
 
 
+def _evaluate(a, t, q0):
+    """The F_q[t] polynomial a at t in F_q, by Horner."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * t + c) % q0
+    return acc
+
+
 def random_modification_matrix(rng, field: Field, n: int, r: int) -> list:
     """Rejection-sample an n x n matrix over F_q[t] with cokernel K_x^r.
 
     x is the point of `field.poly`.  Accept when det = unit * pi^r and the
     mod-pi reduction has rank n - r, which characterizes the skyscraper
-    quotient exactly.
+    quotient exactly.  A draw is refused before its determinant unless
+    M(a) has rank n - r over F_q at each root a of pi in F_q and rank n at
+    every other a in F_q, which the acceptance test implies.
     """
     q0, d = field.q, field.d
     pi = field.poly
@@ -229,6 +239,7 @@ def random_modification_matrix(rng, field: Field, n: int, r: int) -> list:
     for _ in range(r):
         target = fpoly.mul(target, pi, q0)
     target = fpoly.monic(target, q0)
+    ranks = [(a, n - r if _evaluate(pi, a, q0) == 0 else n) for a in range(q0)]
     for _ in range(4000):
         M = [
             [
@@ -237,6 +248,11 @@ def random_modification_matrix(rng, field: Field, n: int, r: int) -> list:
             ]
             for _ in range(n)
         ]
+        if any(
+            fpoly.rank([[_evaluate(e, a, q0) for e in row] for row in M], q0) != rank
+            for a, rank in ranks
+        ):
+            continue
         det = fpoly.det(M, q0)
         if not det or fpoly.monic(det, q0) != target:
             continue

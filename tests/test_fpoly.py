@@ -53,6 +53,23 @@ def test_div_by_the_zero_polynomial_raises():
     assert fpoly.div((1, 0, 1), (1, 1), 2) == ((1, 1), ())
 
 
+def test_det_reduces_at_every_size():
+    # a 1 x 1 matrix is reduced mod p like the cofactor sums of larger ones
+    assert fpoly.det([[(3,)]], 3) == ()
+    assert fpoly.det([[(-1, 2)]], 3) == (2, 2)
+    assert fpoly.det([[(4, 0, 3, 0)]], 3) == (1,)
+    assert fpoly.det([[(1, 1), (1,)], [(1,), (0, 1)]], 2) == (1, 1, 1)
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 3)
+        M = [[tuple(rng.randint(-7, 7) for _ in range(rng.randint(0, 3))) for _ in range(n)]
+             for _ in range(n)]
+        reduced = [[fpoly.trim(c % 3 for c in e) for e in row] for row in M]
+        got = fpoly.det(M, 3)
+        assert got == fpoly.det(reduced, 3) and got == fpoly.trim(got), M
+        assert all(0 <= c < 3 for c in got), M
+
+
 def test_first_irreducible_is_the_lexicographic_first():
     for p, top in EXHAUSTIVE:
         for d in range(1, top + 1):

@@ -2,12 +2,13 @@
 
 import json
 import random
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
-from heckelab import hall
+from heckelab import hall, hecke
 from heckelab.bundles import BundleType, ClosedPoint, q_factor
 from heckelab.cli import main
 from heckelab.hall import (
@@ -157,6 +158,70 @@ def test_straighten_returns_bundle_classes_with_run_factors():
     word = (0, 0, 1, 1, 1)
     assert _straighten(word) == ((B(*word), q_factorial(2) * q_factorial(3)),)
     assert _straighten((0, 1)) == ((B(0, 1), ONE),)
+
+
+@lru_cache(maxsize=None)
+def reference_straighten(word):
+    """The straightening on QPoly arithmetic: each replacement coefficient
+    is a QPoly, and every sub-result is multiplied and added as one."""
+    for j in range(len(word) - 2, -1, -1):
+        if word[j] > word[j + 1]:
+            break
+    else:
+        E = BundleType(word)
+        coeff = ONE
+        for _, length in E.grouped():
+            if length > 1:
+                coeff = coeff * q_factorial(length)
+        return ((E, coeff),)
+    hi, lo = word[j], word[j + 1]
+    pre, suf = word[:j], word[j + 2 :]
+    gap = hi - lo
+    replacements = [((lo, hi), QPoly.monomial(gap + 1))]
+    inner = QPoly.monomial(gap - 1)
+    for i in range(1, gap // 2 + 1):
+        a, b = lo + i, hi - i
+        if a < b:
+            replacements.append(((a, b), QPoly((-1, 0, 1)) * inner))
+        else:
+            replacements.append(((a, a), QPoly((-1, 1)) * inner))
+    out = {}
+    for pair, coeff in replacements:
+        for E, c in reference_straighten(pre + pair + suf):
+            out[E] = out.get(E, QPoly(())) + coeff * c
+    return tuple(sorted((E, c) for E, c in out.items() if not c.is_zero()))
+
+
+def test_straighten_matches_the_qpoly_reference():
+    rng = random.Random(20261019)
+    words = []
+    for i in range(360):
+        # every other word draws from three letters, so runs are common
+        letters = range(-3, 6) if i % 2 else rng.sample(range(-3, 6), 3)
+        words.append(tuple(rng.choice(letters) for _ in range(rng.randint(1, 6))))
+    assert sum(len(set(w)) < len(w) for w in words) > 150
+    for word in words:
+        assert _straighten(word) == reference_straighten(word), word
+
+
+def test_a_cold_census_builds_few_qpolys(monkeypatch):
+    """The straightening and the K_x layers sum coefficients as int lists
+    and build one QPoly per class, so a cold rank-5 census stays well below
+    the construction count of per-term QPoly arithmetic (7,104)."""
+    built = [0]
+    init = QPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    _straighten.cache_clear()
+    _kx_layer.cache_clear()
+    monkeypatch.setattr(QPoly, "__init__", counting_init)
+    census = hecke.neighbors(B(0, 1, 2, 3, 4), 3, 2)
+    monkeypatch.undo()
+    assert sum(poly.evaluate(2) for poly in census.values()) == gaussian_binomial(3, 5).evaluate(8)
+    assert built[0] < 3500, built[0]
 
 
 def test_word_product_refuses_non_int_letters_on_a_warm_cache():

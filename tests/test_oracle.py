@@ -103,6 +103,7 @@ def test_enumerate_subspaces_budget():
     with pytest.raises(BudgetExceeded):
         check_subspace_budget(4, 2, 5, 1, budget=805)
     assert check_subspace_budget(3, 0, 2, 10**9) == 1  # only the whole fiber
+    assert check_subspace_budget(3, 3, 2, 10**9) == 1  # only the zero subspace
     with pytest.raises(BudgetExceeded):  # decided without forming 2^(10^9)
         check_subspace_budget(2, 1, 2, 10**9)
     with pytest.raises(ValueError):

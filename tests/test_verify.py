@@ -11,8 +11,10 @@ import random
 
 import pytest
 
-from heckelab import cli, hecke, oracle, verify
+from heckelab import cli, fpoly, hecke, oracle, verify
+from heckelab.bundles import ClosedPoint
 from heckelab.forms import FormVector
+from heckelab.oracle import Field, matrix_rank
 
 
 def _bump_census(brute_multiplicity):
@@ -122,3 +124,42 @@ def test_cli_verify_reports_a_failed_check(capsys, monkeypatch):
     assert doc["schema"] == "heckelab/1" and doc["command"] == "verify"
     assert [f["check"] for f in doc["failures"]] == ["smith-normal-form"]
     assert doc["failures"][0]["detail"].startswith("phi matrix SNF")
+
+
+def reference_random_modification_matrix(rng, field, n, r):
+    """The sampler without its rank prefilter: every draw pays a determinant."""
+    q0, d = field.q, field.d
+    pi = field.poly
+    max_deg = r * d + 1
+    target = (1,)
+    for _ in range(r):
+        target = fpoly.mul(target, pi, q0)
+    target = fpoly.monic(target, q0)
+    for _ in range(4000):
+        M = [
+            [
+                tuple(rng.randrange(q0) for _ in range(rng.randint(0, max_deg) + 1))
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        det = fpoly.det(M, q0)
+        if not det or fpoly.monic(det, q0) != target:
+            continue
+        reduced = [[field.reduce(e) for e in row] for row in M]
+        if matrix_rank(field, reduced) == n - r:
+            return M
+    raise RuntimeError("sampler failed to find a modification matrix")
+
+
+@pytest.mark.parametrize("case", verify._SNF_CASES + ((3, 2, 2, 1),))
+def test_the_rank_prefilter_keeps_every_draw_and_answer(case):
+    """Same matrices and the same rng state afterwards, so every later check
+    of a seeded run sees the same instances."""
+    q0, d, n, r = case
+    field = Field(ClosedPoint(q0, d, fpoly.first_irreducible(q0, d)))
+    for seed in range(40):
+        fast, slow = random.Random(seed), random.Random(seed)
+        got = verify.random_modification_matrix(fast, field, n, r)
+        assert got == reference_random_modification_matrix(slow, field, n, r), (case, seed)
+        assert fast.getstate() == slow.getstate(), (case, seed)
