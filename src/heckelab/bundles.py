@@ -158,7 +158,12 @@ def _q_factor_of_runs(runs: tuple) -> QRat:
 
 @lru_cache(maxsize=None)
 def gl_order(l: int, q0: int) -> int:
-    """#GL_l(F_{q0}) = prod_{i=0}^{l-1} (q0^l - q0^i)."""
+    """#GL_l(F_{q0}) = prod_{i=0}^{l-1} (q0^l - q0^i).
+
+    q0 must be a prime power: no field F_{q0} exists otherwise, and every
+    automorphism count, aut_order included, passes through here.
+    """
+    fpoly.prime_power(q0)
     out = 1
     for i in range(l):
         out *= q0**l - q0**i

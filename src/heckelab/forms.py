@@ -192,10 +192,10 @@ def hecke_matrix(space: TruncatedPBun, r: int) -> dict:
 def _kernel_of(rows, ncols, order):
     """Kernel basis of a sparse exact matrix, by elimination over Z.
 
-    rows are {column: int or Fraction} dicts over columns 0..ncols-1;
-    order[c] is the sort key of column c.  Each row is scaled by the lcm
-    of its denominators on entry, so every later number is an int.  Each
-    row in turn is reduced against the pivot rows found so far, oldest
+    rows are {column: nonzero int} dicts over columns 0..ncols-1, which
+    the elimination consumes; a Fraction entry raises TypeError in
+    math.gcd.  order[c] is the sort key of column c.  Each row in turn is
+    reduced against the pivot rows found so far, oldest
     pivot first: with pivot p of pivot row P and entry c of the row, the
     row becomes (p/g)*row - (c/g)*P, g = gcd(p, c).  If anything is left,
     it pivots on its nonzero column with the largest key and, divided by
@@ -212,8 +212,6 @@ def _kernel_of(rows, ncols, order):
     pivot_rows = []  # (pivot column, primitive int row whose pivot is > 0)
     found = {}  # pivot column -> index into pivot_rows
     for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         pending = [found[c] for c in row if c in found]
         heapq.heapify(pending)
         while pending:
@@ -304,14 +302,17 @@ def _eigen_system(query: EigenQuery):
 
     With lambda_r = a/b in lowest terms, the weight-r equation is scaled
     by b: its entries are b * multiplicity, and b * m_cc - a on the
-    diagonal."""
+    diagonal unless that is 0.  m_cc = 0 for 0 < r < n, so the diagonal
+    is left out exactly when lambda_r = 0: every entry is a nonzero int."""
     space, operators = _hecke_operators(query.n, query.D, query.x.q)
     rows = []
     for lam, operator in zip(query.lams, operators):
         a, b = lam.numerator, lam.denominator
         for i, entries in operator:
             eq = {j: b * m for j, m in entries}
-            eq[i] = eq.get(i, 0) - a
+            diagonal = eq.pop(i, 0) - a
+            if diagonal:
+                eq[i] = diagonal
             rows.append(eq)
     return space, rows
 

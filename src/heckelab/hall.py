@@ -21,12 +21,13 @@ the coefficient of [E] in K_x^r * [E'].
 Coefficients are exact polynomials in an indeterminate q, so one
 computation covers every finite base field at once.  Every structure
 constant is a count, so a HallElement is a Z[q]-combination.  The only
-ratio is the normalization Q(E) of bundles.q_factor; `_normalized` applies
-it to a Z[q]-combination by one exact division per term, and a remainder
-would mean the engine is broken, so it raises HallIntegrityError.  The run
-factors prod_i [l_i]_q! are computed here with q_factorial, not read off
-Q(E): if both came from q_factor, a wrong Q(E) would multiply in and divide
-out again, and the exact division would no longer check it.  K_x^r *
+ratio is the normalization Q(E) = 1/prod_i [l_i]_q! of bundles.q_factor;
+`_normalized` applies it by dividing each term exactly by its denominator,
+and a remainder would mean the engine is broken, so it raises
+HallIntegrityError.  The run factors prod_i [l_i]_q! are computed here
+with q_factorial, not read off Q(E): if both came from q_factor, a wrong
+Q(E) would multiply in and divide out again, and the exact division would
+no longer check it.  K_x^r *
 [E] is derived twice, recursively and in closed form, as a table from
 (word, torsion left) to the exponent e of a single monomial q^e, in int
 arithmetic only.  The expansion is cached one torsion layer at a time:
@@ -204,33 +205,32 @@ def word_product(degrees) -> HallElement:
     return HallElement({HallTerm(E, 0): c for E, c in _straighten(word)})
 
 
-def _normalized(coeffs: dict, factor) -> HallElement:
-    """The Z[q]-combination coeffs times factor, a product of Q(E)s.
+def _normalized(coeffs: dict, den: QPoly) -> HallElement:
+    """The Z[q]-combination coeffs times 1/den, a product of Q(E)s.
 
-    Q(E) = 1/prod_i [l_i]_q!, so factor's numerator is 1 and each
-    coefficient is only divided, exactly, by its denominator (a numerator
-    other than 1 would multiply in first); a remainder means a count that
-    is not in Z[q], so the engine is broken.
+    Each Q(E) = 1/prod_i [l_i]_q! has numerator 1, so each coefficient is
+    only divided, exactly, by den; a remainder means a count that is not
+    in Z[q], so the engine is broken.
     """
-    num, den = factor.num, factor.den
-    if den.coeffs == (1,) and num.coeffs == (1,):  # no repeated degree
+    if den.coeffs == (1,):  # no repeated degree
         return HallElement(coeffs)
     out = {}
     for term, c in coeffs.items():
         try:
-            out[term] = (c if num.coeffs == (1,) else c * num) // den
+            out[term] = c // den
         except ValueError:
             raise HallIntegrityError(
                 f"coefficient {c.pretty()} of [{term.pretty()}] times "
-                f"{factor.pretty()} is not in Z[q]"
+                f"(1)/({den.pretty()}) is not in Z[q]"
             ) from None
     return HallElement(out)
 
 
 def bundle_product(F: BundleType, G: BundleType) -> HallElement:
-    """[F] * [G]: the word product of both degree lists, normalized by Q(F)*Q(G)."""
+    """[F] * [G]: the word product of both degree lists, divided by the
+    denominators of Q(F) and Q(G)."""
     word = word_product(F.degrees + G.degrees)
-    return _normalized(word.terms, q_factor(F) * q_factor(G))
+    return _normalized(word.terms, q_factor(F).den * q_factor(G).den)
 
 
 def _kx_recursive_table(r: int, E: BundleType, d: int) -> dict:
@@ -287,7 +287,7 @@ def _kx_layer(r: int, E: BundleType, d: int, method: str, s: int) -> HallElement
 
     Straightens only the table's words in layer s; q^e * c is c's
     coefficients shifted by e, added into one int list per term.  Each
-    list becomes one QPoly, normalized by Q(E).
+    list becomes one QPoly, divided by the denominator of Q(E).
     """
     sums: dict[HallTerm, list] = {}
     for (word, left), e in _KX_TABLES[method](r, E, d).items():
@@ -295,7 +295,7 @@ def _kx_layer(r: int, E: BundleType, d: int, method: str, s: int) -> HallElement
             continue
         for B, wc in _straighten(word):
             _add_shifted(sums.setdefault(HallTerm(B, s), []), wc.coeffs, e)
-    return _normalized({term: QPoly(acc) for term, acc in sums.items()}, q_factor(E))
+    return _normalized({term: QPoly(acc) for term, acc in sums.items()}, q_factor(E).den)
 
 
 def kx_times(r: int, E: BundleType, d: int, method: str = "recursive") -> HallElement:

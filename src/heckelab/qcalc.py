@@ -8,13 +8,12 @@ converts nothing, so a Fraction or a float can never be silently truncated,
 and it trims trailing zeros.
 
 A QRat is the normalization Q(E) of bundles.q_factor as a reduced ratio
-num/den of two QPolys, which the Hall engine applies by exact division.
-It is not a field: it compares and multiplies (Q(F)*Q(G)), and nothing
-adds, subtracts or divides QRats.  Canonical form: gcd(num, den) = 1 in
-Z[q] (including integer content) and the leading coefficient of den is
-positive, so equality of values is equality of representations.  gcd in
-Z[q] is computed by the content / primitive-part splitting with a
-pseudo-remainder Euclidean loop.
+num/den of two QPolys.  It has no arithmetic: Q(E) = 1/prod_i [l_i]_q!
+has numerator 1, so the Hall engine applies it by dividing its Z[q]
+counts exactly by den.  Canonical form: gcd(num, den) = 1 in Z[q]
+(including integer content) and the leading coefficient of den is
+positive.  gcd in Z[q] is computed by the content / primitive-part
+splitting with a pseudo-remainder Euclidean loop.
 
 The Grassmannian point count #Gr(k,n)(F_q) is the Gaussian binomial
     [n choose k]_q = prod_{i=0}^{k-1} (q^{n-i} - 1) / (q^{k-i} - 1),
@@ -23,7 +22,6 @@ an exact polynomial division since the denominator product is monic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
 
@@ -254,7 +252,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 
 
 class QRat:
-    """Q(E) as a reduced ratio of QPolys: canonical form, == and * only."""
+    """Q(E) as a reduced ratio of QPolys, in canonical form; no arithmetic."""
 
     __slots__ = ("num", "den")
 
@@ -279,28 +277,6 @@ class QRat:
 
     def __setattr__(self, name, value):
         raise AttributeError("QRat is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, (int, QPoly)):
-            other = QRat(other)
-        if not isinstance(other, QRat):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QPoly)):
-            other = QRat(other)
-        if not isinstance(other, QRat):
-            return NotImplemented
-        return QRat(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, q0) -> Fraction:
-        d = self.den.evaluate(q0)
-        if d == 0:
-            raise ZeroDivisionError(f"pole of {self} at q={q0}")
-        return Fraction(self.num.evaluate(q0), d)
 
     def pretty(self) -> str:
         if self.den == ONE:

@@ -102,15 +102,32 @@ def test_hecke_matrix_weight_bounds():
         hecke_matrix(sp, 2)
 
 
+def int_rows(rows, scale=1):
+    """Fresh {column: nonzero int} rows, as _kernel_of takes them: each
+    row times scale and the lcm of its denominators, zeros dropped."""
+    out = []
+    for row in rows:
+        den = scale * lcm(*(Fraction(v).denominator for v in row.values()))
+        out.append({j: int(v * den) for j, v in row.items() if v})
+    return out
+
+
 def test_kernel_of_simple_matrices():
     one = Fraction(1)
-    assert _kernel_of([{0: one}, {1: one}], 2, range(2)) == []
+    assert _kernel_of(int_rows([{0: one}, {1: one}]), 2, range(2)) == []
     # x + y = 0 pivots on y, so the kernel vector is 1 at x: (1, -1)
-    assert _kernel_of([{0: one, 1: one}], 2, range(2)) == [([1, -1], 1)]
+    assert _kernel_of(int_rows([{0: one, 1: one}]), 2, range(2)) == [([1, -1], 1)]
     # 2x = 3y over Z: the kernel vector (1, 2/3) comes over denominator 3
     assert _kernel_of([{0: 2, 1: -3}], 2, range(2)) == [([3, 2], 3)]
     # zero matrix: full kernel
-    assert len(_kernel_of([{0: Fraction(0), 1: Fraction(0)}], 2, range(2))) == 2
+    assert len(_kernel_of(int_rows([{0: Fraction(0), 1: Fraction(0)}]), 2, range(2))) == 2
+
+
+def test_kernel_of_refuses_a_fraction_entry():
+    with pytest.raises(TypeError):
+        _kernel_of([{0: Fraction(1, 2), 1: 1}], 2, range(2))
+    with pytest.raises(TypeError):
+        _kernel_of([{1: 2}, {0: 1, 1: Fraction(1, 3)}], 2, range(2))
 
 
 def fraction_kernel_of(rows, ncols, order):
@@ -261,15 +278,6 @@ def as_dict_rows(rows):
     return [{j: v for j, v in enumerate(row) if v} for row in rows]
 
 
-def as_int_rows(rows):
-    """The dict rows with every integral entry as an int, as _eigen_system
-    builds them."""
-    return [
-        {j: v.numerator if v.denominator == 1 else v for j, v in row.items()}
-        for row in as_dict_rows(rows)
-    ]
-
-
 def test_kernel_of_matches_dense_reference():
     rng = random.Random(20261018)
     cases = [[[Fraction(0)] * 4 for _ in range(3)]]  # the zero matrix
@@ -285,9 +293,10 @@ def test_kernel_of_matches_dense_reference():
         shuffled = list(range(ncols))
         rng.shuffle(shuffled)
         for order in (range(ncols), shuffled):
-            got = as_fractions(_kernel_of(as_dict_rows(rows), ncols, order))
+            got = as_fractions(_kernel_of(int_rows(as_dict_rows(rows)), ncols, order))
             assert got == fraction_kernel_of(as_dict_rows(rows), ncols, order)
-            assert as_fractions(_kernel_of(as_int_rows(rows), ncols, order)) == got
+            # scaling a row, sign included, changes no pivot and no vector
+            assert as_fractions(_kernel_of(int_rows(as_dict_rows(rows), -6), ncols, order)) == got
             assert len(got) == len(ref)
             for v in got:  # each vector solves every row
                 assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
@@ -303,7 +312,7 @@ def test_kernel_of_matches_dense_reference():
         shuffled = list(range(ncols))
         rng.shuffle(shuffled)
         for order in (range(ncols), shuffled):
-            got = _kernel_of(rows, ncols, order)
+            got = _kernel_of(int_rows(rows), ncols, order)
             assert as_fractions(got) == fraction_kernel_of(rows, ncols, order)
             assert all(den > 0 for _, den in got)
             assert len(got) == nullity
@@ -353,8 +362,35 @@ def solve_outcome(query):
     return f.nullity, f.space, f.values
 
 
+#: eigenvalue tuples with a zero, whose diagonal entries cancel to 0
+ZERO_LAMBDAS = [[0], [0, 3], [3, 0], [0, 0], [0, 2, 0]]
+
+
+def zero_lambda_queries():
+    """Each ZERO_LAMBDAS tuple at q = 2, 3 and 4."""
+    return [
+        EigenQuery(lams, ClosedPoint(q0, 1), {2: 8, 3: 4, 4: 3}[len(lams) + 1])
+        for lams in ZERO_LAMBDAS
+        for q0 in (2, 3, 4)
+    ]
+
+
+def test_eigen_system_rows_hold_nonzero_ints():
+    rng = random.Random(20261019)
+    queries = zero_lambda_queries()
+    for n, D in ((2, 8), (3, 4), (4, 3)):
+        lams = [Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(n - 1)]
+        queries.append(EigenQuery(lams, X1_Q3, D))
+    for query in queries:
+        space, rows = _eigen_system(query)
+        assert len(rows) == (query.n - 1) * len(space.classes)
+        for row in rows:
+            assert row and all(type(v) is int and v for v in row.values()), query.lams
+
+
 def test_eigenform_solve_matches_the_fraction_reference(monkeypatch):
-    """50 seeded queries drawn as the eigen benchmark draws them."""
+    """50 seeded queries drawn as the eigen benchmark draws them, and the
+    zero-eigenvalue queries."""
     strata = [(2, D) for D in range(8, 25)] + [(3, D) for D in range(3, 8)]
     strata += [(4, D) for D in range(2, 5)]
     rng = random.Random(20261018)
@@ -363,6 +399,7 @@ def test_eigenform_solve_matches_the_fraction_reference(monkeypatch):
         n, D = rng.choice(strata)
         lams = [Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(n - 1)]
         queries.append(EigenQuery(lams, ClosedPoint(rng.choice((2, 3, 5)), 1), D))
+    queries += zero_lambda_queries()
     got = [solve_outcome(query) for query in queries]
     monkeypatch.setattr(forms, "_eigen_system", reference_eigen_system)
     monkeypatch.setattr(forms, "_kernel_of", reference_kernel_of)
@@ -542,7 +579,9 @@ def test_extension_mass_identity_grid():
 def reference_middle_distribution(F, G, q0):
     """The counts evaluated first: word_product(F + G) and Q(F) * Q(G)
     each taken at q0, with no product of rational functions."""
-    scale = (q_factor(F) * q_factor(G)).evaluate(q0)
+    scale = Fraction(1)
+    for factor in (q_factor(F), q_factor(G)):
+        scale *= Fraction(factor.num.evaluate(q0), factor.den.evaluate(q0))
     scale *= aut_order(F, q0) * aut_order(G, q0) * q0 ** hom_dim(F, G)
     out = {}
     for term, coeff in word_product(F.degrees + G.degrees).items():
@@ -566,6 +605,19 @@ def test_extension_middles_conserve_type():
     dist = extension_middle_distribution(B(0, 2), B(1), 3)
     for mid in dist:
         assert mid.rank == 3 and mid.degree == 3
+
+
+@pytest.mark.parametrize("q0", [6, 1, 0])
+def test_counts_refuse_a_field_that_does_not_exist(q0):
+    f = eigenform_solve(EigenQuery([Fraction(5)], X1, 4))
+    calls = [
+        lambda: aut_order(B(0, 0), q0),
+        lambda: extension_middle_distribution(B(2), B(0), q0),
+        lambda: cusp_defect(f, 1, 1, f.space, q0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^q must be a prime power, got {q0}$"):
+            call()
 
 
 def test_cusp_defect_of_eigenform_is_nonzero():

@@ -264,7 +264,8 @@ def test_kx_closed_equals_recursive():
 
 def reference_kx(r, E, d):
     """K_x^r * [E] as {term: QRat}: a QPoly coefficient per state, the
-    states summed in Z[q] and each sum times Q(E) once."""
+    states summed in Z[q] and each sum times Q(E) once, as a gcd-reduced
+    ratio that keeps Q(E)'s numerator."""
     states = {((), r): ONE}
     for m in E.degrees:
         nxt = {}
@@ -280,7 +281,8 @@ def reference_kx(r, E, d):
         for term, wc in word_product(w).items():
             key = HallTerm(term.bundle, s)
             out[key] = out.get(key, QPoly(())) + wc * c
-    return {term: QRat(c) * q_factor(E) for term, c in out.items() if c}
+    factor = q_factor(E)
+    return {term: QRat(c * factor.num, factor.den) for term, c in out.items() if c}
 
 
 def assert_matches_rational(got, want, context):
@@ -323,13 +325,14 @@ def test_hall_multiplicity_is_the_torsion_free_coefficient_of_kx_times():
 
 
 def test_bundle_product_matches_the_rational_reference():
-    # the word product times Q(F)*Q(G) as QRats, against exact division in Z[q]
+    # the word product times Q(F)*Q(G) as gcd-reduced QRats, numerators
+    # included, against exact division in Z[q]
     rng = random.Random(20261019)
     for _ in range(200):
         F, G = (BundleType(rng.randint(-1, 2) for _ in range(rng.randint(1, 3))) for _ in "FG")
-        factor = q_factor(F) * q_factor(G)
+        QF, QG = q_factor(F), q_factor(G)
         word = word_product(F.degrees + G.degrees)
-        want = {term: QRat(c) * factor for term, c in word.items()}
+        want = {term: QRat(c * QF.num * QG.num, QF.den * QG.den) for term, c in word.items()}
         assert_matches_rational(bundle_product(F, G), want, (F, G))
 
 

@@ -201,6 +201,21 @@ def test_qpoly_has_one_construction_path():
     assert decorators == {"staticmethod", "property"}
 
 
+def test_qrat_has_no_arithmetic():
+    # Q(E) is applied by exact division by its denominator, so the Hall
+    # engine cannot grow rational arithmetic again
+    cls = class_node("qcalc", "QRat")
+    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    names |= {
+        target.id
+        for node in cls.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    assert names == {"__slots__", "__init__", "__setattr__", "pretty", "__repr__"}
+
+
 CACHE_DECORATORS = {"lru_cache", "cache"}
 
 

@@ -119,44 +119,48 @@ def test_qpoly_divmod_recovers_quotient_and_remainder():
         (Q**3 + 1) // (Q + 2)
 
 
-def test_qrat_examples():
-    inv = QRat(ONE, Q + 1)
-    assert inv * QRat(Q + 1) == QRat(1)
-    assert QRat(Q**2 - 1) * QRat(ONE, Q - 1) == QRat(Q + 1)
-    a = QRat(Q - 1, Q**2 - 1)
-    b = QRat(Q - 1, Q - 1)
-    assert a * b == QRat(ONE, Q + 1)
+def rat(num, den=ONE):
+    """The canonical form of num/den as QRat builds it: (num, den)."""
+    r = QRat(num, den)
+    return r.num, r.den
 
 
 def test_qrat_canonical_form():
     r = QRat(QPoly((2, 2)), QPoly((0, 2)))  # (2q+2)/(2q)
     assert r.num == Q + 1 and r.den == Q
-    s = QRat(-(Q + 1), -(Q**2))
-    assert s.den.leading() > 0 and s == r * QRat(ONE, Q)
+    assert rat(-(Q + 1), -(Q**2)) == (Q + 1, Q**2)  # den's leading coefficient > 0
+    assert rat(Q + 1, Q + 1) == (ONE, ONE)
+    assert rat(Q**2 - 1, Q - 1) == (Q + 1, ONE)
+    assert rat(Q - 1, Q**2 - 1) == (ONE, Q + 1)
+    assert rat((Q - 1) * (Q - 1), (Q**2 - 1) * (Q - 1)) == (ONE, Q + 1)
     with pytest.raises(ZeroDivisionError):
         QRat(ONE, ZERO)
 
 
-def test_qrat_product_laws_randomized():
+def test_qrat_reduction_randomized():
+    """p*h / d*h reduces to the form of p/d: coprime, den leading > 0, and
+    the same value at every q0 where d does not vanish."""
     rng = random.Random(20240817)
 
     def rand_poly():
         return QPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))])
 
-    def rand_rat():
-        den = ZERO
-        while den.is_zero():
-            den = rand_poly()
-        return QRat(rand_poly(), den)
+    def rand_nonzero():
+        p = ZERO
+        while p.is_zero():
+            p = rand_poly()
+        return p
 
     for _ in range(60):
-        a, b, c = rand_rat(), rand_rat(), rand_rat()
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * 1 == 1 * a == a
-        assert a * b.num == a * QRat(b.num)
-        for q0 in (5, 7):  # an integer root of a den divides a coefficient in [-4, 4]
-            assert (a * b).evaluate(q0) == a.evaluate(q0) * b.evaluate(q0)
+        p, d, h = rand_poly(), rand_nonzero(), rand_nonzero()
+        num, den = rat(p, d)
+        assert rat(p * h, d * h) == (num, den)
+        assert rat(num, den) == (num, den)
+        assert den.leading() > 0 and poly_gcd(num, den) == ONE
+        for q0 in (5, 7):  # an integer root of d divides a coefficient in [-4, 4]
+            assert Fraction(num.evaluate(q0), den.evaluate(q0)) == Fraction(
+                p.evaluate(q0), d.evaluate(q0)
+            )
 
 
 def test_qrat_denominator_one_is_canonical():
@@ -173,7 +177,6 @@ def test_qrat_denominator_one_is_canonical():
             continue
         scaled = QRat(p * h, h)
         for r in (QRat(p), QRat(p, 1), QRat(p, ONE)):
-            assert r == scaled
             assert (r.num, r.den) == (scaled.num, scaled.den)
 
 
@@ -249,6 +252,3 @@ def test_evaluate():
     assert (Q + 1).evaluate(4) == 5
     assert ZERO.evaluate(17) == 0
     assert gaussian_binomial(1, 3).evaluate(2) == 7
-    assert QRat(ONE, Q + 1).evaluate(2) == Fraction(1, 3)
-    with pytest.raises(ZeroDivisionError):
-        QRat(ONE, Q - 2).evaluate(2)
