@@ -125,14 +125,19 @@ def rat(num, den=ONE):
     return r.num, r.den
 
 
+def test_qrat_examples():
+    # the products 1/(q+1) * (q+1), (q^2-1) * 1/(q-1) and
+    # (q-1)/(q^2-1) * (q-1)/(q-1), written as one fraction each
+    assert rat(ONE * (Q + 1), (Q + 1) * ONE) == (ONE, ONE)
+    assert rat((Q**2 - 1) * ONE, ONE * (Q - 1)) == (Q + 1, ONE)
+    assert rat(Q - 1, Q**2 - 1) == (ONE, Q + 1)
+    assert rat((Q - 1) * (Q - 1), (Q**2 - 1) * (Q - 1)) == (ONE, Q + 1)
+
+
 def test_qrat_canonical_form():
     r = QRat(QPoly((2, 2)), QPoly((0, 2)))  # (2q+2)/(2q)
     assert r.num == Q + 1 and r.den == Q
     assert rat(-(Q + 1), -(Q**2)) == (Q + 1, Q**2)  # den's leading coefficient > 0
-    assert rat(Q + 1, Q + 1) == (ONE, ONE)
-    assert rat(Q**2 - 1, Q - 1) == (Q + 1, ONE)
-    assert rat(Q - 1, Q**2 - 1) == (ONE, Q + 1)
-    assert rat((Q - 1) * (Q - 1), (Q**2 - 1) * (Q - 1)) == (ONE, Q + 1)
     with pytest.raises(ZeroDivisionError):
         QRat(ONE, ZERO)
 
