@@ -75,6 +75,30 @@ CORPUS = [
     "forms eigen --n 3 --q 2 --lambda 3,5 --depth 24",
     "forms eigen --n 4 --q 2 --lambda 3,5,7 --depth 8 + json",
     "forms cusp --n 3 --q 2 --lambda 3,5 --depth 5 --n1 2 + json",
+    # larger truncations; cusp at n=3 stops at D=30 (D=40 alone takes ~4 s)
+    "forms eigen --n 3 --q 2 --lambda 3,5 --depth 40",
+    "forms cusp --n 3 --q 2 --lambda 3,5 --depth 30",
+    "forms eigen --n 4 --q 2 --lambda 3,5,7 --depth 12 + json",
+    "forms cusp --n 4 --q 2 --lambda 3,5,7 --depth 12",
+    # the rank-2 table in every regime of the gap g: g = d and g > d,
+    # g = 0 at even and odd d, 0 < g < d with d + g even and odd
+    "hecke neighbors --bundle 0,2 --point-degree 2 --weight 1 --q 4 + json",
+    "hecke neighbors --bundle 0,5 --point-degree 3 --weight 1",
+    "hecke neighbors --bundle 0,0 --point-degree 4 --weight 1 --q 9 + json",
+    "hecke neighbors --bundle 1,1 --point-degree 3 --weight 1 --q 4",
+    "hecke neighbors --bundle 0,2 --point-degree 4 --weight 1",
+    "hecke neighbors --bundle 0,2 --point-degree 5 --weight 1 --q 9",
+    "hecke neighbors --bundle 0,1 --point-degree 6 --weight 1 --cross-check on",
+    "hecke mult --bundle 0,0 --target=-3,0 --point-degree 3 --weight 1 + json",
+    "hecke mult --bundle 0,3 --target=-1,1 --point-degree 3 --weight 1",
+    # spaced degrees and balanced bundles at d = 2, 3, and a spaced split
+    # with a balanced half
+    "hecke neighbors --bundle 0,2,4 --point-degree 2 --weight 1 --q 4 + json",
+    "hecke neighbors --bundle 0,3,7 --point-degree 3 --weight 2 --q 9",
+    "hecke neighbors --bundle 0,0,0 --point-degree 2 --weight 2 --q 4",
+    "hecke neighbors --bundle 1,1,1,1 --point-degree 3 --weight 2 --q 9 + json",
+    "hecke neighbors --bundle 0,0,3 --point-degree 2 --weight 1 + json",
+    "hecke mult --bundle 0,0,0 --target=-3,-3,0 --point-degree 3 --weight 2 --q 4",
     # exit 2: usage and domain errors
     "gr --k 1 --n 2 --q 6",
     "oracle census --bundle 0,0 --q 4 --point-degree 1 --weight 1",
