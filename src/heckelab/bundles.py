@@ -187,6 +187,9 @@ def aut_order(E: BundleType, q0: int) -> int:
     times the unipotent part q0^(dim Hom from lower to higher blocks), with
     dim Hom(O(a), O(b)) = b - a + 1 for a <= b.
     """
+    # checked before gl_order's cache, where 2.0 is the same key as 2
+    if type(q0) is not int:
+        raise TypeError(f"q must be an int, got {q0!r}")
     groups = E.grouped()
     out = 1
     for _, l in groups:

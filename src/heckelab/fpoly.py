@@ -223,8 +223,11 @@ def is_prime(n: int) -> bool:
 
     Every answer is exact: a witness proves n composite, and below
     MR_EXACT_BOUND no composite passes all thirteen bases.  A larger n
-    that passes them cannot be certified and raises ValueError.
+    that passes them cannot be certified and raises ValueError.  Any n
+    that is not an int, bool included, raises TypeError.
     """
+    if type(n) is not int:
+        raise TypeError(f"is_prime needs an int, got {n!r}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -269,8 +272,10 @@ def prime_power(q: int) -> tuple[int, int]:
 
     Tries the exponents from the largest down: the first exact e-th root
     that is prime is p.  A base that is_prime cannot certify raises its
-    ValueError.
+    ValueError; a q that is not an int, bool included, raises TypeError.
     """
+    if type(q) is not int:
+        raise TypeError(f"q must be an int, got {q!r}")
     for e in range(max(q.bit_length(), 1), 0, -1):
         p = _iroot(q, e)
         if p >= 2 and p**e == q and is_prime(p):

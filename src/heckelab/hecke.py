@@ -3,10 +3,10 @@
 A weight-r modification of E at a point x of degree d drops each component
 degree by some epsilon_i between 0 and d with total drop r*d.  Existence
 and multiplicity both dispatch through a chain of closed-form criteria
-(rank-2 table, degree-one points, spaced degrees, balanced bundles,
-factorization across large gaps) and fall back to the Hall engine when no
-formula applies.  Multiplicities are polynomials in q: one computation
-answers the question over every finite base field.
+(rank-2 table, one block product for degree-one points, spaced degrees and
+balanced bundles, factorization across large gaps) and fall back to the
+Hall engine when no formula applies.  Multiplicities are polynomials in q:
+one computation answers the question over every finite base field.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from itertools import product
 
 from .bundles import BundleType, ClosedPoint
-from .deltas import DeltaVec, weight
 from .hall import HallIntegrityError, hall_multiplicity
 from .qcalc import ONE, ZERO, QPoly, gaussian_binomial
 
@@ -109,11 +108,13 @@ def exists_modification(query: ModificationQuery) -> bool:
 
 
 def _rank2_table(dp: tuple, dd: tuple, d: int) -> QPoly:
-    """Weight-1 multiplicity for rank 2 from the five-case table.
+    """Weight-1 multiplicity for rank 2 from the table in two regimes.
 
-    g = d2 - d1 is the degree gap of E.  In the middle case (0 < g < d)
-    the interior entries are (q^2-1) q^{g+2i-1}; together with q^{g+1} and
-    1 they telescope to the total mass q^d + 1.
+    g = d2 - d1 is the degree gap of E.  For g >= d only the two split
+    targets occur.  For 0 <= g < d the targets are the corners, with
+    q^{g+1} and 1, the balanced pair (when d + g is even) and the interior
+    entries (q^2-1) q^{g+2i-1}; together they telescope to the total mass
+    q^d + 1.  At g = 0 the two corners are one type, whose count is q + 1.
     """
     d1, d2 = dd
     a, b = dp
@@ -124,50 +125,41 @@ def _rank2_table(dp: tuple, dd: tuple, d: int) -> QPoly:
         if (a, b) == (d1 - d, d2):
             return ONE
         return ZERO
-    if g == 0:
-        if d % 2 == 0 and (a, b) == (d1 - d // 2, d1 - d // 2):
-            return QPoly.monomial(d) - QPoly.monomial(d - 1)
-        if (a, b) == (d1 - d, d1):
-            return QPoly((1, 1))  # q+1
-        i = d1 - b
-        if 1 <= i <= (d - 1) // 2 and a == d1 - d + i:
-            return QPoly.monomial(2 * i + 1) - QPoly.monomial(2 * i - 1)
-        return ZERO
-    # 0 < g < d
-    if (d + g) % 2 == 0 and (a, b) == ((d1 + d2 - d) // 2, (d1 + d2 - d) // 2):
+    if (d + g) % 2 == 0 and a == b == (d1 + d2 - d) // 2:
         return QPoly.monomial(d) - QPoly.monomial(d - 1)
-    if (a, b) == (d2 - d, d1):
-        return QPoly.monomial(g + 1)
-    if (a, b) == (d1 - d, d2):
-        return ONE
     i = d1 - b
-    ell = (d - g - 1) // 2
-    if 1 <= i <= ell and a == d2 - d + i:
+    if 1 <= i <= (d - g - 1) // 2 and a == d2 - d + i:
         return QPoly.monomial(g + 2 * i + 1) - QPoly.monomial(g + 2 * i - 1)
-    return ZERO
+    out = ZERO
+    if (a, b) == (d2 - d, d1):
+        out = QPoly.monomial(g + 1)
+    if (a, b) == (d1 - d, d2):
+        out = out + ONE
+    return out
 
 
-def _deg1_multiplicity(dp: tuple, dd: tuple, r: int) -> QPoly:
-    """Any weight at a rational point: q^alpha times a Grassmannian product.
+def _block_multiplicity(dp: tuple, dd: tuple, d: int, r: int) -> QPoly:
+    """q^(d alpha) times a Grassmannian product, when every drop is 0 or d.
 
-    With E grouped into blocks of equal degree b_j of sizes l_j, and
-    theta_j components dropped from block j, the count is
-    q^alpha prod_j #Gr(theta_j, l_j) where
+    With E grouped into blocks of equal degree of sizes l_j, and theta_j
+    components dropped (by d) from block j, the count is
+    q^(d alpha) prod_j #Gr(theta_j, l_j) where
     alpha = sum_j (l_j - theta_j) (r - theta_1 - ... - theta_j).
+    At d = 1 this holds for every drop vector; for d > 1 it answers E with
+    every gap at least d (each l_j = 1) and balanced E (one block).
     """
-    eps = [a - b for a, b in zip(dd, dp)]
-    E = BundleType(dd)
     out = ONE
     alpha = 0
     consumed = 0
     start = 0
-    for _, length in E.grouped():
-        theta = sum(eps[start : start + length])
+    for _, length in BundleType(dd).grouped():
+        end = start + length
+        theta = (sum(dd[start:end]) - sum(dp[start:end])) // d
         consumed += theta
         alpha += (length - theta) * (r - consumed)
         out = out * gaussian_binomial(theta, length)
-        start += length
-    return QPoly.monomial(alpha) * out
+        start = end
+    return QPoly.monomial(d * alpha) * out
 
 
 def _multiplicity_core(dp: tuple, dd: tuple, d: int, r: int) -> tuple:
@@ -183,17 +175,13 @@ def _multiplicity_core(dp: tuple, dd: tuple, d: int, r: int) -> tuple:
     if n == 2:
         return _rank2_table(dp, dd, d), "rank2-table"
     if d == 1:
-        return _deg1_multiplicity(dp, dd, r), "deg1"
+        return _block_multiplicity(dp, dd, d, r), "deg1"
     eps = tuple(a - b for a, b in zip(dd, dp))
-    distinct = all(dd[i + 1] > dd[i] for i in range(n - 1))
-    spaced = all(dd[i + 1] - dd[i] >= d for i in range(n - 1))
-    if distinct and spaced and all(e in (0, d) for e in eps):
-        delta = DeltaVec([e // d for e in eps])
-        return QPoly.monomial(weight(delta) * d), "spaced"
-    if len(set(dd)) == 1:
-        lowered = tuple(sorted([dd[0] - d] * r + [dd[0]] * (n - r)))
-        if dp == lowered:
-            return gaussian_binomial(r, n), "grassmannian"
+    if all(e in (0, d) for e in eps):
+        if all(dd[i + 1] - dd[i] >= d for i in range(n - 1)):
+            return _block_multiplicity(dp, dd, d, r), "spaced"
+        if dd[0] == dd[-1]:
+            return _block_multiplicity(dp, dd, d, r), "grassmannian"
     for n1 in range(2, n):
         if dd[n1] - dd[n1 - 1] >= d:
             drop = sum(eps[:n1])

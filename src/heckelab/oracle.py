@@ -400,8 +400,8 @@ def smith_normal_form(M, q: int):
     diag entries are monic with alpha_i | alpha_{i+1}; L and R are products
     of elementary matrices, hence invertible over F_q[t].  Euclidean
     reduction: repeatedly move a minimal-degree entry to the pivot and
-    reduce its row and column by division with remainder.  Every
-    coefficient must be an int, bool refused; anything else raises
+    reduce its row and column by division with remainder.  q and every
+    coefficient must be ints, bool refused; anything else raises
     TypeError and nothing is converted.  An empty or non-square matrix
     raises ValueError.
     """

@@ -75,9 +75,8 @@ CORPUS = [
     "forms eigen --n 3 --q 2 --lambda 3,5 --depth 24",
     "forms eigen --n 4 --q 2 --lambda 3,5,7 --depth 8 + json",
     "forms cusp --n 3 --q 2 --lambda 3,5 --depth 5 --n1 2 + json",
-    # larger truncations; cusp at n=3 stops at D=30 (D=40 alone takes ~4 s)
+    # larger truncations; cusp at n=3, D=40 alone takes about 4 s
     "forms eigen --n 3 --q 2 --lambda 3,5 --depth 40",
-    "forms cusp --n 3 --q 2 --lambda 3,5 --depth 30",
     "forms eigen --n 4 --q 2 --lambda 3,5,7 --depth 12 + json",
     "forms cusp --n 4 --q 2 --lambda 3,5,7 --depth 12",
     # the rank-2 table in every regime of the gap g: g = d and g > d,

@@ -71,6 +71,18 @@ def test_aut_order():
     assert aut_order(BundleType([0, 2]), 3) == 4 * 27
 
 
+def test_aut_order_refuses_a_q_that_is_not_an_int():
+    """2.0 hashes like 2, so after aut_order(O^2, 2) a float q used to hit
+    gl_order's cache and come back as the float 6.0."""
+    O2 = BundleType([0, 0])
+    gl_order.cache_clear()
+    for _ in range(2):  # cold, then with gl_order(2, 2) cached
+        for q0 in (2.0, True):
+            with pytest.raises(TypeError, match="q must be an int"):
+                aut_order(O2, q0)
+        assert aut_order(O2, 2) == 6
+
+
 def test_hom_ext_dims():
     O, O1, O2 = BundleType([0]), BundleType([1]), BundleType([2])
     assert hom_dim(O, O2) == 3 and hom_dim(O2, O) == 0

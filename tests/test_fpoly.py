@@ -236,6 +236,18 @@ def test_prime_power_matches_trial_division_below_1e5():
             assert fpoly.prime_power(q) == want, q
 
 
+def test_primality_refuses_a_number_that_is_not_an_int():
+    """prime_power(2.0) used to leak AttributeError, and is_prime(2.0) and
+    is_prime(7.0) said True."""
+    for _ in range(2):  # before and after the int answers
+        for n in (2.0, 7.0, True):
+            with pytest.raises(TypeError, match="must be an int"):
+                fpoly.prime_power(n)
+            with pytest.raises(TypeError, match="needs an int"):
+                fpoly.is_prime(n)
+        assert fpoly.prime_power(2) == (2, 1) and fpoly.is_prime(7)
+
+
 def test_primality_of_large_numbers():
     primes = [2**31 - 1, 10**9 + 7, 2**61 - 1, 2**64 - 59, 10**18 + 3, 2**79 - 67]
     for p in primes:

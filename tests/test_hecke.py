@@ -1,10 +1,11 @@
 """Existence dispatch, closed multiplicity formulas, neighbor censuses."""
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from heckelab.bundles import BundleType, ClosedPoint
+from heckelab.deltas import DeltaVec, weight
 from heckelab.hall import hall_multiplicity
 from heckelab.hecke import (
     ModificationQuery,
@@ -252,7 +253,7 @@ def test_dual_existence():
 
 def test_dispatch_coherence_rank2_at_d1():
     # rank-2 table and the rational-point formula must agree where both apply
-    from heckelab.hecke import _deg1_multiplicity, _rank2_table
+    from heckelab.hecke import _block_multiplicity, _rank2_table
 
     for E in small_bundles(2, 0, 3):
         for r in (1,):
@@ -260,7 +261,7 @@ def test_dispatch_coherence_rank2_at_d1():
                 if not exists_modification(query(E_prime, E, 1, r)):
                     continue
                 a = _rank2_table(E_prime.degrees, E.degrees, 1)
-                b = _deg1_multiplicity(E_prime.degrees, E.degrees, r)
+                b = _block_multiplicity(E_prime.degrees, E.degrees, 1, r)
                 assert a == b, (E_prime, E)
 
 
@@ -279,3 +280,119 @@ def test_hall_fallback_method():
     poly, method = multiplicity_detail(query(B(-1, 0, 0), B(0, 0, 1), 2, 1))
     assert method in ("hall", "spaced-split")
     assert poly == hall_multiplicity(B(-1, 0, 0), B(0, 0, 1), 2, 1)
+
+
+# The closed formulas as they stood before one block product replaced the
+# last three: the five-case rank-2 table, the degree-one product, the
+# delta-weight monomial for spaced degrees and the Gaussian binomial for
+# balanced bundles.  They are the references for the tests below.
+
+
+def reference_rank2_table(dp, dd, d):
+    d1, d2 = dd
+    a, b = dp
+    g = d2 - d1
+    if g >= d:
+        if (a, b) == tuple(sorted((d1, d2 - d))):
+            return QPoly.monomial(d)
+        if (a, b) == (d1 - d, d2):
+            return ONE
+        return ZERO
+    if g == 0:
+        if d % 2 == 0 and (a, b) == (d1 - d // 2, d1 - d // 2):
+            return QPoly.monomial(d) - QPoly.monomial(d - 1)
+        if (a, b) == (d1 - d, d1):
+            return QPoly((1, 1))  # q+1
+        i = d1 - b
+        if 1 <= i <= (d - 1) // 2 and a == d1 - d + i:
+            return QPoly.monomial(2 * i + 1) - QPoly.monomial(2 * i - 1)
+        return ZERO
+    # 0 < g < d
+    if (d + g) % 2 == 0 and (a, b) == ((d1 + d2 - d) // 2, (d1 + d2 - d) // 2):
+        return QPoly.monomial(d) - QPoly.monomial(d - 1)
+    if (a, b) == (d2 - d, d1):
+        return QPoly.monomial(g + 1)
+    if (a, b) == (d1 - d, d2):
+        return ONE
+    i = d1 - b
+    ell = (d - g - 1) // 2
+    if 1 <= i <= ell and a == d2 - d + i:
+        return QPoly.monomial(g + 2 * i + 1) - QPoly.monomial(g + 2 * i - 1)
+    return ZERO
+
+
+def reference_deg1_multiplicity(dp, dd, r):
+    eps = [a - b for a, b in zip(dd, dp)]
+    E = BundleType(dd)
+    out = ONE
+    alpha = 0
+    consumed = 0
+    start = 0
+    for _, length in E.grouped():
+        theta = sum(eps[start : start + length])
+        consumed += theta
+        alpha += (length - theta) * (r - consumed)
+        out = out * gaussian_binomial(theta, length)
+        start += length
+    return QPoly.monomial(alpha) * out
+
+
+def reference_block_dispatch(dp, dd, d, r):
+    """(poly, tag) from the deg1, spaced and grassmannian branches in
+    dispatch order, for rank >= 3 and 0 < r < rank; None past them."""
+    n = len(dd)
+    if d == 1:
+        return reference_deg1_multiplicity(dp, dd, r), "deg1"
+    eps = tuple(a - b for a, b in zip(dd, dp))
+    distinct = all(dd[i + 1] > dd[i] for i in range(n - 1))
+    spaced = all(dd[i + 1] - dd[i] >= d for i in range(n - 1))
+    if distinct and spaced and all(e in (0, d) for e in eps):
+        delta = DeltaVec([e // d for e in eps])
+        return QPoly.monomial(weight(delta) * d), "spaced"
+    if len(set(dd)) == 1:
+        lowered = tuple(sorted([dd[0] - d] * r + [dd[0]] * (n - r)))
+        if dp == lowered:
+            return gaussian_binomial(r, n), "grassmannian"
+    return None
+
+
+def test_rank2_table_matches_the_five_case_reference():
+    seen = 0
+    for d1 in range(-3, 6):
+        for d2 in range(d1, 14):
+            E = B(d1, d2)
+            for d in range(1, 9):
+                for E_prime in candidates(E, d, 1):
+                    poly, method = multiplicity_detail(query(E_prime, E, d, 1), cross_check=False)
+                    assert method in ("rank2-table", "nonexistent"), (E_prime, E, d)
+                    assert poly == reference_rank2_table(E_prime.degrees, E.degrees, d), (
+                        E_prime, E, d
+                    )
+                    seen += 1
+    assert seen == 4518
+
+
+def test_block_product_matches_the_deg1_spaced_and_grassmannian_references():
+    # only drops of 0 or d can reach a block branch, so the candidates are
+    # the subsets of components that drop by d; rank 5 leaves out the
+    # near-miss gap d - 1, whose candidates mostly go to the Hall engine
+    tags = {}
+    for d in range(1, 5):
+        for n in range(3, 6):
+            gap_choices = {0, d - 1, d, d + 1} if n < 5 else {0, d, d + 1}
+            for gaps in product(sorted(gap_choices), repeat=n - 1):
+                dd = (0,) + tuple(sum(gaps[:i]) for i in range(1, n))
+                E = BundleType(dd)
+                for r in range(1, n):
+                    for S in combinations(range(n), r):
+                        E_prime = B(*(b - d * (i in S) for i, b in enumerate(dd)))
+                        if not exists_modification(query(E_prime, E, d, r)):
+                            continue
+                        got = multiplicity_detail(query(E_prime, E, d, r), cross_check=False)
+                        want = reference_block_dispatch(E_prime.degrees, dd, d, r)
+                        if want is None:
+                            assert got[1] in ("spaced-split", "hall"), (E_prime, E, d, r)
+                        else:
+                            assert got == want, (E_prime, E, d, r)
+                        tags[got[1]] = tags.get(got[1], 0) + 1
+    assert min(tags[t] for t in ("deg1", "spaced", "grassmannian")) >= 20, tags

@@ -232,6 +232,15 @@ def test_snf_refuses_coefficients_that_are_not_ints(M, q):
         smith_normal_form(M, q)
 
 
+def test_snf_refuses_a_q_that_is_not_an_int():
+    """q = 2.0 used to pass the primality test and give diag [(1.0,)]."""
+    for _ in range(2):  # before and after the int answer
+        for q in (2.0, True):
+            with pytest.raises(TypeError, match="needs an int"):
+                smith_normal_form([[(1,)]], q)
+        assert smith_normal_form([[(1,)]], 2)[0] == [(1,)]
+
+
 def test_snf_random_matrices_verify():
     rng = random.Random(20240818)
     for q in (2, 3):
@@ -387,33 +396,36 @@ def reference_residual(W: FiberSubspace, v):
     return tuple(v[j] for j in range(len(v)) if j not in W.pivots)
 
 
-def reference_h0(E, W, k, residuals):
-    """dim_{F_q} {s in H^0(E(k)) : s(x) in W}, by a rank from scratch over
-    every section row.  The row of t^j e_i is its residual mod W in F_q
-    coordinates, found by reducing that vector by W's basis; residuals
-    memoizes it across the twists of one scan."""
+def reference_splitting_type(E, W, x, powers):
+    """The kernel type from h^0(E'(k)) = dim {s in H^0(E(k)) : s(x) in W}
+    at every twist k of the scan, with no drop profile.
+
+    h^0(E'(k)) is the number of section rows t^j e_i, j <= d_i + k, whose
+    residuals mod W in F_q coordinates are dependent.  The row sets grow
+    with k, so one echelon takes each twist's new rows, and its size is the
+    rank from scratch over every row so far.  powers maps j to t^j mod pi,
+    shared by every scan over one field.
+    """
     field = W.field
-    dims = [max(0, di + k + 1) for di in E.degrees]
-    rows = []
-    for i, dim in enumerate(dims):
-        for j in range(dim):
-            if (i, j) not in residuals:
-                v = [field.zero] * E.rank
-                v[i] = field.reduce((0,) * j + (1,))
-                residuals[i, j] = [c for e in reference_residual(W, v) for c in field.expand(e)]
-            rows.append(residuals[i, j])
-    return sum(dims) - fpoly.rank(rows, field.q)
-
-
-def reference_splitting_type(E, W, x):
-    lo = -(max(E.degrees) + x.d + 1)
+    lo = -(max(E.degrees) + x.d + 1)  # no component has a section yet
     hi = max(max(E.degrees), x.d - min(E.degrees))
-    residuals = {}
-    assert reference_h0(E, W, lo, residuals) == 0
+    echelon = {}
+    sections = 0
     degrees = []
     prev = prev_c = 0
     for k in range(lo + 1, hi + 1):
-        cur = reference_h0(E, W, k, residuals)
+        for i, j in enumerate(di + k for di in E.degrees):
+            if j < 0:
+                continue
+            if j not in powers:
+                powers[j] = field.reduce((0,) * j + (1,))
+            v = [field.zero] * E.rank
+            v[i] = powers[j]
+            fpoly.insert_row(
+                echelon, [c for e in reference_residual(W, v) for c in field.expand(e)], field.q
+            )
+            sections += 1
+        cur = sections - len(echelon)
         c = cur - prev
         degrees += [-k] * (c - prev_c)
         prev, prev_c = cur, c
@@ -439,10 +451,11 @@ def seeded_grid(seed=20261018, cap=500, draws=4):
 
 
 def test_splitting_type_matches_the_from_scratch_scan():
-    seen, ranks = 0, set()
+    seen, ranks, powers = 0, set(), {}
     for E, x, r in seeded_grid():
         for W in enumerate_subspaces(E.rank, r, Field(x)):
-            assert splitting_type(E, W) == reference_splitting_type(E, W, x), (E, x, W.basis)
+            want = reference_splitting_type(E, W, x, powers.setdefault(x, {}))
+            assert splitting_type(E, W) == want, (E, x, W.basis)
             seen += 1
         ranks.add((E.rank, r))
     assert seen >= 15000

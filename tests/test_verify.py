@@ -87,7 +87,7 @@ def _extra_middle(extension_middle_distribution):
 FAULTS = {
     "worked-example": (verify, "brute_multiplicity", _bump_census),
     "rank2-table": (hecke, "_rank2_table", _plus_one),
-    "deg1-classification": (hecke, "_deg1_multiplicity", _plus_one),
+    "deg1-classification": (hecke, "_block_multiplicity", _plus_one),
     "oracle-equivalence": (oracle, "splitting_type", _twisted_splitting_type),
     "weight-one-criterion": (verify, "exists_modification", _negated),
     "spaced-factorization": (verify, "hall_multiplicity", _plus_one),
