@@ -20,6 +20,39 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
+#: U*diag(1, 1, 1, pi, pi)*V over F_3[t], deg pi = 2, entries of degree <= 6,
+#: built from unitriangular factors as perfbench's oracle SNF ops are
+SNF_5X5_Q3 = (
+    "2,1,0,1|0,0,0,2|2,2,2,2,1|2,2,1,0,0,2|2,0,2,1;"
+    "1,1,0,1,2|0,1,2,0,2|0,1,1,0,0,2|1,1,1,0,2|0,1,1,1,2;"
+    "0,0,0,0,1|2,2,1,0,1|2,2,2,0,0,1|1,1,0,1|1;"
+    "2,0,1,0,0,2|1,2,1,1,2,2|2,0,0,2,2,2,2|0,0,0,1,2,2|1,1,1,0,0,2;"
+    "2,2,2,2|2,2,2|1,2,0,1|1,0,1|0,2,2,1,1"
+)
+
+#: U*diag(1, 1, 1, pi, pi, pi)*V over F_5[t], built the same way
+SNF_6X6_Q5 = (
+    "3,0,3,0,2|1,4,2,4,4|0,4,0,4,0,2|2,3,4,0,1,4|2,2,3,1,0,2|2,4,0,3,1,4;"
+    "2,1,4,0,3,4|1,2,3,2,1,3|2,4,1,1,1,4,4|3,2,4,4,3,2,3|3,1,4,1,2,2,4|1,3,3,1,1,0,3;"
+    "1,0,4,1,3,2|2,0,1,1,3,1|1,0,1,1,0,2,3|4,4,2,3,1,3,1|4,1,4,1,2,0,4|4,3,0,2,3,0,1;"
+    "2,2,3,3,0,1|3,1,2,3,1,2|0,1,0,1,4,0,1|4,0,3,4|4,4,1,4,1,3,4|2,4,1,4,4,3,2;"
+    "3,4,4,0,4,2|2,0,1,0,3,4|2,0,4,4,2,2,2|1,2,1,0,1,3,4|4,0,2,3,2,3,2|3,3,3,3,1,0,4;"
+    "2,2,3,0,0,4|0,1,2,4,1|1,4,2,0,3|0,4,0,4,1,0,1|0,1,0,4,3,1,2|2,3,3,0,0,2"
+)
+
+#: U*diag(1, 1, pi)*V over F_q[t] at the prime q = 4294967311 > 2^32
+SNF_3X3_Q_HUGE = (
+    "2650914791,1071293451,1053131418,3732543699,143765614,1837824122|"
+    "2130696441,4031050302,3150749263,3609827075,2009986402,3944165916,1307798338|"
+    "2442332561,3691708071,2156525691,1098160894,3879806447,1101750569,1398602747;"
+    "3244277273,486427046,4026329430,1057590587,1203188656|"
+    "3940537744,3784482073,1936229178,4196688586,3986857676,1827208524|"
+    "2077341270,3432817747,1141950410,2296586191,70052129,306742521;"
+    "2835920711,2035213202,2335469901,1868877091,208829118,1610279051|"
+    "859434807,3922148531,3044823472,3893015678,872049451,3001434982,1142389169|"
+    "2173798868,4098903959,8643910,4048915128,3784279167,269687427,851153150"
+)
+
 #: the README examples first, then the grid; "+ json" adds a --format json twin
 CORPUS = [
     "gr --k 1 --n 2 --q 4 + json",
@@ -98,6 +131,10 @@ CORPUS = [
     "hecke neighbors --bundle 1,1,1,1 --point-degree 3 --weight 2 --q 9 + json",
     "hecke neighbors --bundle 0,0,3 --point-degree 2 --weight 1 + json",
     "hecke mult --bundle 0,0,0 --target=-3,-3,0 --point-degree 3 --weight 2 --q 4",
+    # SNFs that pin L and R in their JSON twins: 5 x 5, 6 x 6 and a q above 2^32
+    f"oracle snf --matrix '{SNF_5X5_Q3}' --q 3 + json",
+    f"oracle snf --matrix '{SNF_6X6_Q5}' --q 5 + json",
+    f"oracle snf --matrix '{SNF_3X3_Q_HUGE}' --q 4294967311 + json",
     # exit 2: usage and domain errors
     "gr --k 1 --n 2 --q 6",
     "oracle census --bundle 0,0 --q 4 --point-degree 1 --weight 1",
