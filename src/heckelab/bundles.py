@@ -156,13 +156,23 @@ def _q_factor_of_runs(runs: tuple) -> QRat:
     return QRat(ONE, den)
 
 
-@lru_cache(maxsize=None)
 def gl_order(l: int, q0: int) -> int:
     """#GL_l(F_{q0}) = prod_{i=0}^{l-1} (q0^l - q0^i).
 
     q0 must be a prime power: no field F_{q0} exists otherwise, and every
-    automorphism count, aut_order included, passes through here.
+    automorphism count, aut_order included, passes through here.  l and q0
+    must be ints, bool refused: TypeError, cold or cached alike.
     """
+    # checked before the cache, where 2.0 and True are the same keys as 2 and 1
+    if type(l) is not int:
+        raise TypeError(f"l must be an int, got {l!r}")
+    if type(q0) is not int:
+        raise TypeError(f"q must be an int, got {q0!r}")
+    return _gl_order(l, q0)
+
+
+@lru_cache(maxsize=None)
+def _gl_order(l: int, q0: int) -> int:
     fpoly.prime_power(q0)
     out = 1
     for i in range(l):
@@ -187,10 +197,7 @@ def aut_order(E: BundleType, q0: int) -> int:
     times the unipotent part q0^(dim Hom from lower to higher blocks), with
     dim Hom(O(a), O(b)) = b - a + 1 for a <= b.
     """
-    # checked before gl_order's cache, where 2.0 is the same key as 2
-    if type(q0) is not int:
-        raise TypeError(f"q must be an int, got {q0!r}")
-    groups = E.grouped()
+    groups = E.grouped()  # never empty, so gl_order checks q0
     out = 1
     for _, l in groups:
         out *= gl_order(l, q0)

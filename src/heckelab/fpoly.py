@@ -8,10 +8,38 @@ one elimination step over F_p (`insert_row`, which adds a row to an
 echelon form when it is independent; `rank` folds it over a matrix),
 Rabin's irreducibility test and the search for the first monic irreducible
 of a degree, plus the primality helpers that validate q.
+
+Products.  mul(a, b) is addmul((), a, b), and addmul(c, a, b) = c + a*b
+reduces mod p and trims once.  From a shorter factor of PACK_FROM
+coefficients on it uses Kronecker substitution: c, a and b become ints
+with one coefficient per slot of a fixed width (pack), one int
+multiply-add forms every coefficient of c + a*b at once, and unpack
+reads them back.  The slot is the narrowest unsigned array type, of 1,
+2, 4 or 8 bytes, that holds len(a)*max(a)*max(b) + max(c), the most a
+slot can receive, so no carry crosses a slot.  A shorter factor, a
+bound no 8-byte slot holds (at p above 2^32, always) or a negative
+coefficient takes the schoolbook loop instead.  Time of the loop over
+that of the packed product, for c + a*b with factors of la and la + 4
+coefficients (CPython 3.11, one core of a 2-vCPU VM; above 1 packing
+wins):
+
+    la:       2     3     4     5     6     7     8     9     10
+    p = 2     0.45  0.54  0.62  0.66  0.78  0.80  0.87  0.86  0.97
+    p = 3     0.47  0.56  0.66  0.74  0.82  0.92  1.05  1.09  1.21
+    p = 5     0.49  0.62  0.70  0.81  0.89  1.09  1.12  1.28  1.38
+    p = 13    0.51  0.64  0.76  0.84  0.94  1.08  1.22  1.36  1.52
+    p = 251   0.54  0.69  0.85  1.05  1.18  1.34  1.52  1.72  1.84
+    p = 65537 0.57  0.72  0.78  1.11  1.20  1.38  1.48  1.68  1.85
+
+The loop skips the zero coefficients of the shorter factor, half of them
+at p = 2, so packing pays later there.  PACK_FROM = 7 is the crossover at
+p = 5 and 13, one short of it at p = 3 and two past it at p >= 251.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import product
 from math import isqrt
 
@@ -20,6 +48,10 @@ __all__ = [
     "add",
     "sub",
     "mul",
+    "addmul",
+    "slot_for",
+    "pack",
+    "unpack",
     "scale",
     "div",
     "monic",
@@ -34,6 +66,12 @@ __all__ = [
     "is_prime",
     "prime_power",
 ]
+
+#: shorter-factor length from which addmul packs its operands (see above)
+PACK_FROM = 7
+#: (bytes, typecode) of the unsigned array types, narrowest first
+_SLOTS = tuple(sorted({array(code).itemsize: code for code in "BHILQ"}.items()))
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def trim(a):
@@ -61,14 +99,67 @@ def sub(a, b, p):
 
 
 def mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+    return addmul((), a, b, p)
+
+
+def addmul(c, a, b, p):
+    """c + a*b in F_p[t], reduced mod p and trimmed once.
+
+    From a shorter factor of PACK_FROM coefficients on, the product is
+    one multiply-add of packed ints; below that, when no slot is wide
+    enough or a coefficient is negative, it is the schoolbook loop.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) >= PACK_FROM:
+        # every slot of c + a*b is at most this, when no coefficient is negative
+        slot = slot_for(len(a) * max(a) * max(b) + max(c, default=0))
+        if slot is not None:
+            try:
+                return unpack(pack(a, slot) * pack(b, slot) + pack(c, slot), slot, p)
+            except OverflowError:  # a negative coefficient: no array type holds it
+                pass
+    return _schoolbook(c, a, b, p)
+
+
+def _schoolbook(c, a, b, p):
+    out = list(c)
+    out += [0] * (len(a) + len(b) - 1 - len(out))
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return trim([c % p for c in out])
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return trim([x % p for x in out])
+
+
+def slot_for(bound):
+    """The narrowest unsigned array type that holds every int in [0, bound],
+    as (typecode, bytes); None when none does."""
+    for size, code in _SLOTS:
+        if bound >> (8 * size) == 0:
+            return code, size
+    return None
+
+
+def pack(a, slot):
+    """Kronecker substitution: sum of a[i] * 2^(8 * bytes * i), one coefficient
+    per slot; OverflowError when a coefficient does not fit its slot."""
+    arr = array(slot[0], a)
+    if _BIG_ENDIAN:
+        arr.byteswap()
+    return int.from_bytes(arr, "little")
+
+
+def unpack(v, slot, p):
+    """The polynomial whose coefficients are the slots of v >= 0, mod p."""
+    code, size = slot
+    arr = array(code, v.to_bytes(-(-v.bit_length() // (8 * size)) * size, "little"))
+    if _BIG_ENDIAN:
+        arr.byteswap()
+    out = [x % p for x in arr]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def scale(a, c, p):

@@ -383,14 +383,31 @@ def _mat_id(n):
 
 
 def _poly_mat_mul(A, B, p):
-    """A*B over F_p[t], row by row; zero entries of A multiply nothing."""
+    """A*B over F_p[t], row by row, for entries reduced mod p.
+
+    One slot width holds every coefficient of a sum of len(B) products,
+    so each entry of A and B is packed into an int once (fpoly.pack), and
+    each entry of A*B is a sum of int products, unpacked and reduced once.
+    When no slot is that wide the entries are combined by fpoly.addmul.
+    Zero entries of A multiply nothing.
+    """
+    shortest = min(max(len(e) for row in M for e in row) for M in (A, B))
+    slot = fpoly.slot_for(len(B) * shortest * (p - 1) ** 2)
     out = []
+    if slot is None:
+        for row in A:
+            acc = [()] * len(B[0])
+            for a, b_row in zip(row, B):
+                if a:
+                    acc = [fpoly.addmul(c, a, b, p) if b else c for c, b in zip(acc, b_row)]
+            out.append(acc)
+        return out
+    packed_B = [[fpoly.pack(b, slot) for b in row] for row in B]
     for row in A:
-        acc = [()] * len(B[0])
-        for a, b_row in zip(row, B):
-            if a:
-                acc = [fpoly.add(c, fpoly.mul(a, b, p), p) if b else c for c, b in zip(acc, b_row)]
-        out.append(acc)
+        terms = [(fpoly.pack(a, slot), b_row) for a, b_row in zip(row, packed_B) if a]
+        out.append(
+            [fpoly.unpack(sum(a * b_row[j] for a, b_row in terms), slot, p) for j in range(len(B[0]))]
+        )
     return out
 
 
@@ -400,10 +417,17 @@ def smith_normal_form(M, q: int):
     diag entries are monic with alpha_i | alpha_{i+1}; L and R are products
     of elementary matrices, hence invertible over F_q[t].  Euclidean
     reduction: repeatedly move a minimal-degree entry to the pivot and
-    reduce its row and column by division with remainder.  q and every
-    coefficient must be ints, bool refused; anything else raises
-    TypeError and nothing is converted.  An empty or non-square matrix
-    raises ValueError.
+    reduce its row and column by division with remainder.  Each
+    elementary operation negates its quotient f once and updates A, L and
+    R entry by entry with fpoly.addmul.  q and every coefficient must be
+    ints, bool refused; anything else raises TypeError and nothing is
+    converted.  An empty or non-square matrix raises ValueError.
+
+    The answer is checked before it is returned: the divisibility chain,
+    and L*D*R == M by _poly_mat_mul, which packs each entry of L*D and of
+    R into one int and unpacks each entry of the product once; when no
+    slot is wide enough, as at q above 2^32, it multiplies entry by entry.
+    A failed check raises OracleIntegrityError.
     """
     if not fpoly.is_prime(q):
         raise ValueError(f"SNF over F_q[t] needs prime q, got {q}")
@@ -431,17 +455,19 @@ def smith_normal_form(M, q: int):
 
     def row_sub(i, j, f):
         # row_i -= f * row_j ; compensate L by col_j += f * col_i
-        A[i] = [fpoly.sub(a, fpoly.mul(f, b, q), q) if b else a for a, b in zip(A[i], A[j])]
+        neg = fpoly.scale(f, q - 1, q)
+        A[i] = [fpoly.addmul(a, neg, b, q) if b else a for a, b in zip(A[i], A[j])]
         for row in L:
             if row[i]:
-                row[j] = fpoly.add(row[j], fpoly.mul(f, row[i], q), q)
+                row[j] = fpoly.addmul(row[j], f, row[i], q)
 
     def col_sub(i, j, f):
         # col_i -= f * col_j ; compensate R by row_j += f * row_i
+        neg = fpoly.scale(f, q - 1, q)
         for row in A:
             if row[j]:
-                row[i] = fpoly.sub(row[i], fpoly.mul(f, row[j], q), q)
-        R[j] = [fpoly.add(a, fpoly.mul(f, b, q), q) if b else a for a, b in zip(R[j], R[i])]
+                row[i] = fpoly.addmul(row[i], neg, row[j], q)
+        R[j] = [fpoly.addmul(a, f, b, q) if b else a for a, b in zip(R[j], R[i])]
 
     for k in range(n):
         while True:

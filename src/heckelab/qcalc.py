@@ -287,12 +287,24 @@ class QRat:
         return f"QRat({self.pretty()})"
 
 
-@lru_cache(maxsize=None)
+def _refuse_non_ints(name: str, *args) -> None:
+    """TypeError unless every argument is an int, bool refused.  A cached
+    function checks here first: lru_cache keys 2.0 and True like 2 and 1."""
+    if not set(map(type, args)) <= {int}:
+        raise TypeError(f"{name} needs ints, got {', '.join(map(repr, args))}")
+
+
 def gaussian_binomial(k: int, n: int) -> QPoly:
     """#Gr(k,n)(F_q) as a polynomial in q.
 
     Exact product-formula division; symmetric in k <-> n-k.
     """
+    _refuse_non_ints("gaussian_binomial", k, n)
+    return _gaussian_binomial(k, n)
+
+
+@lru_cache(maxsize=None)
+def _gaussian_binomial(k: int, n: int) -> QPoly:
     if not 0 <= k <= n:
         raise ValueError(f"gaussian_binomial needs 0 <= k <= n, got ({k}, {n})")
     num, den = ONE, ONE
@@ -302,20 +314,30 @@ def gaussian_binomial(k: int, n: int) -> QPoly:
     return num // den
 
 
-@lru_cache(maxsize=None)
 def q_int(a: int) -> QPoly:
     """[a]_q = 1 + q + ... + q^{a-1} = (q^a - 1)/(q - 1)."""
+    _refuse_non_ints("q_int", a)
+    return _q_int(a)
+
+
+@lru_cache(maxsize=None)
+def _q_int(a: int) -> QPoly:
     if a < 0:
         raise ValueError(f"q_int needs a >= 0, got {a}")
     return QPoly((1,) * a)
 
 
-@lru_cache(maxsize=None)
 def q_factorial(a: int) -> QPoly:
     """[a]_q! = prod_{i=1}^{a} [i]_q."""
+    _refuse_non_ints("q_factorial", a)
+    return _q_factorial(a)
+
+
+@lru_cache(maxsize=None)
+def _q_factorial(a: int) -> QPoly:
     if a < 0:
         raise ValueError(f"q_factorial needs a >= 0, got {a}")
     out = ONE
     for i in range(1, a + 1):
-        out = out * q_int(i)
+        out = out * _q_int(i)
     return out

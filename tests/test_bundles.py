@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckelab import bundles
 from heckelab.bundles import (
     BundleType,
     ClosedPoint,
@@ -75,7 +76,7 @@ def test_aut_order_refuses_a_q_that_is_not_an_int():
     """2.0 hashes like 2, so after aut_order(O^2, 2) a float q used to hit
     gl_order's cache and come back as the float 6.0."""
     O2 = BundleType([0, 0])
-    gl_order.cache_clear()
+    bundles._gl_order.cache_clear()
     for _ in range(2):  # cold, then with gl_order(2, 2) cached
         for q0 in (2.0, True):
             with pytest.raises(TypeError, match="q must be an int"):

@@ -406,13 +406,92 @@ def test_eigenform_solve_matches_the_fraction_reference(monkeypatch):
     assert [solve_outcome(query) for query in queries] == got
 
 
+def weight_major_eigen_system(query):
+    """_eigen_system with its rows weight by weight, as it was built before
+    they came class by class: every weight-1 row, then every weight-2 row."""
+    space, operators = forms._hecke_operators(query.n, query.D, query.x.q)
+    rows = []
+    for lam, operator in zip(query.lams, operators):
+        a, b = lam.numerator, lam.denominator
+        for i, entries in operator:
+            eq = {j: b * m for j, m in entries}
+            diagonal = eq.pop(i, 0) - a
+            if diagonal:
+                eq[i] = diagonal
+            rows.append(eq)
+    return space, rows
+
+
+def kernel_with_base_row(kernel):
+    """A kernel that also imposes f(O^n) = 0: nullity 0 for an eigen system."""
+
+    def patched(rows, ncols, order):
+        return kernel(list(rows) + [{0: 1}], ncols, order)
+
+    return patched
+
+
+def kernel_with_spare_column(kernel):
+    """A kernel with one more unknown, in no equation: nullity 2."""
+
+    def patched(rows, ncols, order):
+        return kernel(rows, ncols + 1, list(order) + [(-1, -1)])
+
+    return patched
+
+
+def kernel_vanishing_at_base(kernel):
+    """A kernel whose vectors lose their value at O^n."""
+
+    def patched(rows, ncols, order):
+        return [([0] + nums[1:], den) for nums, den in kernel(rows, ncols, order)]
+
+    return patched
+
+
+def test_class_major_rows_match_the_weight_major_reference(monkeypatch):
+    """Seeded queries over n = 2-5, about a third of the eigenvalues 0: the
+    same values and nullity, and the same TheoremViolation messages under
+    each patched kernel, from either row order."""
+    rng = random.Random(20261019)
+    depths = {2: (4, 12), 3: (2, 6), 4: (2, 4), 5: (2, 3)}
+    queries = []
+    for n in (2, 3, 4, 5):
+        for _ in range(4):
+            lams = [
+                Fraction(0) if rng.random() < 0.35 else Fraction(rng.randint(-30, 30), rng.randint(1, 5))
+                for _ in range(n - 1)
+            ]
+            queries.append(EigenQuery(lams, ClosedPoint(rng.choice((2, 3, 4, 5)), 1), rng.randint(*depths[n])))
+    assert sum(lam == 0 for query in queries for lam in query.lams) >= 5
+    kernels = [None, kernel_with_base_row, kernel_with_spare_column, kernel_vanishing_at_base]
+    outcomes = {}
+    for builder in (forms._eigen_system, weight_major_eigen_system):
+        monkeypatch.setattr(forms, "_eigen_system", builder)
+        for patch in kernels:
+            monkeypatch.setattr(forms, "_kernel_of", patch(_kernel_of) if patch else _kernel_of)
+            outcomes.setdefault(patch, []).append([solve_outcome(query) for query in queries])
+    for patch, (class_major, weight_major) in outcomes.items():
+        assert class_major == weight_major, patch
+    assert all(type(out) is tuple for out in outcomes[None][0])
+    assert {out.split(" for ")[0] for out in outcomes[kernel_with_base_row][0]} == {
+        "eigenspace dimension 0 != 1"
+    }
+    assert {out.split(" for ")[0] for out in outcomes[kernel_with_spare_column][0]} == {
+        "eigenspace dimension 2 != 1"
+    }
+    assert {out.split(" for ")[0] for out in outcomes[kernel_vanishing_at_base][0]} == {
+        "eigenform vanishes at the base class"
+    }
+
+
 def without_weight(system, r):
-    """An _eigen_system that leaves out the weight-r equations."""
+    """An _eigen_system that leaves out the weight-r equations; the rows
+    come class by class, the n - 1 weights of a class in turn."""
 
     def patched(query):
         space, rows = system(query)
-        per_weight = len(space.classes)
-        return space, rows[: (r - 1) * per_weight] + rows[r * per_weight :]
+        return space, [row for k, row in enumerate(rows) if k % (query.n - 1) != r - 1]
 
     return patched
 

@@ -114,6 +114,63 @@ def test_add_sub_mul_match_the_schoolbook_reference(p):
             assert getattr(fpoly, op)(a, b, p) == schoolbook(a, b, p, op), (op, a, b)
 
 
+def reference_mul(a, b, p):
+    """fpoly.mul as it was before addmul: the schoolbook loop alone."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return fpoly.trim([c % p for c in out])
+
+
+#: every packing slot width is hit (1 byte at p = 2, 3, 5, 2 at 13, 4 at
+#: 251, 8 at 65537), and so is the fallback at the prime 4294967311 > 2^32
+PACKING_PRIMES = [2, 3, 5, 13, 251, 65537, 4294967311]
+#: lengths from the zero polynomial past PACK_FROM to 40 and more
+LENGTHS = [0, 1, 2, fpoly.PACK_FROM - 1, fpoly.PACK_FROM, fpoly.PACK_FROM + 1, 12, 40, 57]
+
+
+def test_packing_primes_span_every_slot_and_the_fallback():
+    assert fpoly.PACK_FROM <= 12
+    slots = {fpoly.slot_for(40 * (p - 1) ** 2 + p - 1) for p in PACKING_PRIMES}
+    assert {size for _, size in slots - {None}} == {1, 2, 4, 8} and None in slots
+
+
+@pytest.mark.parametrize("p", PACKING_PRIMES)
+def test_addmul_and_mul_match_the_schoolbook_reference(monkeypatch, p):
+    slots = []
+    slot_for = fpoly.slot_for
+    monkeypatch.setattr(fpoly, "slot_for", lambda bound: slots.append(slot_for(bound)) or slots[-1])
+    rng = random.Random(f"addmul:{p}")
+
+    def poly(length, top=p):
+        return tuple(rng.randrange(top) for _ in range(length))
+
+    cases = []
+    for la in LENGTHS:
+        for lb in LENGTHS:
+            for lc in (0, max(la + lb - 3, 0), la + lb + 4):  # c shorter and longer than a*b
+                cases.append((poly(lc), poly(la), poly(lb)))
+    for _ in range(100):
+        # unreduced and negative coefficients, and top coefficients that cancel
+        la, lb = rng.choice(LENGTHS), rng.choice(LENGTHS)
+        a, b = poly(la, 3 * p), poly(lb, 3 * p)
+        c = tuple(-x for x in poly(la + lb - 1))
+        cases.append((c, a, b))
+        cases.append((tuple(-x for x in reference_mul(a, b, p)) + poly(2), a, b))
+        cases.append((poly(rng.randint(0, 50)), tuple(-x for x in a), b))
+    for c, a, b in cases:
+        want = fpoly.add(c, reference_mul(a, b, p), p)
+        assert fpoly.addmul(c, a, b, p) == want, (c, a, b)
+        assert fpoly.addmul(c, b, a, p) == want, (c, a, b)
+        assert fpoly.mul(a, b, p) == reference_mul(a, b, p), (a, b)
+    # the prime above 2^32 fits no slot: every product there is the schoolbook loop
+    assert slots and (set(slots) == {None}) == (p > 2**32)
+
+
 def brute_kernel_size(field, rows, ncols):
     """#{x in F^ncols : row . x = 0 for every row}, by enumeration."""
 

@@ -3,8 +3,8 @@ the oracle imports neither the Hall engine nor the forms layer,
 the rational-function type stays in two modules, only ClosedPoint tests
 a polynomial for irreducibility, no module relies on an assert statement,
 the value types check their entries without converting them, every
-lru_cache decorates a module-level function, every module is in README's
-module map, and every exported name exists."""
+lru_cache decorates a module-level function and none is a public name,
+every module is in README's module map, and every exported name exists."""
 
 import ast
 import importlib
@@ -287,6 +287,19 @@ def test_every_cache_is_a_module_level_function():
     assert offenders == {}
     assert hasattr(forms._hecke_operators, "cache_clear")
     assert hasattr(forms._cusp_middles, "cache_clear")
+
+
+def test_no_public_name_is_a_cache():
+    # a cache in front of its own checks keys 2.0 and True like 2 and 1, so
+    # each public function checks its arguments, then calls a private cache
+    cached = {
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr, obj in vars(importlib.import_module(f"heckelab.{name}")).items()
+        if not attr.startswith("_") and hasattr(obj, "cache_info")
+    }
+    assert cached == set()
+    assert hasattr(importlib.import_module("heckelab.qcalc")._gaussian_binomial, "cache_info")
 
 
 def eigen_working_set():

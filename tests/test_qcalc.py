@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from heckelab import bundles, qcalc
 from heckelab.qcalc import (
     ONE,
     Q,
@@ -257,3 +258,37 @@ def test_evaluate():
     assert (Q + 1).evaluate(4) == 5
     assert ZERO.evaluate(17) == 0
     assert gaussian_binomial(1, 3).evaluate(2) == 7
+
+
+#: each public function that keeps a cache, its private cache, and int
+#: arguments it answers
+CACHED = [
+    (gaussian_binomial, qcalc._gaussian_binomial, (1, 3)),
+    (q_int, qcalc._q_int, (2,)),
+    (q_factorial, qcalc._q_factorial, (3,)),
+    (bundles.gl_order, bundles._gl_order, (2, 2)),
+]
+
+
+def outcome(f, args):
+    """f(*args), or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("public, cache, ints", CACHED, ids=lambda v: getattr(v, "__name__", ""))
+def test_cached_functions_answer_alike_cold_and_warm(public, cache, ints):
+    """lru_cache keys 2.0 and True like 2 and 1: gl_order(2, 2.0) used to
+    raise cold and return 6 once gl_order(2, 2) was cached."""
+    cache.cache_clear()
+    assert outcome(public, ints) == outcome(public, ints)
+    for position in range(len(ints)):
+        for twin in (float(ints[position]), True):
+            args = ints[:position] + (twin,) + ints[position + 1 :]
+            cache.cache_clear()
+            cold = outcome(public, args)
+            outcome(public, tuple(map(int, args)))  # the int key the twin shares
+            assert outcome(public, args) == cold, args
+            assert cold[0] == "TypeError", args
