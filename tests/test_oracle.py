@@ -378,16 +378,16 @@ def test_snf_of_random_modification_matrices():
 
 def schoolbook_mat_mul(A, B, q):
     """Reference A*B over F_q[t]: every entry a sum of schoolbook products."""
-    out = []
-    for row in A:
-        acc = [[0] * 64 for _ in B[0]]
+
+    def entry(row, j):
+        acc = [0] * (max(map(len, row)) + max(len(b_row[j]) for b_row in B))
         for a, b_row in zip(row, B):
-            for j, b in enumerate(b_row):
-                for i, ca in enumerate(a):
-                    for k, cb in enumerate(b):
-                        acc[j][i + k] += ca * cb
-        out.append([_strip(c % q for c in entry) for entry in acc])
-    return out
+            for i, ca in enumerate(a):
+                for k, cb in enumerate(b_row[j]):
+                    acc[i + k] += ca * cb
+        return _strip(c % q for c in acc)
+
+    return [[entry(row, j) for j in range(len(B[0]))] for row in A]
 
 
 def unit_times_diag_times_unit(rng, n, q, e, k):
@@ -406,10 +406,9 @@ def unit_times_diag_times_unit(rng, n, q, e, k):
         rng.shuffle(M)
         return M
 
-    pi = next(
-        poly for poly in iter(lambda: tuple(rng.randrange(q) for _ in range(e)) + (1,), None)
-        if fpoly.is_irreducible(poly, q)
-    )
+    pi = ()
+    while not fpoly.is_irreducible(pi, q):
+        pi = tuple(rng.randrange(q) for _ in range(e)) + (1,)
     diag = [ONE] * (n - k) + [pi] * k
     D = [[diag[i] if i == j else () for j in range(n)] for i in range(n)]
     return schoolbook_mat_mul(schoolbook_mat_mul(unimodular(), D, q), unimodular(), q), diag
