@@ -135,6 +135,11 @@ CORPUS = [
     f"oracle snf --matrix '{SNF_5X5_Q3}' --q 3 + json",
     f"oracle snf --matrix '{SNF_6X6_Q5}' --q 5 + json",
     f"oracle snf --matrix '{SNF_3X3_Q_HUGE}' --q 4294967311 + json",
+    # brute censuses on both sides of the F_2 scan: q = 2 at d = 4, odd q
+    # with 400 subspaces at d = 1, odd q at d = 2
+    "oracle census --bundle 0,1,1 --q 2 --point-degree 4 --weight 2 + json",
+    "oracle census --bundle 0,0,1,1 --q 7 --point-degree 1 --weight 3 + json",
+    "oracle census --bundle 0,1,1 --q 3 --point-degree 2 --weight 2 + json",
     # exit 2: usage and domain errors
     "gr --k 1 --n 2 --q 6",
     "oracle census --bundle 0,0 --q 4 --point-degree 1 --weight 1",
