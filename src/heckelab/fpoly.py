@@ -4,10 +4,18 @@ A polynomial is a little-endian tuple of ints in [0, p), trimmed so the
 last coefficient is nonzero; the zero polynomial is ().  Every function
 takes the prime p explicitly and returns trimmed tuples.  Besides the ring
 operations this module holds the determinant of polynomial matrices, the
-one elimination step over F_p (`insert_row`, which adds a row to an
-echelon form when it is independent; `rank` folds it over a matrix),
-Rabin's irreducibility test and the search for the first monic irreducible
-of a degree, plus the primality helpers that validate q.
+one elimination step over F_p, Rabin's irreducibility test and the search
+for the first monic irreducible of a degree, plus the primality helpers
+that validate q.
+
+Elimination.  One step reduces a row by an echelon form, a dict from each
+pivot column to its row, and adds it when it is independent.  It comes in
+two row formats with the same echelon: `insert_row` takes int lists over
+any F_p, and `insert_mask` takes an F_2 row packed into an int, entry j
+in bit j, where reducing by a row is one xor.  Both reduce by the rows in
+the order they were added and take the first nonzero entry as the pivot,
+so on the same rows they grow at the same steps, with the same pivots and
+the same echelon rows.  `rank` folds `insert_row` over a matrix.
 
 Products.  mul(a, b) is addmul((), a, b), and addmul(c, a, b) = c + a*b
 reduces mod p and trims once.  From a shorter factor of PACK_FROM
@@ -59,6 +67,7 @@ __all__ = [
     "powmod",
     "det",
     "insert_row",
+    "insert_mask",
     "rank",
     "is_irreducible",
     "first_irreducible",
@@ -168,10 +177,13 @@ def scale(a, c, p):
 
 
 def div(a, b, p):
-    """(quotient, remainder) of a by b in F_p[t]; b nonzero."""
+    """(quotient, remainder) of a by b in F_p[t]; b nonzero.  A constant b
+    is a unit: the quotient is a scaled by its inverse, the remainder 0."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     inv = pow(b[-1], -1, p)
+    if len(b) == 1:
+        return trim([c * inv % p for c in a]), ()
     rem = list(a)
     quo = [0] * max(0, len(rem) - len(b) + 1)
     while len(rem) >= len(b):
@@ -244,6 +256,21 @@ def insert_row(echelon: dict, row, p) -> bool:
         return False
     inv = pow(row[lead], -1, p)
     echelon[lead] = [c * inv % p for c in row]
+    return True
+
+
+def insert_mask(echelon: dict, row: int) -> bool:
+    """insert_row over F_2 for a row packed into an int, entry j in bit j.
+
+    echelon maps each pivot column to its row as an int; start from {}.
+    Returns whether the row was added, that is whether the rank grew.
+    """
+    for col, pivot_row in echelon.items():
+        if row >> col & 1:
+            row ^= pivot_row
+    if not row:
+        return False
+    echelon[(row & -row).bit_length() - 1] = row
     return True
 
 

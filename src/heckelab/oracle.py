@@ -13,27 +13,36 @@ The section counts come from a row schedule built once per census,
 `_schedule(E, d)`: the section rows t^m e_i in twist order, with m < d
 only.  A row with m >= d is never independent, since t^m is an F_q
 combination of 1, t, ..., t^(d-1) modulo the point's polynomial and those
-rows of its component came earlier; it is counted and never built.  Per
-subspace one scan builds each scheduled row as the previous row of its
-component times t, by the companion step `Field.times_t` on flat F_q
-coordinates, adds it to a single echelon form kept by `fpoly.insert_row`,
-and stops once the echelon spans the quotient kappa^n / W.  The twists at
-which a row was independent, the drop profile, determine the splitting
-type, so a census finds one profile per subspace and one type per profile.
+rows of its component came earlier; it is counted and never built.
+
+Each Schubert cell gets a scan plan, `_plan`, built once per census: the
+free columns, and for every scheduled row either a unit row at a fixed
+coordinate (a free component i at power m, which no subspace of the cell
+changes) or the pivot row a of W at power m.  Per subspace the scan,
+`_drop_profile`, reads the t^m*e products of a pivot row's free entries
+from the field's table `Field.t_powers`, which fills an entry when a scan
+first asks for it and keeps it for every later scan over the field.  It
+adds each row to one echelon form and stops once the echelon spans the
+quotient kappa^n / W.  At q = 2 the rows are int bit masks and
+`fpoly.insert_mask` reduces them by xor; at odd q they are int lists for
+`fpoly.insert_row`.  The twists at which a row was independent, the drop
+profile, determine the splitting type, so a census counts subspaces per
+profile and finds one type per profile.
 
 The residue field kappa(x) = F_{q^d} = F_q[t]/(poly) is built only from a
 ClosedPoint with an explicit polynomial, which has already checked that q
 is prime and poly monic irreducible of degree d; the Field checks none of
 it again.  Its elements are plain int tuples of length d (coefficients of
 the reduced representative, little-endian).  Linear algebra over the
-extension is expanded to F_q, where `fpoly.insert_row` is the one
-elimination step.
+extension is expanded to F_q, where one elimination step, in the row
+format of `fpoly.insert_row` or of `fpoly.insert_mask`, does the work.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import combinations, product
+from typing import NamedTuple
 
 from . import fpoly
 from .bundles import BundleType, ClosedPoint
@@ -101,7 +110,8 @@ class Field:
 
     Only a point with an explicit polynomial has one.  ClosedPoint has
     already checked that q is prime and poly monic irreducible of degree d;
-    the field copies the three.  Elements are int tuples.
+    the field copies the three.  Elements are int tuples.  t_powers is the
+    t^m*e table of the scans over the field, empty until a scan reads it.
     """
 
     zero = ()
@@ -114,6 +124,7 @@ class Field:
         self.d = x.d
         self.poly = x.poly
         self.size = x.q**x.d
+        self.t_powers = _TPowers(x.q, x.d, x.poly)
 
     def elements(self):
         """All q^d elements in counting order: 0, 1, ..., t, t+1, ..."""
@@ -133,15 +144,59 @@ class Field:
 
     def times_t(self, coords) -> list:
         """t times a vector over the field, given and returned as its flat
-        F_q coordinates, d per element: the companion step of poly, which
-        shifts each element up and folds t^d back in as -(poly - t^d)."""
-        q, d, low = self.q, self.d, self.poly[:-1]
+        F_q coordinates, d per element."""
         out = []
-        for s in range(0, len(coords), d):
-            top = coords[s + d - 1]
-            shifted = [0] + coords[s : s + d - 1]
-            out += [(a - top * c) % q for a, c in zip(shifted, low)] if top else shifted
+        for s in range(0, len(coords), self.d):
+            out += _companion_step(coords[s : s + self.d], self.q, self.poly)
         return out
+
+
+def _companion_step(coords: list, q: int, poly: tuple) -> list:
+    """t times one element given as its d F_q coordinates: the companion
+    step of poly, which shifts the element up and folds t^d back in as
+    -(poly - t^d)."""
+    top = coords[-1]
+    shifted = [0] + coords[:-1]
+    return [(a - top * c) % q for a, c in zip(shifted, poly)] if top else shifted
+
+
+class _TPowers(dict):
+    """The t^m*e table of a field: t^m times the element e, for m < d, as
+    its d F_q coordinates, keyed by (m, e).  At q = 2 an entry is an int
+    with coordinate c in bit c, at odd q a list of ints.
+
+    An entry is filled when a scan first reads it, from the entry at m - 1
+    by one companion step, so the table holds only what the scans over
+    the field have read, and each entry is computed once.
+    """
+
+    __slots__ = ("q", "d", "poly")
+
+    def __init__(self, q: int, d: int, poly: tuple):
+        super().__init__()
+        self.q, self.d, self.poly = q, d, poly
+
+    def __missing__(self, key):
+        m, e = key
+        if m:
+            prev = self[m - 1, e]
+            if self.q == 2:
+                out = prev << 1
+                if out >> self.d:
+                    out ^= _bits(self.poly)
+            else:
+                out = _companion_step(prev, self.q, self.poly)
+        elif self.q == 2:
+            out = _bits(e)
+        else:
+            out = list(e) + [0] * (self.d - len(e))
+        self[key] = out
+        return out
+
+
+def _bits(coeffs) -> int:
+    """An F_2 coordinate vector as an int, coordinate c in bit c."""
+    return sum(c << i for i, c in enumerate(coeffs))
 
 
 def matrix_rank(field: Field, rows) -> int:
@@ -263,45 +318,89 @@ def _schedule(E: BundleType, d: int) -> list:
     ]
 
 
-def _drop_profile(schedule: list, W: FiberSubspace, n: int) -> tuple:
-    """The twists of the scheduled rows that are independent modulo W, a
-    subspace of kappa^n.
+class _Plan(NamedTuple):
+    """The scan of one Schubert cell: what its pivot columns fix.
+
+    full is the F_q-dimension r*d of kappa^n / W; columns lists each free
+    column j with the offset of its d coordinates in a row; each step is
+    (k, a, m, row), with row the fixed unit row of a free component, or
+    None for the pivot row a of W at power m.
+    """
+
+    full: int
+    columns: list
+    steps: list
+
+
+def _plan(schedule: list, pivots: tuple, n: int, field: Field) -> _Plan:
+    """The scan plan of the cell with these pivot columns.
+
+    Component i maps to the image of e_i in kappa^n / W, in W's non-pivot
+    coordinates: the pivot row of W whose pivot is i, negated, or the unit
+    vector at i when column i is no pivot.  The sign is dropped: scaling
+    all rows of a component by -1 changes none of their dependences.  A
+    unit vector times t^m, m < d, is the unit at coordinate m of its
+    column, the same for every subspace of the cell.  Rows are int bit
+    masks at q = 2 and int lists otherwise.
+    """
+    d = field.d
+    free = [j for j in range(n) if j not in pivots]
+    full = len(free) * d
+    row_of = {i: a for a, i in enumerate(pivots)}
+    steps = []
+    for k, i, m in schedule if free else ():  # W = kappa^n: no row is independent
+        if i in row_of:
+            steps.append((k, row_of[i], m, None))
+            continue
+        at = free.index(i) * d + m
+        if field.q == 2:
+            steps.append((k, None, m, 1 << at))
+        else:
+            unit = [0] * full
+            unit[at] = 1
+            steps.append((k, None, m, unit))
+    return _Plan(full, [(j, b * d) for b, j in enumerate(free)], steps)
+
+
+def _drop_profile(plan: _Plan, W: FiberSubspace) -> tuple:
+    """The twists of the scheduled rows that are independent modulo W.
 
     A section lies in E' when its value at x maps to zero in kappa^n / W,
     and that map is kappa-linear: t^m e_i maps to t^m times the image of
-    e_i, which W's reduced row-echelon basis gives in its non-pivot
-    coordinates (the row whose pivot is i, negated, or a unit vector when
-    column i is no pivot).  The sign is dropped: scaling all rows of a
-    component by -1 changes none of their dependences.  Once the echelon
-    holds r*d pivots, the F_q-dimension of kappa^n / W, every later row is
-    dependent.
+    e_i.  The cell's plan holds the rows that W's entries do not change;
+    a pivot row of W at power m is read entry by entry from the field's
+    t^m*e table.  At q = 2 the rows are int bit masks and one xor reduces
+    them (fpoly.insert_mask); at odd q they are int lists for
+    fpoly.insert_row.  Once the echelon holds r*d pivots, the
+    F_q-dimension of kappa^n / W, every later row is dependent.
     """
-    field = W.field
-    d = field.d
-    pivot_rows = dict(zip(W.pivots, W.basis))
-    free = [j for j in range(n) if j not in pivot_rows]
-    full = len(free) * d
-    rows = []
-    for i in range(n):
-        if i in pivot_rows:
-            row = []
-            for j in free:  # field.expand, inlined: this runs for every subspace
-                elem = pivot_rows[i][j]
-                row += elem
-                row += [0] * (d - len(elem))
-        else:
-            row = [0] * full
-            row[free.index(i) * d] = 1
-        rows.append(row)
+    basis = W.basis
+    table = W.field.t_powers
+    full, columns = plan.full, plan.columns
     echelon = {}
     profile = []
-    for k, i, m in schedule:
-        if len(echelon) == full:
-            break
-        if m:
-            rows[i] = field.times_t(rows[i])
-        if fpoly.insert_row(echelon, rows[i], field.q):
-            profile.append(k)
+    if W.field.q == 2:
+        insert_mask = fpoly.insert_mask
+        for k, a, m, row in plan.steps:
+            if row is None:
+                elems, row = basis[a], 0
+                for j, shift in columns:
+                    row |= table[m, elems[j]] << shift
+            if insert_mask(echelon, row):
+                profile.append(k)
+                if len(echelon) == full:
+                    break
+    else:
+        q, insert_row = W.field.q, fpoly.insert_row
+        for k, a, m, row in plan.steps:
+            if row is None:
+                elems, row = basis[a], []
+                for j, _ in columns:
+                    row += table[m, elems[j]]
+            if insert_row(echelon, row, q):
+                profile.append(k)
+                if len(echelon) == full:
+                    break
     return tuple(profile)
 
 
@@ -334,7 +433,8 @@ def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
     d = W.field.d
     n = E.rank
     r = n - W.dim
-    out = _type_from_profile(E, d, _drop_profile(_schedule(E, d), W, n))
+    plan = _plan(_schedule(E, d), W.pivots, n, W.field)
+    out = _type_from_profile(E, d, _drop_profile(plan, W))
     if out.rank != n or out.degree != E.degree - r * d:
         raise OracleIntegrityError(
             f"splitting type {out.pretty()} of {E.pretty()} has rank {out.rank} and "
@@ -351,20 +451,30 @@ def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
 def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
     """Census of splitting types over all codim-r subspaces of the fiber.
 
-    The row schedule is built once; each subspace gets its drop profile,
-    and `splitting_type` runs on the first subspace of each profile only,
-    as the type is a function of the profile.
+    The row schedule is built once, and the scan plan once per Schubert
+    cell.  Each subspace gets its drop profile and the census counts
+    subspaces per profile; `splitting_type` runs on the first subspace of
+    each profile only, as the type is a function of the profile.
     """
     field = Field(x)
     schedule = _schedule(E, x.d)
+    plans: dict[tuple, _Plan] = {}  # pivot columns -> scan plan of the cell
+    counts: dict[tuple, int] = {}  # drop profile -> subspaces
     types: dict[tuple, BundleType] = {}  # drop profile -> splitting type
-    census: dict[BundleType, int] = {}
     for W in enumerate_subspaces(E.rank, r, field, budget=budget):
-        profile = _drop_profile(schedule, W, E.rank)
-        t = types.get(profile)
-        if t is None:
-            t = types[profile] = splitting_type(E, W)
-        census[t] = census.get(t, 0) + 1
+        plan = plans.get(W.pivots)
+        if plan is None:
+            plan = plans[W.pivots] = _plan(schedule, W.pivots, E.rank, field)
+        profile = _drop_profile(plan, W)
+        if profile in counts:
+            counts[profile] += 1
+        else:
+            counts[profile] = 1
+            types[profile] = splitting_type(E, W)
+    census: dict[BundleType, int] = {}
+    for profile, count in counts.items():
+        t = types[profile]
+        census[t] = census.get(t, 0) + count
     total = sum(census.values())
     expected = gaussian_binomial(E.rank - r, E.rank).evaluate(field.size)
     if total != expected:
@@ -417,7 +527,9 @@ def smith_normal_form(M, q: int):
     diag entries are monic with alpha_i | alpha_{i+1}; L and R are products
     of elementary matrices, hence invertible over F_q[t].  Euclidean
     reduction: repeatedly move a minimal-degree entry to the pivot and
-    reduce its row and column by division with remainder.  Each
+    reduce its row and column by division with remainder; a pivot of
+    positive degree must then divide the trailing submatrix, which a
+    unit pivot does without a check.  Each
     elementary operation negates its quotient f once and updates A, L and
     R entry by entry with fpoly.addmul.  q and every coefficient must be
     ints, bool refused; anything else raises TypeError and nothing is
@@ -499,6 +611,8 @@ def smith_normal_form(M, q: int):
                         dirty = True
             if dirty:
                 continue
+            if len(A[k][k]) == 1:
+                break  # a unit pivot divides the whole trailing submatrix
             # pivot must divide the whole trailing submatrix
             stray = None
             for i in range(k + 1, n):

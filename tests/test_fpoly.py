@@ -53,6 +53,39 @@ def test_div_by_the_zero_polynomial_raises():
     assert fpoly.div((1, 0, 1), (1, 1), 2) == ((1, 1), ())
 
 
+def long_division(a, b, p):
+    """Reference (quotient, remainder): schoolbook long division, one
+    leading term at a time, for any nonzero b."""
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quo = [0] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        c = rem[-1] * inv % p
+        shift = len(rem) - len(b)
+        quo[shift] = c
+        for i, cb in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - c * cb) % p
+        rem.pop()
+    return fpoly.trim(quo), fpoly.trim(rem)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 251])
+def test_division_by_a_unit_is_long_division(p):
+    """A constant divisor takes a shortcut: the dividend scaled by its
+    inverse, remainder zero.  It must agree with long division also on
+    unreduced and negative coefficients, zero ones included."""
+    rng = random.Random(f"div:{p}")
+    for _ in range(400):
+        a = tuple(rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, 12)))
+        unit = rng.randrange(1, p) + p * rng.randint(-2, 2)
+        assert fpoly.div(a, (unit,), p) == long_division(a, (unit,), p), (a, unit)
+        b = tuple(rng.randint(-p, p) for _ in range(rng.randint(1, 4))) + (unit,)
+        assert fpoly.div(a, b, p) == long_division(a, b, p), (a, b)
+
+
 def test_det_reduces_at_every_size():
     # a 1 x 1 matrix is reduced mod p like the cofactor sums of larger ones
     assert fpoly.det([[(3,)]], 3) == ()
@@ -263,6 +296,40 @@ def test_rank_and_insert_row_match_gauss_jordan():
     assert cases == 600
     assert fpoly.rank([], 5) == 0
     assert fpoly.rank([[5, 10, -15]], 5) == 0
+
+
+def test_insert_mask_is_insert_row_on_packed_f2_rows():
+    """The F_2 step on int bit masks grows at the same rows as insert_row on
+    the same rows as int lists, with the same pivots in the same order and
+    the same echelon rows once unpacked."""
+    rng = random.Random(20261020)
+    grown = 0
+    for _ in range(600):
+        width = rng.randint(1, 16)
+        basis = [rng.getrandbits(width) for _ in range(rng.randint(0, 6))]
+        rows = []
+        for _ in range(rng.randint(0, 12)):
+            kind = rng.randrange(4)
+            if kind == 0 or not basis:
+                rows.append(0)  # a zero row
+            elif kind == 1 and rows:
+                rows.append(rng.choice(rows))  # a repeated row
+            else:  # a dependent row: a random sum of the basis
+                row = 0
+                for b in basis:
+                    row ^= b * rng.randrange(2)
+                rows.append(row)
+        rows += [rng.getrandbits(width) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(rows)
+        masks, lists = {}, {}
+        for row in rows:
+            as_list = [row >> j & 1 for j in range(width)]
+            grew = fpoly.insert_mask(masks, row)
+            assert grew == fpoly.insert_row(lists, as_list, 2), rows
+            grown += grew
+        assert list(masks) == list(lists), rows
+        assert [[m >> j & 1 for j in range(width)] for m in masks.values()] == list(lists.values())
+    assert grown > 1000
 
 
 def trial_division_prime_power(q):
