@@ -376,12 +376,12 @@ def _drop_profile(plan: _Plan, W: FiberSubspace) -> tuple:
     """
     basis = W.basis
     table = W.field.t_powers
-    full, columns = plan.full, plan.columns
+    full, columns, steps = plan
     echelon = {}
     profile = []
     if W.field.q == 2:
         insert_mask = fpoly.insert_mask
-        for k, a, m, row in plan.steps:
+        for k, a, m, row in steps:
             if row is None:
                 elems, row = basis[a], 0
                 for j, shift in columns:
@@ -392,7 +392,7 @@ def _drop_profile(plan: _Plan, W: FiberSubspace) -> tuple:
                     break
     else:
         q, insert_row = W.field.q, fpoly.insert_row
-        for k, a, m, row in plan.steps:
+        for k, a, m, row in steps:
             if row is None:
                 elems, row = basis[a], []
                 for j, _ in columns:
