@@ -20,7 +20,7 @@ free columns, and for every scheduled row either a unit row at a fixed
 coordinate (a free component i at power m, which no subspace of the cell
 changes) or the pivot row a of W at power m.  Per subspace the scan,
 `_drop_profile`, reads the t^m*e products of a pivot row's free entries
-from the field's table `Field.t_powers`, which fills an entry when a scan
+from the field's table `Field._t_powers`, which fills an entry when a scan
 first asks for it and keeps it for every later scan over the field.  It
 adds each row to one echelon form and stops once the echelon spans the
 quotient kappa^n / W.  At q = 2 the rows are int bit masks and
@@ -110,7 +110,7 @@ class Field:
 
     Only a point with an explicit polynomial has one.  ClosedPoint has
     already checked that q is prime and poly monic irreducible of degree d;
-    the field copies the three.  Elements are int tuples.  t_powers is the
+    the field copies the three.  Elements are int tuples.  _t_powers is the
     t^m*e table of the scans over the field, empty until a scan reads it.
     """
 
@@ -124,7 +124,7 @@ class Field:
         self.d = x.d
         self.poly = x.poly
         self.size = x.q**x.d
-        self.t_powers = _TPowers(x.q, x.d, x.poly)
+        self._t_powers = _TPowers(x.q, x.d, x.poly)
 
     def elements(self):
         """All q^d elements in counting order: 0, 1, ..., t, t+1, ..."""
@@ -141,23 +141,6 @@ class Field:
     def expand(self, a) -> tuple:
         """d base-field coordinates of an element."""
         return tuple(a[i] if i < len(a) else 0 for i in range(self.d))
-
-    def times_t(self, coords) -> list:
-        """t times a vector over the field, given and returned as its flat
-        F_q coordinates, d per element."""
-        out = []
-        for s in range(0, len(coords), self.d):
-            out += _companion_step(coords[s : s + self.d], self.q, self.poly)
-        return out
-
-
-def _companion_step(coords: list, q: int, poly: tuple) -> list:
-    """t times one element given as its d F_q coordinates: the companion
-    step of poly, which shifts the element up and folds t^d back in as
-    -(poly - t^d)."""
-    top = coords[-1]
-    shifted = [0] + coords[:-1]
-    return [(a - top * c) % q for a, c in zip(shifted, poly)] if top else shifted
 
 
 class _TPowers(dict):
@@ -185,7 +168,11 @@ class _TPowers(dict):
                 if out >> self.d:
                     out ^= _bits(self.poly)
             else:
-                out = _companion_step(prev, self.q, self.poly)
+                # the companion step of poly: shift up, fold t^d back in
+                # as -(poly - t^d)
+                top, out = prev[-1], [0] + prev[:-1]
+                if top:
+                    out = [(a - top * c) % self.q for a, c in zip(out, self.poly)]
         elif self.q == 2:
             out = _bits(e)
         else:
@@ -375,7 +362,7 @@ def _drop_profile(plan: _Plan, W: FiberSubspace) -> tuple:
     F_q-dimension of kappa^n / W, every later row is dependent.
     """
     basis = W.basis
-    table = W.field.t_powers
+    table = W.field._t_powers
     full, columns, steps = plan
     echelon = {}
     profile = []
