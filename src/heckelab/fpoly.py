@@ -18,30 +18,14 @@ so on the same rows they grow at the same steps, with the same pivots and
 the same echelon rows.  `rank` folds `insert_row` over a matrix.
 
 Products.  mul(a, b) is addmul((), a, b), and addmul(c, a, b) = c + a*b
-reduces mod p and trims once.  From a shorter factor of PACK_FROM
-coefficients on it uses Kronecker substitution: c, a and b become ints
-with one coefficient per slot of a fixed width (pack), one int
-multiply-add forms every coefficient of c + a*b at once, and unpack
-reads them back.  The slot is the narrowest unsigned array type, of 1,
-2, 4 or 8 bytes, that holds len(a)*max(a)*max(b) + max(c), the most a
-slot can receive, so no carry crosses a slot.  A shorter factor, a
-bound no 8-byte slot holds (at p above 2^32, always) or a negative
-coefficient takes the schoolbook loop instead.  Time of the loop over
-that of the packed product, for c + a*b with factors of la and la + 4
-coefficients (CPython 3.11, one core of a 2-vCPU VM; above 1 packing
-wins):
-
-    la:       2     3     4     5     6     7     8     9     10
-    p = 2     0.45  0.54  0.62  0.66  0.78  0.80  0.87  0.86  0.97
-    p = 3     0.47  0.56  0.66  0.74  0.82  0.92  1.05  1.09  1.21
-    p = 5     0.49  0.62  0.70  0.81  0.89  1.09  1.12  1.28  1.38
-    p = 13    0.51  0.64  0.76  0.84  0.94  1.08  1.22  1.36  1.52
-    p = 251   0.54  0.69  0.85  1.05  1.18  1.34  1.52  1.72  1.84
-    p = 65537 0.57  0.72  0.78  1.11  1.20  1.38  1.48  1.68  1.85
-
-The loop skips the zero coefficients of the shorter factor, half of them
-at p = 2, so packing pays later there.  PACK_FROM = 7 is the crossover at
-p = 5 and 13, one short of it at p = 3 and two past it at p >= 251.
+is one schoolbook loop that skips the zero coefficients of the shorter
+factor, then reduces mod p and trims once.  The one packed product is the
+SNF check's, `oracle._poly_mat_mul`: Kronecker substitution turns each
+polynomial into an int with one coefficient per slot of a fixed width
+(pack), a sum of int products forms every coefficient at once, and unpack
+reads them back.  slot_for picks the narrowest unsigned array type, of 1,
+2, 4 or 8 bytes, that holds the most a slot can receive, so no carry
+crosses a slot.
 """
 
 from __future__ import annotations
@@ -76,8 +60,6 @@ __all__ = [
     "prime_power",
 ]
 
-#: shorter-factor length from which addmul packs its operands (see above)
-PACK_FROM = 7
 #: (bytes, typecode) of the unsigned array types, narrowest first
 _SLOTS = tuple(sorted({array(code).itemsize: code for code in "BHILQ"}.items()))
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -112,26 +94,9 @@ def mul(a, b, p):
 
 
 def addmul(c, a, b, p):
-    """c + a*b in F_p[t], reduced mod p and trimmed once.
-
-    From a shorter factor of PACK_FROM coefficients on, the product is
-    one multiply-add of packed ints; below that, when no slot is wide
-    enough or a coefficient is negative, it is the schoolbook loop.
-    """
+    """c + a*b in F_p[t], reduced mod p and trimmed once."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) >= PACK_FROM:
-        # every slot of c + a*b is at most this, when no coefficient is negative
-        slot = slot_for(len(a) * max(a) * max(b) + max(c, default=0))
-        if slot is not None:
-            try:
-                return unpack(pack(a, slot) * pack(b, slot) + pack(c, slot), slot, p)
-            except OverflowError:  # a negative coefficient: no array type holds it
-                pass
-    return _schoolbook(c, a, b, p)
-
-
-def _schoolbook(c, a, b, p):
     out = list(c)
     out += [0] * (len(a) + len(b) - 1 - len(out))
     for i, ca in enumerate(a):

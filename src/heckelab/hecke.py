@@ -71,6 +71,9 @@ def _exists(dp: tuple, dd: tuple, d: int, r: int) -> bool:
     eps = [a - b for a, b in zip(dd, dp)]
     if any(e < 0 or e > d for e in eps):
         return False
+    if d == 1:
+        # drops are 0/1 with sum r: every such vector is realizable
+        return True
     if r >= n:
         # the bounds force every drop to be exactly d
         return r == n
@@ -87,9 +90,6 @@ def _exists(dp: tuple, dd: tuple, d: int, r: int) -> bool:
             return _exists(dp[: j + 1], dd[: j + 1], d, r1) and _exists(
                 dp[j + 1 :], dd[j + 1 :], d, r - r1
             )
-    if d == 1:
-        # drops are 0/1 with sum r: every such vector is realizable
-        return True
     if r == 1:
         # chain criterion: between the first and last touched component,
         # each dropped degree must stay below its left neighbor
@@ -108,34 +108,30 @@ def exists_modification(query: ModificationQuery) -> bool:
 
 
 def _rank2_table(dp: tuple, dd: tuple, d: int) -> QPoly:
-    """Weight-1 multiplicity for rank 2 from the table in two regimes.
+    """Weight-1 multiplicity for rank 2: the block product where it applies,
+    a table where it does not.
 
-    g = d2 - d1 is the degree gap of E.  For g >= d only the two split
-    targets occur.  For 0 <= g < d the targets are the corners, with
-    q^{g+1} and 1, the balanced pair (when d + g is even) and the interior
-    entries (q^2-1) q^{g+2i-1}; together they telescope to the total mass
-    q^d + 1.  At g = 0 the two corners are one type, whose count is q + 1.
+    g = d2 - d1 is the degree gap of E.  A target whose two drops are each
+    0 or d is a block product: the two split targets, q^d and 1, when
+    g >= d; the corner (d1 - d, d2), 1, when 0 < g < d; and at g = 0 the
+    one corner type, q + 1.  The rest occur only for 0 < g < d: the corner
+    (d2 - d, d1) with q^{g+1}, the balanced pair (when d + g is even) and
+    the interior entries (q^2-1) q^{g+2i-1}; with the corner 1 they
+    telescope to the total mass q^d + 1.
     """
     d1, d2 = dd
     a, b = dp
     g = d2 - d1
-    if g >= d:
-        if (a, b) == tuple(sorted((d1, d2 - d))):
-            return QPoly.monomial(d)
-        if (a, b) == (d1 - d, d2):
-            return ONE
-        return ZERO
+    if d1 - a in (0, d) and d2 - b in (0, d):
+        return _block_multiplicity(dp, dd, d, 1)
     if (d + g) % 2 == 0 and a == b == (d1 + d2 - d) // 2:
         return QPoly.monomial(d) - QPoly.monomial(d - 1)
     i = d1 - b
     if 1 <= i <= (d - g - 1) // 2 and a == d2 - d + i:
         return QPoly.monomial(g + 2 * i + 1) - QPoly.monomial(g + 2 * i - 1)
-    out = ZERO
     if (a, b) == (d2 - d, d1):
-        out = QPoly.monomial(g + 1)
-    if (a, b) == (d1 - d, d2):
-        out = out + ONE
-    return out
+        return QPoly.monomial(g + 1)
+    return ZERO
 
 
 def _block_multiplicity(dp: tuple, dd: tuple, d: int, r: int) -> QPoly:

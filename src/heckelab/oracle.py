@@ -249,29 +249,25 @@ def enumerate_subspaces(n: int, r: int, field: Field, budget: int | None = None)
     """Yield every codim-r subspace of kappa^n exactly once, cell by cell.
 
     Cells are indexed by pivot-column sets; free entries sit right of their
-    pivot in non-pivot columns.  The total count is checked against the
-    budget by check_subspace_budget before any work.
+    pivot in non-pivot columns.  Each cell's rows are built once and each
+    subspace writes its free entries into them.  The total count is
+    checked against the budget by check_subspace_budget before any work;
+    at r = 0 and r = n no cell has a free entry, so the field's elements
+    are listed only for 0 < r < n.
     """
     check_subspace_budget(n, r, field.q, field.d, budget)
     k = n - r
-    zero, one = field.zero, field.one
+    elements = list(field.elements()) if 0 < r < n else ()
     for pivots in combinations(range(n), k):
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(n)
-            if j > pivots[i] and j not in pivots
-        ]
-        template = []
-        for i in range(k):
-            row = [zero] * n
-            row[pivots[i]] = one
-            template.append(row)
-        for values in product(field.elements(), repeat=len(free)):
-            rows = [row[:] for row in template]
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield FiberSubspace(field, tuple(tuple(r_) for r_ in rows), pivots)
+        rows = [[field.zero] * n for _ in pivots]
+        free = []
+        for row, pivot in zip(rows, pivots):
+            row[pivot] = field.one
+            free += [(row, j) for j in range(pivot + 1, n) if j not in pivots]
+        for values in product(elements, repeat=len(free)):
+            for (row, j), v in zip(free, values):
+                row[j] = v
+            yield FiberSubspace(field, tuple(map(tuple, rows)), pivots)
 
 
 def subspace_count(k: int, n: int, q0: int, budget: int | None = None) -> int:

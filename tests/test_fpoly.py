@@ -162,21 +162,17 @@ def reference_mul(a, b, p):
 #: with a shorter factor of 40 the slots are 1 byte wide at p = 2, 3, 2 at
 #: 5, 13, 4 at 251 and 8 at 65537; the prime 4294967311 > 2^32 fits none
 PACKING_PRIMES = [2, 3, 5, 13, 251, 65537, 4294967311]
-#: lengths from the zero polynomial past PACK_FROM to 40 and more
-LENGTHS = [0, 1, 2, fpoly.PACK_FROM - 1, fpoly.PACK_FROM, fpoly.PACK_FROM + 1, 12, 40, 57]
+#: lengths from the zero polynomial to 40 and more
+LENGTHS = (0, 1, 2, 6, 7, 8, 12, 40, 57)
 
 
 def test_packing_primes_span_every_slot_and_the_fallback():
-    assert fpoly.PACK_FROM <= 12
     slots = {fpoly.slot_for(40 * (p - 1) ** 2 + p - 1) for p in PACKING_PRIMES}
     assert {size for _, size in slots - {None}} == {1, 2, 4, 8} and None in slots
 
 
 @pytest.mark.parametrize("p", PACKING_PRIMES)
-def test_addmul_and_mul_match_the_schoolbook_reference(monkeypatch, p):
-    slots = []
-    slot_for = fpoly.slot_for
-    monkeypatch.setattr(fpoly, "slot_for", lambda bound: slots.append(slot_for(bound)) or slots[-1])
+def test_addmul_and_mul_match_the_schoolbook_reference(p):
     rng = random.Random(f"addmul:{p}")
 
     def poly(length, top=p):
@@ -199,8 +195,6 @@ def test_addmul_and_mul_match_the_schoolbook_reference(monkeypatch, p):
         assert fpoly.addmul(c, a, b, p) == want, (c, a, b)
         assert fpoly.addmul(c, b, a, p) == want, (c, a, b)
         assert fpoly.mul(a, b, p) == reference_mul(a, b, p), (a, b)
-    # the prime above 2^32 fits no slot: every product there is the schoolbook loop
-    assert slots and (set(slots) == {None}) == (p > 2**32)
 
 
 def brute_kernel_size(field, rows, ncols):

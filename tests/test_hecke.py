@@ -1,10 +1,13 @@
 """Existence dispatch, closed multiplicity formulas, neighbor censuses."""
 
+import random
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from heckelab.bundles import BundleType, ClosedPoint
+from heckelab import hecke
+from heckelab.bundles import BundleType, ClosedPoint, aut_order
+from heckelab.forms import TruncatedPBun, hecke_matrix
 from heckelab.deltas import DeltaVec, weight
 from heckelab.hall import hall_multiplicity
 from heckelab.hecke import (
@@ -396,3 +399,65 @@ def test_block_product_matches_the_deg1_spaced_and_grassmannian_references():
                             assert got == want, (E_prime, E, d, r)
                         tags[got[1]] = tags.get(got[1], 0) + 1
     assert min(tags[t] for t in ("deg1", "spaced", "grassmannian")) >= 20, tags
+
+
+def test_existence_at_degree_one_is_one_call_per_candidate(monkeypatch):
+    # every drop vector in {0, 1}^n with the right sum is realizable, so at
+    # d = 1 the existence test neither recurses over gaps nor asks the engine
+    calls, listed = [0], [0]
+    exists, all_candidates_of = hecke._exists, hecke.candidates
+
+    def counting_exists(*args):
+        calls[0] += 1
+        return exists(*args)
+
+    def counting_candidates(*args):
+        out = all_candidates_of(*args)
+        listed[0] += len(out)
+        return out
+
+    monkeypatch.setattr(hecke, "_exists", counting_exists)
+    monkeypatch.setattr(hecke, "candidates", counting_candidates)
+    for r in (1, 2, 3):
+        hecke_matrix(TruncatedPBun(4, 6), r)
+    assert calls[0] == listed[0] == 847
+
+
+def census_instances(seed, count):
+    """Seeded (E, d, r, twist) with ranks 3-6, gaps 0-2 and d 1-4, with
+    rank * d at most 16 to keep the Hall work small."""
+    rng = random.Random(f"census-identities:{seed}")
+    for _ in range(count):
+        n = rng.randint(3, 6)
+        degrees = [rng.randint(-5, 5)]
+        for _ in range(n - 1):
+            degrees.append(degrees[-1] + rng.randint(0, 2))
+        d = rng.randint(1, min(4, 16 // n))
+        yield B(*degrees), d, rng.randint(1, n - 1), rng.randint(-9, 9)
+
+
+def test_census_identities_on_seeded_instances():
+    """Identities every census satisfies, with the cross-check off so that
+    nothing else vouches for the answers: the mass is #Gr(n - r, n)(q^d), a
+    twist E(k) twists every neighbour by k, and dualizing E' -> E gives
+    E^v -> E'^v with the same cokernel, so
+    m_r(E', E) |Aut E'| = m_r(E^v, E'^v) |Aut E|."""
+    evaluations = 0
+    for E, d, r, k in census_instances(0, 150):
+        n = E.rank
+        census = neighbors(E, d, r, cross_check=False)
+        for q0 in (2, 3, 4, 5, 8, 9):
+            mass = sum(poly.evaluate(q0) for poly in census.values())
+            assert mass == gaussian_binomial(n - r, n).evaluate(q0**d), (E, d, r, q0)
+        twisted = neighbors(E.twist(k), d, r, cross_check=False)
+        assert twisted == {E_prime.twist(k): poly for E_prime, poly in census.items()}, (E, d, r, k)
+        E_dual = B(*(-a for a in E.degrees))
+        for E_prime, poly in census.items():
+            dual = ModificationQuery(B(*(-a for a in E_prime.degrees)), E_dual, ClosedPoint(2, d), r)
+            dual_poly = multiplicity(dual, cross_check=False)
+            for q0 in (2, 3, 4):
+                assert poly.evaluate(q0) * aut_order(E_prime, q0) == dual_poly.evaluate(
+                    q0
+                ) * aut_order(E, q0), (E_prime, E, d, r, q0)
+                evaluations += 1
+    assert evaluations > 1500

