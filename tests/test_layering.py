@@ -379,7 +379,11 @@ TEST_ONLY_SURFACE = {
 
 
 def test_the_public_names_only_tests_call_are_a_fixed_list():
-    callers = [*PACKAGE.glob("*.py"), *(ROOT / "demos").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    callers = [
+        *PACKAGE.glob("*.py"),
+        *(ROOT / "demos").rglob("*.py"),
+        *(ROOT / "perfbench").rglob("*.py"),
+    ]
     read = set().union(*map(referenced_names, callers))
     test_only = {
         f"{name}.{attr}"
