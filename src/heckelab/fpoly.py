@@ -2,7 +2,8 @@
 
 A polynomial is a little-endian tuple of ints in [0, p), trimmed so the
 last coefficient is nonzero; the zero polynomial is ().  Every function
-takes the prime p explicitly and returns trimmed tuples.  Besides the ring
+takes the prime p explicitly and returns trimmed tuples, except those of
+the byte form below, which take and return bytes.  Besides the ring
 operations this module holds the determinant of polynomial matrices, the
 one elimination step over F_p, Rabin's irreducibility test and the search
 for the first monic irreducible of a degree, plus the primality helpers
@@ -19,13 +20,27 @@ the same echelon rows.  `rank` folds `insert_row` over a matrix.
 
 Products.  mul(a, b) is addmul((), a, b), and addmul(c, a, b) = c + a*b
 is one schoolbook loop that skips the zero coefficients of the shorter
-factor, then reduces mod p and trims once.  The one packed product is the
-SNF check's, `oracle._poly_mat_mul`: Kronecker substitution turns each
-polynomial into an int with one coefficient per slot of a fixed width
-(pack), a sum of int products forms every coefficient at once, and unpack
-reads them back.  slot_for picks the narrowest unsigned array type, of 1,
-2, 4 or 8 bytes, that holds the most a slot can receive, so no carry
-crosses a slot.
+factor, then reduces mod p and trims once.  The SNF check's product,
+`oracle._poly_mat_mul`, packs by Kronecker substitution: each polynomial
+becomes an int with one coefficient per slot of a fixed width (pack), a
+sum of int products forms every coefficient at once, and unpack reads
+them back.  slot_for picks the narrowest unsigned array type, of 1, 2, 4
+or 8 bytes, that holds the most a slot can receive, so no carry crosses
+a slot.
+
+Byte form.  For a prime p <= 13 one byte holds (p - 1) + (p - 1)^2, and
+byte_form(p) says so; it is the one place the choice is made.  There a
+polynomial may be held as bytes, one coefficient per byte, little-endian,
+trimmed like a tuple, b"" for zero: bytes(a) and tuple(b) convert.
+addmul_bytes(c, a, b) is int.from_bytes(a) * int.from_bytes(b) +
+int.from_bytes(c), written back by to_bytes, reduced mod p by one
+bytes.translate through a 256-entry table and trimmed by rstrip, all in
+C.  A shorter factor of more than m = (255 - (p - 1)) // (p - 1)^2
+coefficients, which could overflow a byte, is taken m at a time, reduced
+between chunks: m is 254, 63, 15, 6, 2 and 1 at p = 2, 3, 5, 7, 11 and
+13.  scale_bytes is one translate, and div_bytes finds the quotient's
+coefficients from the top of the dividend and the remainder by one
+addmul_bytes.  Each returns the bytes of its tuple counterpart.
 """
 
 from __future__ import annotations
@@ -41,6 +56,10 @@ __all__ = [
     "sub",
     "mul",
     "addmul",
+    "byte_form",
+    "addmul_bytes",
+    "scale_bytes",
+    "div_bytes",
     "slot_for",
     "pack",
     "unpack",
@@ -104,6 +123,72 @@ def addmul(c, a, b, p):
             for j, cb in enumerate(b, i):
                 out[j] += ca * cb
     return trim([x % p for x in out])
+
+
+#: p -> (tables, m) for each prime p whose byte holds (p - 1) + (p - 1)^2:
+#: tables[c] maps a byte x to x * c mod p, and m is the longest shorter
+#: factor whose product, plus a reduced polynomial, fills no byte past 255
+_BYTE_FORM = {
+    p: (
+        tuple((bytes(x * c % p for x in range(p)) * (256 // p + 1))[:256] for c in range(p)),
+        (255 - (p - 1)) // (p - 1) ** 2,
+    )
+    for p in range(2, 17)
+    if (p - 1) + (p - 1) ** 2 <= 255 and all(p % k for k in range(2, p))
+}
+
+
+def byte_form(p) -> bool:
+    """Whether F_p[t] arithmetic may run on the byte form: bytes with one
+    coefficient in [0, p) per byte, little-endian, trimmed like tuples."""
+    return p in _BYTE_FORM
+
+
+def addmul_bytes(c, a, b, p):
+    """addmul on the byte form: c + a*b as one int product, reduced by one
+    translate.  A shorter factor of more than m coefficients is taken m at
+    a time, each chunk's product reduced before the next is added."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return c
+    tables, m = _BYTE_FORM[p]
+    if len(a) > m:
+        for i in range(0, len(a), m):
+            c = addmul_bytes(c, a[i : i + m], bytes(i) + b, p)
+        return c
+    size = len(a) + len(b) - 1
+    if size < len(c):
+        size = len(c)
+    v = int.from_bytes(a, "little") * int.from_bytes(b, "little") + int.from_bytes(c, "little")
+    return v.to_bytes(size, "little").translate(tables[1]).rstrip(b"\0")
+
+
+def scale_bytes(a, c, p):
+    """scale on the byte form: one translate."""
+    return a.translate(_BYTE_FORM[p][0][c % p]).rstrip(b"\0")
+
+
+def div_bytes(a, b, p):
+    """div on the byte form.  The quotient's coefficients come top down
+    from the top of a; the remainder is a - quotient*b, by addmul_bytes."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    inv = pow(b[-1], -1, p)
+    if len(b) == 1:
+        return scale_bytes(a, inv, p), b""
+    top = len(b) - 1
+    size = len(a) - top
+    if size <= 0:
+        return b"", a
+    quo = [0] * size
+    for k in range(size - 1, -1, -1):
+        s = a[k + top]
+        for j in range(k + 1, min(size, k + top + 1)):
+            s -= quo[j] * b[k + top - j]
+        quo[k] = s * inv % p
+    quo = bytes(quo)
+    return quo, addmul_bytes(a, scale_bytes(quo, p - 1, p), b, p)
 
 
 def slot_for(bound):

@@ -142,20 +142,23 @@ def _block_multiplicity(dp: tuple, dd: tuple, d: int, r: int) -> QPoly:
     q^(d alpha) prod_j #Gr(theta_j, l_j) where
     alpha = sum_j (l_j - theta_j) (r - theta_1 - ... - theta_j).
     At d = 1 this holds for every drop vector; for d > 1 it answers E with
-    every gap at least d (each l_j = 1) and balanced E (one block).
+    every gap at least d (each l_j = 1) and balanced E (one block).  The
+    blocks are the runs of dd, which is sorted; #Gr(theta, l) is 1 at
+    theta = 0 and theta = l, so only the other blocks multiply.
     """
     out = ONE
     alpha = 0
     consumed = 0
     start = 0
-    for _, length in BundleType(dd).grouped():
-        end = start + length
-        theta = (sum(dd[start:end]) - sum(dp[start:end])) // d
+    while start < len(dd):
+        length = dd.count(dd[start])
+        theta = (length * dd[start] - sum(dp[start : start + length])) // d
         consumed += theta
         alpha += (length - theta) * (r - consumed)
-        out = out * gaussian_binomial(theta, length)
-        start = end
-    return QPoly.monomial(d * alpha) * out
+        if 0 < theta < length:
+            out = out * gaussian_binomial(theta, length)
+        start += length
+    return QPoly((0,) * (d * alpha) + out.coeffs)
 
 
 def _multiplicity_core(dp: tuple, dd: tuple, d: int, r: int) -> tuple:

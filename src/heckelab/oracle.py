@@ -471,10 +471,6 @@ def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
 # --- Smith normal form over F_q[t] -----------------------------------------
 
 
-def _mat_id(n):
-    return [[((1,) if i == j else ()) for j in range(n)] for i in range(n)]
-
-
 def _poly_mat_mul(A, B, p):
     """A*B over F_p[t], row by row, for entries reduced mod p.
 
@@ -512,31 +508,46 @@ def smith_normal_form(M, q: int):
     reduction: repeatedly move a minimal-degree entry to the pivot and
     reduce its row and column by division with remainder; a pivot of
     positive degree must then divide the trailing submatrix, which a
-    unit pivot does without a check.  Each
-    elementary operation negates its quotient f once and updates A, L and
-    R entry by entry with fpoly.addmul.  q and every coefficient must be
-    ints, bool refused; anything else raises TypeError and nothing is
-    converted.  An empty or non-square matrix raises ValueError.
+    unit pivot does without a check.  Each elementary operation negates
+    its quotient f once and updates A, L and R entry by entry with addmul.
+    q and every coefficient must be ints, bool refused; anything else
+    raises TypeError and nothing is converted.  An empty or non-square
+    matrix raises ValueError.
 
-    The answer is checked before it is returned: the divisibility chain,
-    and L*D*R == M by _poly_mat_mul, which packs each entry of L*D and of
-    R into one int and unpacks each entry of the product once; when no
-    slot is wide enough, as at q above 2^32, it multiplies entry by entry.
-    A failed check raises OracleIntegrityError.
+    The elimination runs once, over the representation fpoly.byte_form
+    chooses from q.  For q <= 13 the entries are bytes, and each update
+    c + a*b is one int product reduced by one bytes.translate
+    (fpoly.addmul_bytes), taken in chunks of the shorter factor when its
+    coefficients could overflow a byte: chunks of 254, 63, 15, 6, 2 and 1
+    coefficients at q = 2, 3, 5, 7, 11 and 13.  For larger q the entries
+    are tuples and the updates fpoly.addmul.  Both perform the same
+    operations on the same values, and diag, L and R are returned as
+    tuples either way.
+
+    The answer is checked on the tuple form before it is returned: the
+    divisibility chain, and L*D*R == M by _poly_mat_mul, which packs each
+    entry of L*D and of R into one int and unpacks each entry of the
+    product once; when no slot is wide enough, as at q above 2^32, it
+    multiplies entry by entry.  A failed check raises OracleIntegrityError.
     """
     if not fpoly.is_prime(q):
         raise ValueError(f"SNF over F_q[t] needs prime q, got {q}")
     if not {type(c) for row in M for entry in row for c in entry} <= {int}:
         raise TypeError(f"matrix coefficients must be ints, got {M!r}")
-    A = [[fpoly.trim(c % q for c in entry) for entry in row] for row in M]
-    n = len(A)
+    orig = [[fpoly.trim(c % q for c in entry) for entry in row] for row in M]
+    n = len(orig)
     if not n:
         raise ValueError("matrix must not be empty")
-    if any(len(row) != n for row in A):
+    if any(len(row) != n for row in orig):
         raise ValueError("matrix must be square")
-    orig = [list(row) for row in A]  # the elimination rewrites A in place
-    L = _mat_id(n)
-    R = _mat_id(n)
+    if fpoly.byte_form(q):
+        form, addmul, scale, div = bytes, fpoly.addmul_bytes, fpoly.scale_bytes, fpoly.div_bytes
+    else:
+        form, addmul, scale, div = tuple, fpoly.addmul, fpoly.scale, fpoly.div
+    one = form((1,))
+    A = [[form(entry) for entry in row] for row in orig]
+    L = [[one if i == j else form() for j in range(n)] for i in range(n)]
+    R = [[one if i == j else form() for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -550,19 +561,19 @@ def smith_normal_form(M, q: int):
 
     def row_sub(i, j, f):
         # row_i -= f * row_j ; compensate L by col_j += f * col_i
-        neg = fpoly.scale(f, q - 1, q)
-        A[i] = [fpoly.addmul(a, neg, b, q) if b else a for a, b in zip(A[i], A[j])]
+        neg = scale(f, q - 1, q)
+        A[i] = [addmul(a, neg, b, q) if b else a for a, b in zip(A[i], A[j])]
         for row in L:
             if row[i]:
-                row[j] = fpoly.addmul(row[j], f, row[i], q)
+                row[j] = addmul(row[j], f, row[i], q)
 
     def col_sub(i, j, f):
         # col_i -= f * col_j ; compensate R by row_j += f * row_i
-        neg = fpoly.scale(f, q - 1, q)
+        neg = scale(f, q - 1, q)
         for row in A:
             if row[j]:
-                row[i] = fpoly.addmul(row[i], neg, row[j], q)
-        R[j] = [fpoly.addmul(a, f, b, q) if b else a for a, b in zip(R[j], R[i])]
+                row[i] = addmul(row[i], neg, row[j], q)
+        R[j] = [addmul(a, f, b, q) if b else a for a, b in zip(R[j], R[i])]
 
     for k in range(n):
         while True:
@@ -582,13 +593,13 @@ def smith_normal_form(M, q: int):
             dirty = False
             for i in range(k + 1, n):
                 if A[i][k]:
-                    f, rem = fpoly.div(A[i][k], A[k][k], q)
+                    f, rem = div(A[i][k], A[k][k], q)
                     row_sub(i, k, f)
                     if rem:
                         dirty = True
             for j in range(k + 1, n):
                 if A[k][j]:
-                    f, rem = fpoly.div(A[k][j], A[k][k], q)
+                    f, rem = div(A[k][j], A[k][k], q)
                     col_sub(j, k, f)
                     if rem:
                         dirty = True
@@ -600,24 +611,26 @@ def smith_normal_form(M, q: int):
             stray = None
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    if A[i][j] and fpoly.div(A[i][j], A[k][k], q)[1]:
+                    if A[i][j] and div(A[i][j], A[k][k], q)[1]:
                         stray = i
                         break
                 if stray is not None:
                     break
             if stray is None:
                 break
-            row_sub(k, stray, fpoly.scale((1,), q - 1, q))  # row_k += row_stray
+            row_sub(k, stray, scale(one, q - 1, q))  # row_k += row_stray
 
     diag = []
     for k in range(n):
         lead = A[k][k][-1]
         if lead != 1:
             inv = pow(lead, -1, q)
-            A[k][k] = fpoly.scale(A[k][k], inv, q)
+            A[k][k] = scale(A[k][k], inv, q)
             for row in L:
-                row[k] = fpoly.scale(row[k], lead, q)
-        diag.append(A[k][k])
+                row[k] = scale(row[k], lead, q)
+        diag.append(tuple(A[k][k]))
+    L = [[tuple(entry) for entry in row] for row in L]
+    R = [[tuple(entry) for entry in row] for row in R]
     for i in range(n - 1):
         if fpoly.div(diag[i + 1], diag[i], q)[1]:
             raise OracleIntegrityError(f"SNF divisibility chain broken at entry {i + 1}")

@@ -197,6 +197,50 @@ def test_addmul_and_mul_match_the_schoolbook_reference(p):
         assert fpoly.mul(a, b, p) == reference_mul(a, b, p), (a, b)
 
 
+#: the primes of the byte form, each with m, the most coefficients of a
+#: shorter factor that it multiplies in one int product
+BYTE_PRIMES = {2: 254, 3: 63, 5: 15, 7: 6, 11: 2, 13: 1}
+
+
+def test_byte_form_is_chosen_for_the_primes_up_to_13():
+    primes = [p for p in range(2, 300) if fpoly.is_prime(p)]
+    assert [p for p in primes if fpoly.byte_form(p)] == list(BYTE_PRIMES)
+    assert not fpoly.byte_form(4294967311)
+
+
+@pytest.mark.parametrize("p, m", BYTE_PRIMES.items())
+def test_byte_form_matches_the_tuple_functions(p, m):
+    """addmul_bytes, scale_bytes and div_bytes give the bytes of addmul,
+    scale and div.  Shorter factors of m and m + 1 coefficients, all p - 1
+    as well as random, fill a byte to 255 and would overflow it unless the
+    product is taken in chunks."""
+    rng = random.Random(f"bytes:{p}")
+
+    def poly(length, top=None):
+        """length coefficients, the last nonzero; all equal to top if given."""
+        if top is not None or not length:
+            return (top,) * length
+        return tuple(rng.randrange(p) for _ in range(length - 1)) + (rng.randrange(1, p),)
+
+    tops = (None, p - 1)
+    lengths = (2, m, m + 1, 2 * m + 1)
+    factors = [(), (1,), (p - 1,)] + [poly(k, top) for k in lengths for top in tops]
+    for a in factors:
+        for b in factors[:7] + [poly(3 * m + 5, top) for top in tops]:
+            for c in ((), poly(len(a) + len(b) // 2, p - 1), poly(len(a) + len(b) + 3)):
+                want = fpoly.addmul(c, a, b, p)
+                assert fpoly.addmul_bytes(bytes(c), bytes(a), bytes(b), p) == bytes(want), (c, a, b)
+        for k in range(-p, 2 * p):
+            assert fpoly.scale_bytes(bytes(a), k, p) == bytes(fpoly.scale(a, k, p)), (a, k)
+    divisors = [(1,), (p - 1,), poly(1), poly(2), poly(2, p - 1), poly(5), poly(m + 1)]
+    for a in factors + [poly(rng.randint(0, 3 * m + 5)) for _ in range(30)]:
+        for b in divisors:
+            quo, rem = fpoly.div(a, b, p)
+            assert fpoly.div_bytes(bytes(a), bytes(b), p) == (bytes(quo), bytes(rem)), (a, b)
+    with pytest.raises(ZeroDivisionError):
+        fpoly.div_bytes(b"\x01", b"", p)
+
+
 def brute_kernel_size(field, rows, ncols):
     """#{x in F^ncols : row . x = 0 for every row}, by enumeration."""
 

@@ -1,7 +1,8 @@
 """Module boundaries: no heckelab module imports another's private names,
 the oracle imports neither the Hall engine nor the forms layer,
 the rational-function type stays in two modules, only ClosedPoint tests
-a polynomial for irreducibility, no module relies on an assert statement,
+a polynomial for irreducibility, only fpoly converts between ints and
+bytes or translates bytes, no module relies on an assert statement,
 the value types check their entries without converting them, every
 lru_cache decorates a module-level function and none is a public name,
 every module is in README's module map, every exported name exists, and
@@ -99,6 +100,49 @@ def test_only_closed_point_tests_irreducibility():
     # a point's (q, d, poly) is validated once, by ClosedPoint
     users = {path.stem for path in PACKAGE.glob("*.py") if calls_is_irreducible(path)}
     assert users == {"bundles", "fpoly"}
+
+
+#: the conversions of the byte form of F_p[t], which stays inside fpoly
+BYTE_FORM_CALLS = {"from_bytes", "to_bytes", "translate"}
+
+
+def byte_form_calls(path):
+    """(line, name) for each call of from_bytes, to_bytes or translate, as a
+    name or an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BYTE_FORM_CALLS:
+                out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_scan_flags_byte_form_calls(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "v = int.from_bytes(b'ab', 'little')\n"
+        "to_bytes = v.to_bytes\n"
+        "w = to_bytes(2, 'little').translate(bytes(range(256)))\n"
+        "text = 'translate'\n"
+        "table = str.maketrans('a', 'b')\n"
+        "def f(x):\n"
+        "    return x.translate(table)\n"
+    )
+    assert byte_form_calls(sample) == [
+        (1, "from_bytes"),
+        (3, "to_bytes"),
+        (3, "translate"),
+        (7, "translate"),
+    ]
+
+
+def test_only_fpoly_handles_the_byte_form():
+    # F_p[t]'s byte form and the ints it packs into stay behind one module
+    users = {path.stem for path in PACKAGE.glob("*.py") if byte_form_calls(path)}
+    assert users == {"fpoly"}
 
 
 def assert_lines(path):

@@ -456,43 +456,170 @@ def snf_batch():
     ]
 
 
+def counting(monkeypatch, names, weigh):
+    """Wrap the fpoly functions named; returns [calls, sum of weigh(args)]."""
+    totals = [0, 0]
+    for name in names:
+
+        def count(*args, _call=getattr(fpoly, name)):
+            totals[0] += 1
+            totals[1] += weigh(*args)
+            return _call(*args)
+
+        monkeypatch.setattr(fpoly, name, count)
+    return totals
+
+
 def test_snf_batch_takes_the_packed_products(monkeypatch):
-    """The L*D*R check packs every entry once, so on this batch fpoly.addmul,
-    through which every other product goes, runs 5,842 times with 79,004
-    coefficient products.  With the check's packing switched off it runs
-    7,631 times with 254,186: each bound below fails that."""
+    """The L*D*R check packs every entry once.  On this batch the products
+    in byte form, fpoly.addmul_bytes, and in tuple form, fpoly.addmul,
+    run 6,606 times with 87,840 coefficient products, 462 and 3,424 of
+    them the check's in tuple form.  With the check's packing switched
+    off they run 8,395 times with 263,022: each bound below fails that."""
     batch = snf_batch()
-    calls, products = [0], [0]
-    addmul = fpoly.addmul
-
-    def counting(c, a, b, p):
-        calls[0] += 1
-        products[0] += len(a) * len(b)
-        return addmul(c, a, b, p)
-
-    monkeypatch.setattr(fpoly, "addmul", counting)
+    products = counting(monkeypatch, ("addmul_bytes", "addmul"), lambda c, a, b, p: len(a) * len(b))
     for q, M, diag in batch:
         assert smith_normal_form(M, q)[0] == diag
-    assert calls[0] < 6500 and products[0] < 85000, (calls[0], products[0])
+    assert products[0] < 7000 and products[1] < 95000, products
 
 
 def test_snf_batch_skips_the_divisibility_scan_at_unit_pivots(monkeypatch):
     """A unit pivot divides the whole trailing submatrix, so the scan for a
     stray entry runs only after a pivot of positive degree: on this batch
-    fpoly.div runs 1,378 times, 1,071 of them by a non-constant.  With
-    the scan at every pivot it ran 1,891 times."""
-    calls, by_units = [0], [0]
-    div = fpoly.div
-
-    def counting(a, b, p):
-        calls[0] += 1
-        by_units[0] += len(b) == 1
-        return div(a, b, p)
-
-    monkeypatch.setattr(fpoly, "div", counting)
-    for q, M, diag in snf_batch():
+    the divisions in byte form, fpoly.div_bytes, and in tuple form,
+    fpoly.div, run 1,087 times, 789 of them by a non-constant.  With the
+    scan at every pivot they run 1,600 times."""
+    batch = snf_batch()
+    divisions = counting(monkeypatch, ("div_bytes", "div"), lambda a, b, p: len(b) > 1)
+    for q, M, diag in batch:
         assert smith_normal_form(M, q)[0] == diag
-    assert calls[0] < 1500, (calls[0], by_units[0])
+    assert divisions[0] < 1200, divisions
+
+
+def reference_smith_normal_form(M, q):
+    """smith_normal_form's elimination on tuples and fpoly's tuple functions
+    alone, as it ran for every q before the byte form; no checks."""
+    A = [[fpoly.trim(c % q for c in entry) for entry in row] for row in M]
+    n = len(A)
+    L = [[ONE if i == j else () for j in range(n)] for i in range(n)]
+    R = [[ONE if i == j else () for j in range(n)] for i in range(n)]
+
+    def row_sub(i, j, f):
+        neg = fpoly.scale(f, q - 1, q)
+        A[i] = [fpoly.addmul(a, neg, b, q) if b else a for a, b in zip(A[i], A[j])]
+        for row in L:
+            if row[i]:
+                row[j] = fpoly.addmul(row[j], f, row[i], q)
+
+    def col_sub(i, j, f):
+        neg = fpoly.scale(f, q - 1, q)
+        for row in A:
+            if row[j]:
+                row[i] = fpoly.addmul(row[i], neg, row[j], q)
+        R[j] = [fpoly.addmul(a, f, b, q) if b else a for a, b in zip(R[j], R[i])]
+
+    for k in range(n):
+        while True:
+            best = None
+            for i in range(k, n):
+                for j in range(k, n):
+                    if A[i][j] and (best is None or len(A[i][j]) < len(A[best[0]][best[1]])):
+                        best = (i, j)
+            if best[0] != k:
+                A[k], A[best[0]] = A[best[0]], A[k]
+                for row in L:
+                    row[k], row[best[0]] = row[best[0]], row[k]
+            if best[1] != k:
+                for row in A:
+                    row[k], row[best[1]] = row[best[1]], row[k]
+                R[k], R[best[1]] = R[best[1]], R[k]
+            dirty = False
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    f, rem = fpoly.div(A[i][k], A[k][k], q)
+                    row_sub(i, k, f)
+                    dirty = dirty or bool(rem)
+            for j in range(k + 1, n):
+                if A[k][j]:
+                    f, rem = fpoly.div(A[k][j], A[k][k], q)
+                    col_sub(j, k, f)
+                    dirty = dirty or bool(rem)
+            if dirty:
+                continue
+            if len(A[k][k]) == 1:
+                break
+            stray = next(
+                (
+                    i
+                    for i in range(k + 1, n)
+                    for j in range(k + 1, n)
+                    if A[i][j] and fpoly.div(A[i][j], A[k][k], q)[1]
+                ),
+                None,
+            )
+            if stray is None:
+                break
+            row_sub(k, stray, fpoly.scale(ONE, q - 1, q))
+    diag = []
+    for k in range(n):
+        lead = A[k][k][-1]
+        if lead != 1:
+            A[k][k] = fpoly.scale(A[k][k], pow(lead, -1, q), q)
+            for row in L:
+                row[k] = fpoly.scale(row[k], lead, q)
+        diag.append(A[k][k])
+    return diag, L, R
+
+
+def chunk_length(q):
+    """The most coefficients of a shorter factor that the byte form
+    multiplies in one int product: (255 - (q - 1)) // (q - 1)^2."""
+    return (255 - (q - 1)) // (q - 1) ** 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 251])
+def test_snf_equals_the_tuple_elimination(q, monkeypatch):
+    """diag, L and R equal the tuple elimination's, on either side of the
+    choice fpoly.byte_form makes from q, and on entries long enough that
+    the byte form takes a product in chunks at every q <= 13."""
+    rng = random.Random(f"snf-forms:{q}")
+    cases = [
+        unit_times_diag_times_unit(rng, n, q, e, rng.randint(0, n))[0]
+        for n in (2, 4, 6)
+        for e in (1, 2)
+    ]
+
+    def poly(k):
+        return tuple(rng.randrange(q) for _ in range(k - 1)) + (rng.randrange(1, q),)
+
+    # rejection-sampled: random entries, singular matrices rejected
+    while len(cases) < 10:
+        M = [[_strip(poly(rng.randint(1, 4))) for _ in range(3)] for _ in range(3)]
+        if fpoly.det(M, q):
+            cases.append(M)
+    # a short corner a dividing its row and its column, by quotients f and g
+    # past the chunk length: (a, a*g; a*f, c)
+    long = chunk_length(q) + 3 if q <= 13 else 20
+    while len(cases) < 12:
+        a, f, g, c = poly(2), poly(long), poly(long), poly(long)
+        M = [[a, fpoly.mul(a, g, q)], [fpoly.mul(a, f, q), c]]
+        if fpoly.det(M, q):
+            cases.append(M)
+    shorter = []
+    addmul_bytes = fpoly.addmul_bytes
+
+    def spy(c, a, b, p):
+        shorter.append(min(len(a), len(b)))
+        return addmul_bytes(c, a, b, p)
+
+    monkeypatch.setattr(fpoly, "addmul_bytes", spy)
+    for M in cases:
+        assert smith_normal_form(M, q) == reference_smith_normal_form(M, q), M
+    assert fpoly.byte_form(q) == (q <= 13)
+    if q <= 13:
+        assert max(shorter) > chunk_length(q)
+    else:
+        assert shorter == []
 
 
 def test_splitting_type_scan_reaches_low_degrees():
