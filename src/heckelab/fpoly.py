@@ -38,9 +38,13 @@ bytes.translate through a 256-entry table and trimmed by rstrip, all in
 C.  A shorter factor of more than m = (255 - (p - 1)) // (p - 1)^2
 coefficients, which could overflow a byte, is taken m at a time, reduced
 between chunks: m is 254, 63, 15, 6, 2 and 1 at p = 2, 3, 5, 7, 11 and
-13.  scale_bytes is one translate, and div_bytes finds the quotient's
-coefficients from the top of the dividend and the remainder by one
-addmul_bytes.  Each returns the bytes of its tuple counterpart.
+13.  Each chunk but the last costs one int product, shifted into c by
+its offset, and one translate; b becomes an int once.  scale_bytes is one
+translate, and div_bytes finds the quotient's coefficients from the top
+of the dividend and the remainder by one addmul_bytes.  Each returns the
+bytes of its tuple counterpart.  Timed on SNF inputs, the byte form beats
+the tuple form at every one of these primes, by the least at p = 13,
+where m = 1 and most products are chunked.
 """
 
 from __future__ import annotations
@@ -125,16 +129,16 @@ def addmul(c, a, b, p):
     return trim([x % p for x in out])
 
 
-#: p -> (tables, m) for each prime p whose byte holds (p - 1) + (p - 1)^2:
-#: tables[c] maps a byte x to x * c mod p, and m is the longest shorter
-#: factor whose product, plus a reduced polynomial, fills no byte past 255
+#: p -> (tables, m) for the primes p whose byte holds (p - 1) + (p - 1)^2,
+#: those up to 13: tables[c] maps a byte x to x * c mod p, and m is the
+#: longest shorter factor whose product, plus a reduced polynomial, fills
+#: no byte past 255
 _BYTE_FORM = {
     p: (
         tuple((bytes(x * c % p for x in range(p)) * (256 // p + 1))[:256] for c in range(p)),
         (255 - (p - 1)) // (p - 1) ** 2,
     )
-    for p in range(2, 17)
-    if (p - 1) + (p - 1) ** 2 <= 255 and all(p % k for k in range(2, p))
+    for p in (2, 3, 5, 7, 11, 13)
 }
 
 
@@ -153,13 +157,17 @@ def addmul_bytes(c, a, b, p):
     if not a:
         return c
     tables, m = _BYTE_FORM[p]
-    if len(a) > m:
-        for i in range(0, len(a), m):
-            c = addmul_bytes(c, a[i : i + m], bytes(i) + b, p)
-        return c
     size = len(a) + len(b) - 1
     if size < len(c):
         size = len(c)
+    if len(a) > m:
+        # every chunk but the last, shifted by its offset and reduced
+        last = (len(a) - 1) // m * m
+        y = int.from_bytes(b, "little")
+        for i in range(0, last, m):
+            v = int.from_bytes(c, "little") + (int.from_bytes(a[i : i + m], "little") * y << 8 * i)
+            c = v.to_bytes(size, "little").translate(tables[1])
+        a, b = a[last:], bytes(last) + b
     v = int.from_bytes(a, "little") * int.from_bytes(b, "little") + int.from_bytes(c, "little")
     return v.to_bytes(size, "little").translate(tables[1]).rstrip(b"\0")
 

@@ -205,6 +205,8 @@ BYTE_PRIMES = {2: 254, 3: 63, 5: 15, 7: 6, 11: 2, 13: 1}
 def test_byte_form_is_chosen_for_the_primes_up_to_13():
     primes = [p for p in range(2, 300) if fpoly.is_prime(p)]
     assert [p for p in primes if fpoly.byte_form(p)] == list(BYTE_PRIMES)
+    # exactly the primes whose byte holds a reduced coefficient plus one product
+    assert [p for p in primes if (p - 1) + (p - 1) ** 2 <= 255] == list(BYTE_PRIMES)
     assert not fpoly.byte_form(4294967311)
 
 

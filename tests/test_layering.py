@@ -76,38 +76,8 @@ def test_only_qcalc_and_bundles_name_qrat():
     assert users == {"qcalc", "bundles"}
 
 
-def calls_is_irreducible(path):
-    """True when the module calls is_irreducible, as a name or an attribute."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "is_irreducible":
-                return True
-    return False
-
-
-def test_scan_flags_irreducibility_calls(tmp_path):
-    sample = tmp_path / "sample.py"
-    sample.write_text("from . import fpoly\nok = fpoly.is_irreducible((1, 1), 2)\n")
-    assert calls_is_irreducible(sample)
-    sample.write_text("from .fpoly import is_irreducible as test\nok = is_irreducible\n")
-    assert not calls_is_irreducible(sample)
-
-
-def test_only_closed_point_tests_irreducibility():
-    # a point's (q, d, poly) is validated once, by ClosedPoint
-    users = {path.stem for path in PACKAGE.glob("*.py") if calls_is_irreducible(path)}
-    assert users == {"bundles", "fpoly"}
-
-
-#: the conversions of the byte form of F_p[t], which stays inside fpoly
-BYTE_FORM_CALLS = {"from_bytes", "to_bytes", "translate"}
-
-
-def byte_form_calls(path):
-    """(line, name) for each call of from_bytes, to_bytes or translate, as a
+def calls_of(path, names):
+    """(line, name) for each call in the module of one of names, called as a
     name or an attribute."""
     tree = ast.parse(path.read_text(), filename=str(path))
     out = []
@@ -115,9 +85,27 @@ def byte_form_calls(path):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in BYTE_FORM_CALLS:
+            if name in names:
                 out.append((node.lineno, name))
     return sorted(out)
+
+
+def test_scan_flags_irreducibility_calls(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from . import fpoly\nok = fpoly.is_irreducible((1, 1), 2)\n")
+    assert calls_of(sample, {"is_irreducible"}) == [(2, "is_irreducible")]
+    sample.write_text("from .fpoly import is_irreducible as test\nok = is_irreducible\n")
+    assert calls_of(sample, {"is_irreducible"}) == []
+
+
+def test_only_closed_point_tests_irreducibility():
+    # a point's (q, d, poly) is validated once, by ClosedPoint
+    users = {path.stem for path in PACKAGE.glob("*.py") if calls_of(path, {"is_irreducible"})}
+    assert users == {"bundles", "fpoly"}
+
+
+#: the conversions of the byte form of F_p[t], which stays inside fpoly
+BYTE_FORM_CALLS = {"from_bytes", "to_bytes", "translate"}
 
 
 def test_scan_flags_byte_form_calls(tmp_path):
@@ -131,7 +119,7 @@ def test_scan_flags_byte_form_calls(tmp_path):
         "def f(x):\n"
         "    return x.translate(table)\n"
     )
-    assert byte_form_calls(sample) == [
+    assert calls_of(sample, BYTE_FORM_CALLS) == [
         (1, "from_bytes"),
         (3, "to_bytes"),
         (3, "translate"),
@@ -141,7 +129,7 @@ def test_scan_flags_byte_form_calls(tmp_path):
 
 def test_only_fpoly_handles_the_byte_form():
     # F_p[t]'s byte form and the ints it packs into stay behind one module
-    users = {path.stem for path in PACKAGE.glob("*.py") if byte_form_calls(path)}
+    users = {path.stem for path in PACKAGE.glob("*.py") if calls_of(path, BYTE_FORM_CALLS)}
     assert users == {"fpoly"}
 
 

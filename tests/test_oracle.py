@@ -496,81 +496,6 @@ def test_snf_batch_skips_the_divisibility_scan_at_unit_pivots(monkeypatch):
     assert divisions[0] < 1200, divisions
 
 
-def reference_smith_normal_form(M, q):
-    """smith_normal_form's elimination on tuples and fpoly's tuple functions
-    alone, as it ran for every q before the byte form; no checks."""
-    A = [[fpoly.trim(c % q for c in entry) for entry in row] for row in M]
-    n = len(A)
-    L = [[ONE if i == j else () for j in range(n)] for i in range(n)]
-    R = [[ONE if i == j else () for j in range(n)] for i in range(n)]
-
-    def row_sub(i, j, f):
-        neg = fpoly.scale(f, q - 1, q)
-        A[i] = [fpoly.addmul(a, neg, b, q) if b else a for a, b in zip(A[i], A[j])]
-        for row in L:
-            if row[i]:
-                row[j] = fpoly.addmul(row[j], f, row[i], q)
-
-    def col_sub(i, j, f):
-        neg = fpoly.scale(f, q - 1, q)
-        for row in A:
-            if row[j]:
-                row[i] = fpoly.addmul(row[i], neg, row[j], q)
-        R[j] = [fpoly.addmul(a, f, b, q) if b else a for a, b in zip(R[j], R[i])]
-
-    for k in range(n):
-        while True:
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    if A[i][j] and (best is None or len(A[i][j]) < len(A[best[0]][best[1]])):
-                        best = (i, j)
-            if best[0] != k:
-                A[k], A[best[0]] = A[best[0]], A[k]
-                for row in L:
-                    row[k], row[best[0]] = row[best[0]], row[k]
-            if best[1] != k:
-                for row in A:
-                    row[k], row[best[1]] = row[best[1]], row[k]
-                R[k], R[best[1]] = R[best[1]], R[k]
-            dirty = False
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    f, rem = fpoly.div(A[i][k], A[k][k], q)
-                    row_sub(i, k, f)
-                    dirty = dirty or bool(rem)
-            for j in range(k + 1, n):
-                if A[k][j]:
-                    f, rem = fpoly.div(A[k][j], A[k][k], q)
-                    col_sub(j, k, f)
-                    dirty = dirty or bool(rem)
-            if dirty:
-                continue
-            if len(A[k][k]) == 1:
-                break
-            stray = next(
-                (
-                    i
-                    for i in range(k + 1, n)
-                    for j in range(k + 1, n)
-                    if A[i][j] and fpoly.div(A[i][j], A[k][k], q)[1]
-                ),
-                None,
-            )
-            if stray is None:
-                break
-            row_sub(k, stray, fpoly.scale(ONE, q - 1, q))
-    diag = []
-    for k in range(n):
-        lead = A[k][k][-1]
-        if lead != 1:
-            A[k][k] = fpoly.scale(A[k][k], pow(lead, -1, q), q)
-            for row in L:
-                row[k] = fpoly.scale(row[k], lead, q)
-        diag.append(A[k][k])
-    return diag, L, R
-
-
 def chunk_length(q):
     """The most coefficients of a shorter factor that the byte form
     multiplies in one int product: (255 - (q - 1)) // (q - 1)^2."""
@@ -579,9 +504,10 @@ def chunk_length(q):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 251])
 def test_snf_equals_the_tuple_elimination(q, monkeypatch):
-    """diag, L and R equal the tuple elimination's, on either side of the
-    choice fpoly.byte_form makes from q, and on entries long enough that
-    the byte form takes a product in chunks at every q <= 13."""
+    """diag, L and R equal those of the same elimination run on tuples,
+    fpoly.byte_form forced off, on either side of the choice it makes
+    from q, and on entries long enough that the byte form takes a product
+    in chunks at every q <= 13."""
     rng = random.Random(f"snf-forms:{q}")
     cases = [
         unit_times_diag_times_unit(rng, n, q, e, rng.randint(0, n))[0]
@@ -605,6 +531,10 @@ def test_snf_equals_the_tuple_elimination(q, monkeypatch):
         M = [[a, fpoly.mul(a, g, q)], [fpoly.mul(a, f, q), c]]
         if fpoly.det(M, q):
             cases.append(M)
+    byte_form = fpoly.byte_form
+    monkeypatch.setattr(fpoly, "byte_form", lambda p: False)
+    tuples = [smith_normal_form(M, q) for M in cases]
+    monkeypatch.setattr(fpoly, "byte_form", byte_form)
     shorter = []
     addmul_bytes = fpoly.addmul_bytes
 
@@ -613,8 +543,8 @@ def test_snf_equals_the_tuple_elimination(q, monkeypatch):
         return addmul_bytes(c, a, b, p)
 
     monkeypatch.setattr(fpoly, "addmul_bytes", spy)
-    for M in cases:
-        assert smith_normal_form(M, q) == reference_smith_normal_form(M, q), M
+    for M, expected in zip(cases, tuples):
+        assert smith_normal_form(M, q) == expected, M
     assert fpoly.byte_form(q) == (q <= 13)
     if q <= 13:
         assert max(shorter) > chunk_length(q)
