@@ -510,6 +510,10 @@ def smith_normal_form(M, q: int):
     positive degree must then divide the trailing submatrix, which a
     unit pivot does without a check.  Each elementary operation negates
     its quotient f once and updates A, L and R entry by entry with addmul.
+    Every remainder must be shorter than its pivot, else
+    OracleIntegrityError: each round that leaves a remainder then lowers
+    the pivot's degree, and a stray-row step is followed by such a round,
+    so the elimination ends.
     q and every coefficient must be ints, bool refused; anything else
     raises TypeError and nothing is converted.  An empty or non-square
     matrix raises ValueError.
@@ -575,6 +579,15 @@ def smith_normal_form(M, q: int):
                 row[i] = addmul(row[i], neg, row[j], q)
         R[j] = [addmul(a, f, b, q) if b else a for a, b in zip(R[j], R[i])]
 
+    def divide(a, pivot):
+        f, rem = div(a, pivot, q)
+        if len(rem) >= len(pivot):
+            raise OracleIntegrityError(
+                f"SNF division left a remainder of {len(rem)} coefficients "
+                f"by a pivot of {len(pivot)}"
+            )
+        return f, rem
+
     for k in range(n):
         while True:
             # minimal-degree nonzero entry of the trailing submatrix
@@ -593,13 +606,13 @@ def smith_normal_form(M, q: int):
             dirty = False
             for i in range(k + 1, n):
                 if A[i][k]:
-                    f, rem = div(A[i][k], A[k][k], q)
+                    f, rem = divide(A[i][k], A[k][k])
                     row_sub(i, k, f)
                     if rem:
                         dirty = True
             for j in range(k + 1, n):
                 if A[k][j]:
-                    f, rem = div(A[k][j], A[k][k], q)
+                    f, rem = divide(A[k][j], A[k][k])
                     col_sub(j, k, f)
                     if rem:
                         dirty = True
@@ -611,7 +624,7 @@ def smith_normal_form(M, q: int):
             stray = None
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
-                    if A[i][j] and div(A[i][j], A[k][k], q)[1]:
+                    if A[i][j] and divide(A[i][j], A[k][k])[1]:
                         stray = i
                         break
                 if stray is not None:

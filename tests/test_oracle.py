@@ -16,6 +16,7 @@ from heckelab.oracle import (
     BudgetExceeded,
     Field,
     FiberSubspace,
+    OracleIntegrityError,
     brute_aut_order,
     brute_multiplicity,
     check_subspace_budget,
@@ -494,6 +495,23 @@ def test_snf_batch_skips_the_divisibility_scan_at_unit_pivots(monkeypatch):
     for q, M, diag in batch:
         assert smith_normal_form(M, q)[0] == diag
     assert divisions[0] < 1200, divisions
+
+
+def test_snf_refuses_a_remainder_as_long_as_its_pivot(monkeypatch):
+    """A division whose quotient is one term short leaves a remainder as
+    long as its pivot, so the Euclidean loop would never lower the pivot's
+    degree; the SNF raises on the first such remainder instead."""
+    div_bytes = fpoly.div_bytes
+
+    def one_term_short(a, b, p):
+        quo = div_bytes(a, b, p)[0][1:]
+        quo = bytes(1) + quo if quo else quo
+        return quo, fpoly.addmul_bytes(a, fpoly.scale_bytes(quo, p - 1, p), b, p)
+
+    monkeypatch.setattr(fpoly, "div_bytes", one_term_short)
+    for q, M, _ in snf_batch():
+        with pytest.raises(OracleIntegrityError, match="remainder"):
+            smith_normal_form(M, q)
 
 
 def chunk_length(q):

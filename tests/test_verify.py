@@ -135,7 +135,7 @@ def reference_random_modification_matrix(rng, field, n, r):
     for _ in range(r):
         target = fpoly.mul(target, pi, q0)
     target = fpoly.monic(target, q0)
-    for _ in range(4000):
+    for _ in range(verify._MAX_DRAWS):
         M = [
             [
                 tuple(rng.randrange(q0) for _ in range(rng.randint(0, max_deg) + 1))
@@ -152,14 +152,81 @@ def reference_random_modification_matrix(rng, field, n, r):
     raise RuntimeError("sampler failed to find a modification matrix")
 
 
-@pytest.mark.parametrize("case", verify._SNF_CASES + ((3, 2, 2, 1),))
+@pytest.mark.parametrize("case", verify._SNF_CASES + ((3, 2, 2, 1), (3, 1, 3, 2)))
 def test_the_rank_prefilter_keeps_every_draw_and_answer(case):
     """Same matrices and the same rng state afterwards, so every later check
-    of a seeded run sees the same instances."""
+    of a seeded run sees the same instances.  Demo 04's (3, 1, 3, 2) takes
+    about 3,500 draws a matrix, each a determinant in the reference, so it
+    runs three seeds, two of them (1 and 5) refused by a cap of 4,000."""
     q0, d, n, r = case
     field = Field(ClosedPoint(q0, d, fpoly.first_irreducible(q0, d)))
-    for seed in range(40):
+    for seed in (0, 1, 5) if case == (3, 1, 3, 2) else range(40):
         fast, slow = random.Random(seed), random.Random(seed)
         got = verify.random_modification_matrix(fast, field, n, r)
         assert got == reference_random_modification_matrix(slow, field, n, r), (case, seed)
         assert fast.getstate() == slow.getstate(), (case, seed)
+
+
+def horner_free_value(e, a, q):
+    return sum(c * a**i for i, c in enumerate(e)) % q
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_the_prefilter_rank_is_the_rank_of_the_evaluated_matrix(q):
+    """verify._rank_at reads M(0) off the constant terms, M(1) off the
+    coefficient sums and packs F_2 rows into bit masks; at every a in F_q
+    it equals fpoly.rank of M evaluated entry by entry.  Entries are drawn
+    untrimmed, from a small alphabet that makes ranks drop, with zero rows
+    and repeated rows mixed in."""
+    rng = random.Random(f"rank-at:{q}")
+    deficient = set()
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        alphabet = rng.choice((2, q))
+        M = [
+            [tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, 4))) for _ in range(n)]
+            for _ in range(n)
+        ]
+        shape = rng.randrange(4)
+        if shape == 1:
+            M[rng.randrange(n)] = [rng.choice(((0,), (0, 0), (0, 0, 0))) for _ in range(n)]
+        elif shape == 2:
+            M[-1] = list(M[0])
+        elif shape == 3:
+            M[0] = [rng.choice(((1, 0, 0), (0,), (1,), (0, 1))) for _ in range(n)]
+        for a in range(q):
+            want = fpoly.rank([[horner_free_value(e, a, q) for e in row] for row in M], q)
+            assert verify._rank_at(M, a, q) == want, (M, a)
+            deficient.add(want < n)
+    assert deficient == {True, False}
+
+
+def test_the_prefilter_makes_no_horner_step_or_int_row_per_draw(monkeypatch):
+    """Over F_2 at pi = t the prefilter reads constant terms, coefficient
+    sums and bit masks.  11 samples of (2, 1, 3, 2) at seed 7 make 2,498
+    draws, yet verify._evaluate runs 22 times (pi at each a, once a
+    sample) and fpoly.insert_row 33 times (matrix_rank of the 11 accepted
+    reductions).  Horner at every a and int-list rows made 24,592 and
+    8,223."""
+    calls = {"_evaluate": 0, "insert_row": 0}
+
+    def counted(module, name):
+        def call(*args, _call=getattr(module, name)):
+            calls[name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(verify, "_evaluate")
+    counted(fpoly, "insert_row")
+    field = Field(ClosedPoint(2, 1, (0, 1)))
+    rng = random.Random(7)
+    for _ in range(11):
+        verify.random_modification_matrix(rng, field, 3, 2)
+    assert calls["_evaluate"] <= 100 and calls["insert_row"] <= 100, calls
+
+
+def test_demo_04s_case_samples_the_seeds_a_cap_of_4000_refused():
+    field = Field(ClosedPoint(3, 1, (0, 1)))
+    M = verify.random_modification_matrix(random.Random(1), field, 3, 2)
+    assert oracle.smith_normal_form(M, 3)[0] == [(1,), (0, 1), (0, 1)]
