@@ -42,6 +42,7 @@ for q0, d, n, r in [(2, 2, 2, 1), (3, 1, 3, 2)]:
     M = random_modification_matrix(rng, field, n, r)
     diag, _, _ = smith_normal_form(M, q0)
     print(f"random {n}x{n} weight-{r} matrix over F_{q0}[t], pi = {t_str(field.poly)}:")
+    width = max(len(t_str(e)) for row in M for e in row)
     for row in M:
-        print("  [" + ", ".join(f"{t_str(e):<10}" for e in row) + "]")
+        print("  [" + ", ".join(f"{t_str(e):<{width}}" for e in row) + "]")
     print(f"  invariant factors: {', '.join(t_str(e) for e in diag)}\n")

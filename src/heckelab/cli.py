@@ -353,12 +353,11 @@ def cmd_forms_cusp(args) -> int:
 def cmd_verify(args) -> int:
     mode = "full" if args.full else "quick"
     grid = verify.GRIDS[mode]
-    rng = random.Random(args.seed)
     failures = []
     for name, check in verify.CHECKS.items():
         start = time.perf_counter()
         try:
-            detail = check(rng, **grid[name])
+            detail = check(random.Random(f"{args.seed}:{name}"), **grid[name])
         except Exception as exc:  # a crash in a cross-check is a failure
             detail = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start

@@ -9,14 +9,15 @@ everything agrees, else a one-line description of the first disagreement.
 
 `GRIDS` holds three sizes.  `quick` and `full` back `heckelab verify`;
 `acceptance` backs the acceptance suite and contains the `full` grid of
-every check.  Checks draw from the rng in a fixed order, so a seed fixes
-the whole run.
+every check.  `heckelab verify` gives each check its own rng, seeded by
+the seed and the check's name, so a seed fixes each check's instances
+whatever the other checks draw.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement
 
 from . import fpoly
 from .bundles import BundleType, ClosedPoint, ext1_dim
@@ -215,99 +216,54 @@ _PHI_MATRICES = [
 ]
 
 
-def _evaluate(a, t, q0):
-    """The F_q[t] polynomial a at t in F_q, by Horner."""
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * t + c) % q0
-    return acc
+def _mat_mul(A, B, q0):
+    """A * B over F_q[t]."""
+    out = [[() for _ in B[0]] for _ in A]
+    for out_row, row in zip(out, A):
+        for a, b_row in zip(row, B):
+            for j, b in enumerate(b_row):
+                out_row[j] = fpoly.addmul(out_row[j], a, b, q0)
+    return out
 
 
-def _rank_at(M, a, q0):
-    """Rank over F_q of M(a), M a matrix of nonempty coefficient tuples.
+def _unimodular(rng, n, q0, deg):
+    """A row-permuted lower times upper unitriangular n x n matrix over
+    F_q[t], its off-diagonal entries of degree <= deg."""
 
-    M(0) is read off the constant terms and M(1) off the coefficient sums;
-    any other a is Horner's.  Over F_2 each row is packed into an int, entry
-    j in bit j, and ranked by fpoly.insert_mask.
-    """
-    if a == 0:
-        rows = [[e[0] for e in row] for row in M]
-    elif a == 1:
-        rows = [[sum(e) for e in row] for row in M]
-    else:
-        rows = [[_evaluate(e, a, q0) for e in row] for row in M]
-    if q0 != 2:
-        return fpoly.rank(rows, q0)
-    echelon = {}
-    rank = 0
-    for row in rows:
-        mask = 0
-        for v in reversed(row):
-            mask = mask << 1 | v & 1
-        rank += fpoly.insert_mask(echelon, mask)
-    return rank
+    def entry():
+        return fpoly.trim([rng.randrange(q0) for _ in range(deg + 1)])
 
-
-#: draws random_modification_matrix makes before it gives up, from the
-#: acceptance rates in its docstring
-_MAX_DRAWS = 120_000
+    lower = [[(1,) if i == j else entry() if j < i else () for j in range(n)] for i in range(n)]
+    upper = [[(1,) if i == j else entry() if j > i else () for j in range(n)] for i in range(n)]
+    M = _mat_mul(lower, upper, q0)
+    rng.shuffle(M)
+    return M
 
 
 def random_modification_matrix(rng, field: Field, n: int, r: int) -> list:
-    """Rejection-sample an n x n matrix over F_q[t] with cokernel K_x^r.
+    """A random n x n matrix over F_q[t] with cokernel K_x^r: U * D * V.
 
-    x is the point of `field.poly`.  Accept when det = unit * pi^r and the
-    mod-pi reduction has rank n - r, which characterizes the skyscraper
-    quotient exactly.  A draw is refused before its determinant unless
-    M(a) has rank n - r over F_q at each root a of pi in F_q and rank n at
-    every other a in F_q, which the acceptance test implies.  That
-    prefilter is `_rank_at`: M(0) is the constant terms, with no Horner
-    step, and a = 0 is the root of pi = t, where most draws are refused;
-    over F_2 the rows are bit masks.  Each entry takes one rng.randint for
-    its length and one rng.randrange per coefficient, in that order, so a
-    seed fixes every matrix and the rng state after it.
+    x is the point of `field.poly` = pi, D = diag(1, ..., 1, pi, ..., pi)
+    with r copies of pi, and U and V are unimodular, each built by
+    `_unimodular` with entries of degree <= max(1, d - 1).  So det M is a
+    unit times pi^r, M mod pi has rank n - r, and the SNF of M is D.
 
-    Draws are independent, so a case that accepts a share p of them gives
-    up after _MAX_DRAWS with probability (1 - p)^_MAX_DRAWS.  Measured over
-    3,000 seeded samples (800 for the last), (q, d, n, r): mean draws per
-    matrix, p:
-
-        (2, 1, 2, 1)   10.8   9.25e-2    verify grids
-        (3, 1, 2, 1)   15.8   6.34e-2    verify grids
-        (2, 2, 2, 1)   31.7   3.15e-2    verify grids, demo 04
-        (3, 2, 2, 1)   63.4   1.58e-2    acceptance grid
-        (2, 1, 3, 2)  352.7   2.84e-3    verify grids
-        (3, 1, 3, 2)  3,397   2.94e-4    demo 04
-
-    so every case the package draws gives up with probability below 1e-14.
-    Other shapes may accept fewer draws and raise RuntimeError.
+    Every (n - r)-dimensional subspace W of kappa(x)^n is the row space of
+    some M mod pi, though not with equal frequency.  U mod pi is
+    invertible, so that row space is the span of the first n - r rows of
+    V mod pi.  The off-diagonal entries reduce mod pi onto all of kappa(x),
+    so V mod pi may be any row-permuted lower times upper unitriangular
+    matrix over kappa(x).  One such is the reduced echelon basis of W,
+    completed by the unit vectors of its non-pivot columns (sorted by
+    pivot, an upper unitriangular matrix), with W's rows permuted to the
+    top.
     """
-    q0, d = field.q, field.d
-    pi = field.poly
-    max_deg = r * d + 1
-    target = (1,)
-    for _ in range(r):
-        target = fpoly.mul(target, pi, q0)
-    target = fpoly.monic(target, q0)
-    ranks = [(a, n - r if _evaluate(pi, a, q0) == 0 else n) for a in range(q0)]
-    randrange, randint = rng.randrange, rng.randint
-    cols = range(n)
-    for _ in range(_MAX_DRAWS):
-        M = [
-            [tuple(map(randrange, repeat(q0, randint(0, max_deg) + 1))) for _ in cols]
-            for _ in cols
-        ]
-        if any(_rank_at(M, a, q0) != rank for a, rank in ranks):
-            continue
-        det = fpoly.det(M, q0)
-        if not det or fpoly.monic(det, q0) != target:
-            continue
-        reduced = [[field.reduce(e) for e in row] for row in M]
-        if matrix_rank(field, reduced) == n - r:
-            return M
-    raise RuntimeError(
-        f"no {n}x{n} weight-{r} modification matrix over F_{q0}[t] in {_MAX_DRAWS} draws"
-    )
+    q0 = field.q
+    deg = max(1, field.d - 1)
+    U = _unimodular(rng, n, q0, deg)
+    V = _unimodular(rng, n, q0, deg)
+    DV = V[: n - r] + [[fpoly.mul(field.poly, e, q0) for e in row] for row in V[n - r :]]
+    return _mat_mul(U, DV, q0)
 
 
 def _smith_normal_form(rng, cases, per_case):
@@ -318,12 +274,22 @@ def _smith_normal_form(rng, cases, per_case):
             return f"phi matrix SNF {diag}"
     for q0, d, n, r in cases:
         field = Field(ClosedPoint(q0, d, fpoly.first_irreducible(q0, d)))
+        expect = [(1,)] * (n - r) + [field.poly] * r
+        pi_r = (1,)
+        for _ in range(r):
+            pi_r = fpoly.mul(pi_r, field.poly, q0)
+        where = f"(q={q0}, d={d}, n={n}, r={r})"
         for _ in range(per_case):
             M = random_modification_matrix(rng, field, n, r)
+            det = fpoly.det(M, q0)
+            if not det or fpoly.monic(det, q0) != pi_r:
+                return f"random matrix det {det} is not a unit times pi^{r} {where}"
+            rank = matrix_rank(field, [[field.reduce(e) for e in row] for row in M])
+            if rank != n - r:
+                return f"random matrix has rank {rank} mod pi, not {n - r} {where}"
             diag, _, _ = smith_normal_form(M, q0)
-            expect = [(1,)] * (n - r) + [field.poly] * r
             if diag != expect:
-                return f"random matrix SNF {diag} != {expect} (q={q0}, d={d}, n={n}, r={r})"
+                return f"random matrix SNF {diag} != {expect} {where}"
     return None
 
 
@@ -426,8 +392,8 @@ GRIDS = {
     },
     "full": _FULL,
     # the full grid plus what only the acceptance suite runs: rank-3 and
-    # rank-4 gap cases up to d = 3, the denominator-one grid, a fifth SNF
-    # case, depths 4 and 5 with wider eigenvalues, and more eigenforms
+    # rank-4 gap cases up to d = 3, the denominator-one grid, SNF cases up
+    # to n = 5, depths 4 and 5 with wider eigenvalues, and more eigenforms
     "acceptance": {
         **_FULL,
         "spaced-factorization": {
@@ -445,7 +411,11 @@ GRIDS = {
                 for degrees in ((0, 0), (0, 2), (0, 0, 1), (0, 1, 2), (0, 0, 0, 1)) for d in (1, 2)
             ),
         },
-        "smith-normal-form": {"cases": _SNF_CASES + ((3, 2, 2, 1),), "per_case": 11},
+        "smith-normal-form": {
+            "cases": _SNF_CASES
+            + ((3, 2, 2, 1), (3, 1, 3, 2), (2, 1, 4, 3), (5, 1, 4, 2), (2, 1, 5, 3), (2, 3, 5, 3)),
+            "per_case": 11,
+        },
         "eigen-nullity": {"trials": 20, "qs": (2, 3), "depths": (4, 5, 6), "num": 50, "den": 7},
         "triviality-theorems": {
             "top": 3,

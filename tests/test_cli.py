@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from heckelab import hecke
+from heckelab import hecke, verify
 from heckelab.bundles import BundleType
 from heckelab.cli import _coeffs, _degrees, _matrix, _rationals, main
 
@@ -430,6 +431,23 @@ def test_verify_quick_passes(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10 and all(l.startswith("PASS") for l in lines)
     assert "all 10 checks passed (quick)" in out
+
+
+def test_verify_gives_each_check_its_own_rng(capsys, monkeypatch):
+    """Each check's rng is seeded by the seed and the check's name, so no
+    check's draws move the instances of a check after it."""
+    first = {}
+
+    def recorder(name):
+        def check(rng, **grid):
+            first[name] = rng.random()
+
+        return check
+
+    monkeypatch.setattr(verify, "CHECKS", {name: recorder(name) for name in verify.CHECKS})
+    code, _, _ = run_cli(capsys, "verify", "--quick", "--seed", "7")
+    assert code == 0
+    assert first == {name: random.Random(f"7:{name}").random() for name in verify.GRIDS["quick"]}
 
 
 @pytest.mark.parametrize(

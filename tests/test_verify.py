@@ -15,6 +15,7 @@ from heckelab import cli, fpoly, hecke, oracle, verify
 from heckelab.bundles import ClosedPoint
 from heckelab.forms import FormVector
 from heckelab.oracle import Field, matrix_rank
+from heckelab.qcalc import gaussian_binomial
 
 
 def _bump_census(brute_multiplicity):
@@ -126,107 +127,100 @@ def test_cli_verify_reports_a_failed_check(capsys, monkeypatch):
     assert doc["failures"][0]["detail"].startswith("phi matrix SNF")
 
 
-def reference_random_modification_matrix(rng, field, n, r):
-    """The sampler without its rank prefilter: every draw pays a determinant."""
-    q0, d = field.q, field.d
-    pi = field.poly
-    max_deg = r * d + 1
-    target = (1,)
+def _u_times_diag_t(sample):
+    """The sampler with U replaced by diag(t, 1, ..., 1) * U, which is not
+    unimodular: det M gains a factor t."""
+
+    def wrong(rng, field, n, r):
+        M = sample(rng, field, n, r)
+        M[0] = [fpoly.mul((0, 1), e, field.q) for e in M[0]]
+        return M
+
+    return wrong
+
+
+def _pi_r_in_one_slot(sample):
+    """U * diag(1, ..., 1, pi^r) * V: det M is still a unit times pi^r, but
+    at r >= 2 M mod pi has rank n - 1, not n - r."""
+
+    def wrong(rng, field, n, r):
+        q0 = field.q
+        U, V = (verify._unimodular(rng, n, q0, 1) for _ in range(2))
+        for _ in range(r):
+            V[-1] = [fpoly.mul(field.poly, e, q0) for e in V[-1]]
+        return verify._mat_mul(U, V, q0)
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "perturb, failure",
+    [(_u_times_diag_t, "random matrix det"), (_pi_r_in_one_slot, "random matrix has rank")],
+    ids=["det", "rank"],
+)
+def test_a_wrong_sampler_fails_the_snf_check(perturb, failure, monkeypatch):
+    """The det and rank tests run on every sample, so a construction that
+    leaves the weight-r matrices fails the check before its SNF."""
+    monkeypatch.setattr(
+        verify, "random_modification_matrix", perturb(verify.random_modification_matrix)
+    )
+    grid = verify.GRIDS["quick"]["smith-normal-form"]
+    detail = verify.CHECKS["smith-normal-form"](random.Random(7), **grid)
+    assert isinstance(detail, str) and detail.startswith(failure) and "\n" not in detail
+
+
+def field_of(q, d):
+    return Field(ClosedPoint(q, d, fpoly.first_irreducible(q, d)))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(2, 1, 2, 1), (3, 1, 3, 2), (2, 1, 4, 3), (5, 1, 4, 2), (5, 1, 3, 3), (3, 2, 4, 2),
+     (2, 2, 4, 1), (2, 1, 5, 3), (2, 3, 5, 3), (5, 3, 3, 2)],
+    ids=str,
+)
+def test_sampled_matrices_are_weight_r_modifications(case):
+    """det = unit * pi^r, rank n - r mod pi, SNF diag(1, .., 1, pi, .., pi);
+    and a seed fixes the matrix."""
+    q, d, n, r = case
+    field = field_of(q, d)
+    pi_r = (1,)
     for _ in range(r):
-        target = fpoly.mul(target, pi, q0)
-    target = fpoly.monic(target, q0)
-    for _ in range(verify._MAX_DRAWS):
-        M = [
-            [
-                tuple(rng.randrange(q0) for _ in range(rng.randint(0, max_deg) + 1))
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-        det = fpoly.det(M, q0)
-        if not det or fpoly.monic(det, q0) != target:
-            continue
-        reduced = [[field.reduce(e) for e in row] for row in M]
-        if matrix_rank(field, reduced) == n - r:
-            return M
-    raise RuntimeError("sampler failed to find a modification matrix")
+        pi_r = fpoly.mul(pi_r, field.poly, q)
+    for seed in range(8):
+        M = verify.random_modification_matrix(random.Random(seed), field, n, r)
+        assert M == verify.random_modification_matrix(random.Random(seed), field, n, r)
+        assert fpoly.monic(fpoly.det(M, q), q) == pi_r, seed
+        assert matrix_rank(field, [[field.reduce(e) for e in row] for row in M]) == n - r, seed
+        assert oracle.smith_normal_form(M, q)[0] == [(1,)] * (n - r) + [field.poly] * r, seed
 
 
-@pytest.mark.parametrize("case", verify._SNF_CASES + ((3, 2, 2, 1), (3, 1, 3, 2)))
-def test_the_rank_prefilter_keeps_every_draw_and_answer(case):
-    """Same matrices and the same rng state afterwards, so every later check
-    of a seeded run sees the same instances.  Demo 04's (3, 1, 3, 2) takes
-    about 3,500 draws a matrix, each a determinant in the reference, so it
-    runs three seeds, two of them (1 and 5) refused by a cap of 4,000."""
-    q0, d, n, r = case
-    field = Field(ClosedPoint(q0, d, fpoly.first_irreducible(q0, d)))
-    for seed in (0, 1, 5) if case == (3, 1, 3, 2) else range(40):
-        fast, slow = random.Random(seed), random.Random(seed)
-        got = verify.random_modification_matrix(fast, field, n, r)
-        assert got == reference_random_modification_matrix(slow, field, n, r), (case, seed)
-        assert fast.getstate() == slow.getstate(), (case, seed)
+def row_space_mod_pi(field, M):
+    """The row space of M mod pi as its set of vectors in F_q coordinates:
+    the F_q-span of the rows times t^k, k < d."""
+    q = field.q
+    rows = [
+        [c for e in row for c in field.expand(field.mul((0,) * k + (1,), field.reduce(e)))]
+        for row in M
+        for k in range(field.d)
+    ]
+    span = {(0,) * len(rows[0])}
+    for row in rows:
+        span |= {tuple((a + c * b) % q for a, b in zip(v, row)) for v in span for c in range(1, q)}
+    return frozenset(span)
 
 
-def horner_free_value(e, a, q):
-    return sum(c * a**i for i, c in enumerate(e)) % q
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_the_prefilter_rank_is_the_rank_of_the_evaluated_matrix(q):
-    """verify._rank_at reads M(0) off the constant terms, M(1) off the
-    coefficient sums and packs F_2 rows into bit masks; at every a in F_q
-    it equals fpoly.rank of M evaluated entry by entry.  Entries are drawn
-    untrimmed, from a small alphabet that makes ranks drop, with zero rows
-    and repeated rows mixed in."""
-    rng = random.Random(f"rank-at:{q}")
-    deficient = set()
-    for _ in range(150):
-        n = rng.randint(2, 4)
-        alphabet = rng.choice((2, q))
-        M = [
-            [tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, 4))) for _ in range(n)]
-            for _ in range(n)
-        ]
-        shape = rng.randrange(4)
-        if shape == 1:
-            M[rng.randrange(n)] = [rng.choice(((0,), (0, 0), (0, 0, 0))) for _ in range(n)]
-        elif shape == 2:
-            M[-1] = list(M[0])
-        elif shape == 3:
-            M[0] = [rng.choice(((1, 0, 0), (0,), (1,), (0, 1))) for _ in range(n)]
-        for a in range(q):
-            want = fpoly.rank([[horner_free_value(e, a, q) for e in row] for row in M], q)
-            assert verify._rank_at(M, a, q) == want, (M, a)
-            deficient.add(want < n)
-    assert deficient == {True, False}
-
-
-def test_the_prefilter_makes_no_horner_step_or_int_row_per_draw(monkeypatch):
-    """Over F_2 at pi = t the prefilter reads constant terms, coefficient
-    sums and bit masks.  11 samples of (2, 1, 3, 2) at seed 7 make 2,498
-    draws, yet verify._evaluate runs 22 times (pi at each a, once a
-    sample) and fpoly.insert_row 33 times (matrix_rank of the 11 accepted
-    reductions).  Horner at every a and int-list rows made 24,592 and
-    8,223."""
-    calls = {"_evaluate": 0, "insert_row": 0}
-
-    def counted(module, name):
-        def call(*args, _call=getattr(module, name)):
-            calls[name] += 1
-            return _call(*args)
-
-        monkeypatch.setattr(module, name, call)
-
-    counted(verify, "_evaluate")
-    counted(fpoly, "insert_row")
-    field = Field(ClosedPoint(2, 1, (0, 1)))
-    rng = random.Random(7)
-    for _ in range(11):
-        verify.random_modification_matrix(rng, field, 3, 2)
-    assert calls["_evaluate"] <= 100 and calls["insert_row"] <= 100, calls
-
-
-def test_demo_04s_case_samples_the_seeds_a_cap_of_4000_refused():
-    field = Field(ClosedPoint(3, 1, (0, 1)))
-    M = verify.random_modification_matrix(random.Random(1), field, 3, 2)
-    assert oracle.smith_normal_form(M, 3)[0] == [(1,), (0, 1), (0, 1)]
+@pytest.mark.parametrize("case, subspaces", [((2, 1, 3, 1), 7), ((2, 2, 2, 1), 5), ((3, 1, 3, 2), 13)])
+def test_sampled_row_spaces_mod_pi_reach_every_subspace(case, subspaces):
+    """The rows of M mod pi span every (n - r)-dimensional subspace of
+    kappa(x)^n over 600 samples: as many as the Grassmannian has points."""
+    q, d, n, r = case
+    field = field_of(q, d)
+    rng = random.Random(f"coverage:{case}")
+    seen = set()
+    for _ in range(600):
+        W = row_space_mod_pi(field, verify.random_modification_matrix(rng, field, n, r))
+        assert len(W) == q ** (d * (n - r))
+        seen.add(W)
+    assert len(seen) == subspaces
+    assert gaussian_binomial(n - r, n).evaluate(q**d) == subspaces
