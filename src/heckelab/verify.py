@@ -231,7 +231,7 @@ def _unimodular(rng, n, q0, deg):
     F_q[t], its off-diagonal entries of degree <= deg."""
 
     def entry():
-        return fpoly.trim([rng.randrange(q0) for _ in range(deg + 1)])
+        return fpoly.trim(rng.randrange(q0) for _ in range(deg + 1))
 
     lower = [[(1,) if i == j else entry() if j < i else () for j in range(n)] for i in range(n)]
     upper = [[(1,) if i == j else entry() if j > i else () for j in range(n)] for i in range(n)]
