@@ -4,10 +4,10 @@ A polynomial is a little-endian tuple of ints in [0, p), trimmed so the
 last coefficient is nonzero; the zero polynomial is ().  Every function
 takes the prime p explicitly and returns trimmed tuples, except those of
 the byte form below, which take and return bytes.  Besides the ring
-operations this module holds the determinant of polynomial matrices, the
-one elimination step over F_p, Rabin's irreducibility test and the search
-for the first monic irreducible of a degree, plus the primality helpers
-that validate q.
+operations this module holds the product and determinant of polynomial
+matrices, the one elimination step over F_p, Rabin's irreducibility test
+and the search for the first monic irreducible of a degree, plus the
+primality helpers that validate q.
 
 Elimination.  One step reduces a row by an echelon form, a dict from each
 pivot column to its row, and adds it when it is independent.  It comes in
@@ -20,13 +20,16 @@ the same echelon rows.  `rank` folds `insert_row` over a matrix.
 
 Products.  mul(a, b) is addmul((), a, b), and addmul(c, a, b) = c + a*b
 is one schoolbook loop that skips the zero coefficients of the shorter
-factor, then reduces mod p and trims once.  The SNF check's product,
-`oracle._poly_mat_mul`, packs by Kronecker substitution: each polynomial
-becomes an int with one coefficient per slot of a fixed width (pack), a
-sum of int products forms every coefficient at once, and unpack reads
-them back.  slot_for picks the narrowest unsigned array type, of 1, 2, 4
-or 8 bytes, that holds the most a slot can receive, so no carry crosses
-a slot.
+factor, then reduces mod p and trims once.  mat_mul(A, B, p) is the one
+matrix product over F_p[t], which the SNF check and the verify sampler
+share, and it alone knows the packing: by Kronecker substitution each
+entry becomes an int with one coefficient per slot of a fixed width, a
+sum of int products forms every coefficient of an entry of A*B at once,
+and the slots are read back.  The slot is the narrowest unsigned array
+type, of 1, 2, 4 or 8 bytes, that holds the most a slot can receive, so
+no carry crosses a slot.  Entries are taken mod p, as addmul takes them,
+and each coefficient is reduced while it is packed.  Above 2^32 no slot
+is wide enough and the entries are combined by addmul.
 
 Byte form.  For a prime p <= 13 one byte holds (p - 1) + (p - 1)^2, and
 byte_form(p) says so; it is the one place the choice is made.  There a
@@ -64,9 +67,7 @@ __all__ = [
     "addmul_bytes",
     "scale_bytes",
     "div_bytes",
-    "slot_for",
-    "pack",
-    "unpack",
+    "mat_mul",
     "scale",
     "div",
     "monic",
@@ -199,7 +200,7 @@ def div_bytes(a, b, p):
     return quo, addmul_bytes(a, scale_bytes(quo, p - 1, p), b, p)
 
 
-def slot_for(bound):
+def _slot_for(bound):
     """The narrowest unsigned array type that holds every int in [0, bound],
     as (typecode, bytes); None when none does."""
     for size, code in _SLOTS:
@@ -208,16 +209,16 @@ def slot_for(bound):
     return None
 
 
-def pack(a, slot):
-    """Kronecker substitution: sum of a[i] * 2^(8 * bytes * i), one coefficient
-    per slot; OverflowError when a coefficient does not fit its slot."""
-    arr = array(slot[0], a)
+def _pack(a, slot, p):
+    """Kronecker substitution: sum of (a[i] mod p) * 2^(8 * bytes * i), one
+    coefficient per slot."""
+    arr = array(slot[0], [c % p for c in a])
     if _BIG_ENDIAN:
         arr.byteswap()
     return int.from_bytes(arr, "little")
 
 
-def unpack(v, slot, p):
+def _unpack(v, slot, p):
     """The polynomial whose coefficients are the slots of v >= 0, mod p."""
     code, size = slot
     arr = array(code, v.to_bytes(-(-v.bit_length() // (8 * size)) * size, "little"))
@@ -227,6 +228,36 @@ def unpack(v, slot, p):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def mat_mul(A, B, p):
+    """A*B over F_p[t], row by row, entries taken mod p.
+
+    One slot width holds every coefficient of A and of B, and of a sum of
+    len(B) products, so each entry of A and B is packed into an int once,
+    and each entry of A*B is a sum of int products, unpacked and reduced
+    once.  When no
+    slot is that wide, as for p above 2^32, the entries are combined by
+    addmul.  Zero entries of A multiply nothing.
+    """
+    shortest = min(max(len(e) for row in M for e in row) for M in (A, B))
+    slot = _slot_for(max(len(B) * shortest, 1) * (p - 1) ** 2)
+    out = []
+    if slot is None:
+        for row in A:
+            acc = [()] * len(B[0])
+            for a, b_row in zip(row, B):
+                if a:
+                    acc = [addmul(c, a, b, p) if b else c for c, b in zip(acc, b_row)]
+            out.append(acc)
+        return out
+    packed_B = [[_pack(b, slot, p) for b in row] for row in B]
+    for row in A:
+        terms = [(_pack(a, slot, p), b_row) for a, b_row in zip(row, packed_B) if a]
+        out.append(
+            [_unpack(sum(a * b_row[j] for a, b_row in terms), slot, p) for j in range(len(B[0]))]
+        )
+    return out
 
 
 def scale(a, c, p):

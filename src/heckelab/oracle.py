@@ -60,7 +60,6 @@ __all__ = [
     "smith_normal_form",
     "brute_aut_order",
     "count_monomorphisms",
-    "subspace_count",
     "default_budget",
     "matrix_rank",
 ]
@@ -270,14 +269,6 @@ def enumerate_subspaces(n: int, r: int, field: Field, budget: int | None = None)
             yield FiberSubspace(field, tuple(map(tuple, rows)), pivots)
 
 
-def subspace_count(k: int, n: int, q0: int, budget: int | None = None) -> int:
-    """#Gr(k,n)(F_{q0}) by honest enumeration; q0 a prime power p^e."""
-    p, e = fpoly.prime_power(q0)
-    check_subspace_budget(n, n - k, p, e, budget)
-    field = Field(ClosedPoint(p, e, fpoly.first_irreducible(p, e)))
-    return sum(1 for _ in enumerate_subspaces(n, n - k, field, budget=budget))
-
-
 # --- splitting type from section counts ------------------------------------
 
 
@@ -471,35 +462,6 @@ def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
 # --- Smith normal form over F_q[t] -----------------------------------------
 
 
-def _poly_mat_mul(A, B, p):
-    """A*B over F_p[t], row by row, for entries reduced mod p.
-
-    One slot width holds every coefficient of a sum of len(B) products,
-    so each entry of A and B is packed into an int once (fpoly.pack), and
-    each entry of A*B is a sum of int products, unpacked and reduced once.
-    When no slot is that wide the entries are combined by fpoly.addmul.
-    Zero entries of A multiply nothing.
-    """
-    shortest = min(max(len(e) for row in M for e in row) for M in (A, B))
-    slot = fpoly.slot_for(len(B) * shortest * (p - 1) ** 2)
-    out = []
-    if slot is None:
-        for row in A:
-            acc = [()] * len(B[0])
-            for a, b_row in zip(row, B):
-                if a:
-                    acc = [fpoly.addmul(c, a, b, p) if b else c for c, b in zip(acc, b_row)]
-            out.append(acc)
-        return out
-    packed_B = [[fpoly.pack(b, slot) for b in row] for row in B]
-    for row in A:
-        terms = [(fpoly.pack(a, slot), b_row) for a, b_row in zip(row, packed_B) if a]
-        out.append(
-            [fpoly.unpack(sum(a * b_row[j] for a, b_row in terms), slot, p) for j in range(len(B[0]))]
-        )
-    return out
-
-
 def smith_normal_form(M, q: int):
     """SNF over F_q[t]: returns (diag, L, R) with M = L*diag*R.
 
@@ -529,7 +491,7 @@ def smith_normal_form(M, q: int):
     tuples either way.
 
     The answer is checked on the tuple form before it is returned: the
-    divisibility chain, and L*D*R == M by _poly_mat_mul, which packs each
+    divisibility chain, and L*D*R == M by fpoly.mat_mul, which packs each
     entry of L*D and of R into one int and unpacks each entry of the
     product once; when no slot is wide enough, as at q above 2^32, it
     multiplies entry by entry.  A failed check raises OracleIntegrityError.
@@ -648,7 +610,7 @@ def smith_normal_form(M, q: int):
         if fpoly.div(diag[i + 1], diag[i], q)[1]:
             raise OracleIntegrityError(f"SNF divisibility chain broken at entry {i + 1}")
     # L*D scales the columns of L, as D is diagonal
-    check = _poly_mat_mul([[fpoly.mul(a, b, q) for a, b in zip(row, diag)] for row in L], R, q)
+    check = fpoly.mat_mul([[fpoly.mul(a, b, q) for a, b in zip(row, diag)] for row in L], R, q)
     if check != orig:
         raise OracleIntegrityError("SNF verification L*D*R == M failed")
     return diag, L, R

@@ -32,7 +32,6 @@ __all__ = [
     "ONE",
     "Q",
     "gaussian_binomial",
-    "q_int",
     "q_factorial",
 ]
 
@@ -314,21 +313,8 @@ def _gaussian_binomial(k: int, n: int) -> QPoly:
     return num // den
 
 
-def q_int(a: int) -> QPoly:
-    """[a]_q = 1 + q + ... + q^{a-1} = (q^a - 1)/(q - 1)."""
-    _refuse_non_ints("q_int", a)
-    return _q_int(a)
-
-
-@lru_cache(maxsize=None)
-def _q_int(a: int) -> QPoly:
-    if a < 0:
-        raise ValueError(f"q_int needs a >= 0, got {a}")
-    return QPoly((1,) * a)
-
-
 def q_factorial(a: int) -> QPoly:
-    """[a]_q! = prod_{i=1}^{a} [i]_q."""
+    """[a]_q! = prod_{i=1}^{a} [i]_q, where [i]_q = 1 + q + ... + q^{i-1}."""
     _refuse_non_ints("q_factorial", a)
     return _q_factorial(a)
 
@@ -339,5 +325,5 @@ def _q_factorial(a: int) -> QPoly:
         raise ValueError(f"q_factorial needs a >= 0, got {a}")
     out = ONE
     for i in range(1, a + 1):
-        out = out * _q_int(i)
+        out = out * QPoly((1,) * i)
     return out

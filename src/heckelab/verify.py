@@ -216,16 +216,6 @@ _PHI_MATRICES = [
 ]
 
 
-def _mat_mul(A, B, q0):
-    """A * B over F_q[t]."""
-    out = [[() for _ in B[0]] for _ in A]
-    for out_row, row in zip(out, A):
-        for a, b_row in zip(row, B):
-            for j, b in enumerate(b_row):
-                out_row[j] = fpoly.addmul(out_row[j], a, b, q0)
-    return out
-
-
 def _unimodular(rng, n, q0, deg):
     """A row-permuted lower times upper unitriangular n x n matrix over
     F_q[t], its off-diagonal entries of degree <= deg."""
@@ -235,7 +225,7 @@ def _unimodular(rng, n, q0, deg):
 
     lower = [[(1,) if i == j else entry() if j < i else () for j in range(n)] for i in range(n)]
     upper = [[(1,) if i == j else entry() if j > i else () for j in range(n)] for i in range(n)]
-    M = _mat_mul(lower, upper, q0)
+    M = fpoly.mat_mul(lower, upper, q0)
     rng.shuffle(M)
     return M
 
@@ -263,7 +253,7 @@ def random_modification_matrix(rng, field: Field, n: int, r: int) -> list:
     U = _unimodular(rng, n, q0, deg)
     V = _unimodular(rng, n, q0, deg)
     DV = V[: n - r] + [[fpoly.mul(field.poly, e, q0) for e in row] for row in V[n - r :]]
-    return _mat_mul(U, DV, q0)
+    return fpoly.mat_mul(U, DV, q0)
 
 
 def _smith_normal_form(rng, cases, per_case):

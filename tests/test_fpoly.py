@@ -167,7 +167,7 @@ LENGTHS = (0, 1, 2, 6, 7, 8, 12, 40, 57)
 
 
 def test_packing_primes_span_every_slot_and_the_fallback():
-    slots = {fpoly.slot_for(40 * (p - 1) ** 2 + p - 1) for p in PACKING_PRIMES}
+    slots = {fpoly._slot_for(40 * (p - 1) ** 2 + p - 1) for p in PACKING_PRIMES}
     assert {size for _, size in slots - {None}} == {1, 2, 4, 8} and None in slots
 
 

@@ -2,11 +2,12 @@
 the oracle imports neither the Hall engine nor the forms layer,
 the rational-function type stays in two modules, only ClosedPoint tests
 a polynomial for irreducibility, only fpoly converts between ints and
-bytes or translates bytes, no module relies on an assert statement,
-the value types check their entries without converting them, every
-lru_cache decorates a module-level function and none is a public name,
-every module is in README's module map, every exported name exists, and
-the exported names that only tests call are a fixed list."""
+bytes, translates bytes or builds arrays, no module relies on an assert
+statement, the value types check their entries without converting them,
+every lru_cache decorates a module-level function and none is a public
+name, every module is in README's module map, every exported name exists,
+and the exported names that only tests call are a fixed list.  Also checks
+the rule by which tests/code_lines.py counts code lines."""
 
 import ast
 import importlib
@@ -104,8 +105,9 @@ def test_only_closed_point_tests_irreducibility():
     assert users == {"bundles", "fpoly"}
 
 
-#: the conversions of the byte form of F_p[t], which stays inside fpoly
-BYTE_FORM_CALLS = {"from_bytes", "to_bytes", "translate"}
+#: the conversions of the byte form of F_p[t] and of the Kronecker-packed
+#: ints of fpoly.mat_mul, which stay inside fpoly
+BYTE_FORM_CALLS = {"array", "from_bytes", "to_bytes", "translate"}
 
 
 def test_scan_flags_byte_form_calls(tmp_path):
@@ -118,12 +120,14 @@ def test_scan_flags_byte_form_calls(tmp_path):
         "table = str.maketrans('a', 'b')\n"
         "def f(x):\n"
         "    return x.translate(table)\n"
+        "slots = array('B', b'ab')\n"
     )
     assert calls_of(sample, BYTE_FORM_CALLS) == [
         (1, "from_bytes"),
         (3, "to_bytes"),
         (3, "translate"),
         (7, "translate"),
+        (8, "array"),
     ]
 
 
@@ -405,8 +409,6 @@ TEST_ONLY_SURFACE = {
     "hecke.multiplicity",
     "oracle.brute_aut_order",
     "oracle.count_monomorphisms",
-    "oracle.subspace_count",
-    "qcalc.q_int",
 }
 
 
@@ -424,3 +426,25 @@ def test_the_public_names_only_tests_call_are_a_fixed_list():
         if attr not in read
     }
     assert test_only == TEST_ONLY_SURFACE
+
+
+def test_code_lines_skips_blank_comment_and_docstring_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tests" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    sample = (
+        '"""A module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "x = 1  # code with a comment\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """A class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """A function\n        docstring."""\n'
+        '        return """a string\n        of two lines"""\n'
+    )
+    # x = 1, class C, def f and both lines of the returned string
+    assert code_lines.code_lines(sample) == 5

@@ -25,7 +25,6 @@ from heckelab.oracle import (
     matrix_rank,
     smith_normal_form,
     splitting_type,
-    subspace_count,
 )
 from heckelab.qcalc import gaussian_binomial
 
@@ -157,13 +156,16 @@ def test_field_of_point_skips_a_second_irreducibility_test(monkeypatch):
 
 
 def test_subspace_count_prime_power():
-    assert subspace_count(1, 2, 4) == 5
-    assert subspace_count(2, 4, 3) == gaussian_binomial(2, 4).evaluate(3)
-    assert subspace_count(1, 2, 17) == 18
-    assert subspace_count(1, 2, 9) == gaussian_binomial(1, 2).evaluate(9)
-    for q0 in (12, 6, 1):
-        with pytest.raises(ValueError, match="prime power"):
-            subspace_count(1, 2, q0)
+    # #Gr(k, n)(F_q0) by enumeration over F_p[t]/(first irreducible of degree e)
+    for k, n, q0, count in (
+        (1, 2, 4, 5),
+        (2, 4, 3, gaussian_binomial(2, 4).evaluate(3)),
+        (1, 2, 17, 18),
+        (1, 2, 9, gaussian_binomial(1, 2).evaluate(9)),
+    ):
+        p, e = fpoly.prime_power(q0)
+        field = Field(ClosedPoint(p, e, fpoly.first_irreducible(p, e)))
+        assert sum(1 for _ in enumerate_subspaces(n, n - k, field)) == count
 
 
 def test_splitting_type_rational_vs_irrational_lines():
@@ -433,17 +435,46 @@ def unit_times_diag_times_unit(rng, n, q, e, k):
     return schoolbook_mat_mul(schoolbook_mat_mul(unimodular(), D, q), unimodular(), q), diag
 
 
-@pytest.mark.parametrize("q", [2, 5, 251, 4294967311])
-def test_poly_mat_mul_matches_the_schoolbook_product(q):
+#: test_fpoly.PACKING_PRIMES: 1-byte slots at 2 and 3, 2-byte at 5 and 13,
+#: 4-byte at 251, 8-byte at 65537, and no slot, so addmul, at 4294967311
+PACKING_PRIMES = [2, 3, 5, 13, 251, 65537, 4294967311]
+
+
+@pytest.mark.parametrize("q", PACKING_PRIMES)
+def test_mat_mul_matches_the_schoolbook_product(q):
     """Packed for q < 2^32; at q = 4294967311 no slot is wide enough, and
     the product and the SNF's check go entry by entry."""
     rng = random.Random(f"matmul:{q}")
+
+    def poly(length, low=0, high=q):
+        return tuple(rng.randrange(low, high) for _ in range(length))
+
+    def matrix(rows, cols, **bounds):
+        return [[poly(rng.randint(0, 9), **bounds) for _ in range(cols)] for _ in range(rows)]
+
     for n, e in ((1, 1), (2, 3), (4, 2), (6, 2)):
         M, diag = unit_times_diag_times_unit(rng, n, q, e, rng.randint(0, n))
-        N = [[_strip(rng.randrange(q) for _ in range(rng.randint(0, 9))) for _ in range(n)] for _ in range(n)]
-        assert oracle._poly_mat_mul(M, N, q) == schoolbook_mat_mul(M, N, q)
+        N = [[_strip(poly(rng.randint(0, 9))) for _ in range(n)] for _ in range(n)]
+        assert fpoly.mat_mul(M, N, q) == schoolbook_mat_mul(M, N, q)
+        zero = [[()] * n for _ in range(n)]
+        assert fpoly.mat_mul(zero, N, q) == fpoly.mat_mul(M, zero, q) == zero
         diag_out, L, R = smith_normal_form(M, q)
         assert diag_out == diag
+    for rows, inner, cols in ((1, 1, 1), (2, 3, 4)):
+        A, B = matrix(rows, inner), matrix(inner, cols)
+        assert fpoly.mat_mul(A, B, q) == schoolbook_mat_mul(A, B, q)
+    # every coefficient q - 1: the middle slots receive the most they can
+    full = [[(q - 1,) * 7] * 6] * 6
+    assert fpoly.mat_mul(full, full, q) == schoolbook_mat_mul(full, full, q)
+    # entries are taken mod p: unreduced and negative coefficients, which
+    # would carry into the next slot or not fit one if packed as they are
+    A, B = matrix(3, 3, low=-3 * q, high=3 * q), matrix(3, 3, low=-3 * q, high=3 * q)
+    assert fpoly.mat_mul(A, B, q) == schoolbook_mat_mul(A, B, q)
+    assert fpoly.mat_mul([[(-1,)]], [[(-1, -1)]], q) == [[(1, 1)]]
+    square = [[(255, 255)]]
+    assert fpoly.mat_mul(square, square, q) == schoolbook_mat_mul(square, square, q)
+    if q == 2:
+        assert fpoly.mat_mul(square, square, q) == [[(1, 0, 1)]]
 
 
 def snf_batch():
@@ -760,7 +791,7 @@ def dropping_the_top_degree(real):
 
 
 def corrupting_products(real):
-    """A _poly_mat_mul whose product has its first entry shifted by one."""
+    """A mat_mul whose product has its first entry shifted by one."""
 
     def product(A, B, p):
         out = real(A, B, p)
@@ -771,9 +802,10 @@ def corrupting_products(real):
 
 
 @pytest.mark.parametrize(
-    "name, corrupt, command, detail",
+    "module, name, corrupt, command, detail",
     [
         pytest.param(
+            oracle,
             "enumerate_subspaces",
             dropping_one_subspace,
             "oracle census --bundle 0,0 --q 2 --point 1,1,1 --weight 1",
@@ -781,6 +813,7 @@ def corrupting_products(real):
             id="census-mass",
         ),
         pytest.param(
+            oracle,
             "BundleType",
             dropping_the_top_degree,
             "oracle census --bundle 0,0 --q 2 --point 1,1,1 --weight 1",
@@ -788,7 +821,8 @@ def corrupting_products(real):
             id="splitting-type-shape",
         ),
         pytest.param(
-            "_poly_mat_mul",
+            fpoly,
+            "mat_mul",
             corrupting_products,
             "oracle snf --matrix 0,1|1,1;1|0,1 --q 2",
             "L*D*R == M failed",
@@ -796,8 +830,8 @@ def corrupting_products(real):
         ),
     ],
 )
-def test_broken_oracle_answer_exits_3(monkeypatch, capsys, name, corrupt, command, detail):
-    monkeypatch.setattr(oracle, name, corrupt(getattr(oracle, name)))
+def test_broken_oracle_answer_exits_3(monkeypatch, capsys, module, name, corrupt, command, detail):
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     assert main(command.split()) == 3
     out, err = capsys.readouterr()
     doc = json.loads(err)

@@ -16,7 +16,6 @@ from heckelab.qcalc import (
     gaussian_binomial,
     poly_gcd,
     q_factorial,
-    q_int,
 )
 
 
@@ -226,14 +225,13 @@ def test_gaussian_binomial_symmetry_and_pascal():
 
 
 def test_q_int_and_factorial():
-    assert q_int(3) == QPoly((1, 1, 1))
     assert q_factorial(0) == ONE
     assert q_factorial(2) == Q + 1
     assert q_factorial(3) == (Q + 1) * QPoly((1, 1, 1))
 
 
 # Range guards raise, so they hold under python -O too: an assert there
-# let monomial(-2) and q_factorial(-2) return 1 and q_int(-3) return 0.
+# let monomial(-2) and q_factorial(-2) return 1.
 def test_monomial_refuses_a_negative_exponent():
     with pytest.raises(ValueError, match="k >= 0"):
         QPoly.monomial(-2)
@@ -242,11 +240,6 @@ def test_monomial_refuses_a_negative_exponent():
 def test_power_refuses_a_negative_exponent():
     with pytest.raises(ValueError, match="k >= 0"):
         Q ** -1
-
-
-def test_q_int_refuses_a_negative_argument():
-    with pytest.raises(ValueError, match="a >= 0"):
-        q_int(-3)
 
 
 def test_q_factorial_refuses_a_negative_argument():
@@ -264,7 +257,6 @@ def test_evaluate():
 #: arguments it answers
 CACHED = [
     (gaussian_binomial, qcalc._gaussian_binomial, (1, 3)),
-    (q_int, qcalc._q_int, (2,)),
     (q_factorial, qcalc._q_factorial, (3,)),
     (bundles.gl_order, bundles._gl_order, (2, 2)),
 ]

@@ -148,7 +148,7 @@ def _pi_r_in_one_slot(sample):
         U, V = (verify._unimodular(rng, n, q0, 1) for _ in range(2))
         for _ in range(r):
             V[-1] = [fpoly.mul(field.poly, e, q0) for e in V[-1]]
-        return verify._mat_mul(U, V, q0)
+        return fpoly.mat_mul(U, V, q0)
 
     return wrong
 
