@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import product
+from itertools import chain, product
 from math import isqrt
 
 __all__ = [
@@ -209,10 +209,20 @@ def _slot_for(bound):
     return None
 
 
-def _pack(a, slot, p):
-    """Kronecker substitution: sum of (a[i] mod p) * 2^(8 * bytes * i), one
-    coefficient per slot."""
-    arr = array(slot[0], [c % p for c in a])
+def _reduced(M, p):
+    """M when every coefficient of it lies in [0, p), else M with each entry
+    reduced mod p.  One set of the coefficients is cheaper than a range
+    test per entry, and the SNF check passes reduced entries."""
+    coeffs = set(chain.from_iterable(chain.from_iterable(M)))
+    if not coeffs or (min(coeffs) >= 0 and max(coeffs) < p):
+        return M
+    return [[trim(c % p for c in entry) for entry in row] for row in M]
+
+
+def _pack(a, slot):
+    """Kronecker substitution: sum of a[i] * 2^(8 * bytes * i), one
+    coefficient per slot; mat_mul packs reduced entries only."""
+    arr = array(slot[0], a)
     if _BIG_ENDIAN:
         arr.byteswap()
     return int.from_bytes(arr, "little")
@@ -233,13 +243,14 @@ def _unpack(v, slot, p):
 def mat_mul(A, B, p):
     """A*B over F_p[t], row by row, entries taken mod p.
 
-    One slot width holds every coefficient of A and of B, and of a sum of
-    len(B) products, so each entry of A and B is packed into an int once,
-    and each entry of A*B is a sum of int products, unpacked and reduced
-    once.  When no
-    slot is that wide, as for p above 2^32, the entries are combined by
-    addmul.  Zero entries of A multiply nothing.
+    A factor with a coefficient outside [0, p) is reduced first.  One slot
+    width holds every coefficient of A and of B, and of a sum of len(B)
+    products, so each entry of A and B is packed into an int once, and
+    each entry of A*B is a sum of int products, unpacked and reduced
+    once.  When no slot is that wide, as for p above 2^32, the entries are
+    combined by addmul.  Zero entries of A multiply nothing.
     """
+    A, B = _reduced(A, p), _reduced(B, p)
     shortest = min(max(len(e) for row in M for e in row) for M in (A, B))
     slot = _slot_for(max(len(B) * shortest, 1) * (p - 1) ** 2)
     out = []
@@ -251,9 +262,9 @@ def mat_mul(A, B, p):
                     acc = [addmul(c, a, b, p) if b else c for c, b in zip(acc, b_row)]
             out.append(acc)
         return out
-    packed_B = [[_pack(b, slot, p) for b in row] for row in B]
+    packed_B = [[_pack(b, slot) for b in row] for row in B]
     for row in A:
-        terms = [(_pack(a, slot, p), b_row) for a, b_row in zip(row, packed_B) if a]
+        terms = [(_pack(a, slot), b_row) for a, b_row in zip(row, packed_B) if a]
         out.append(
             [_unpack(sum(a * b_row[j] for a, b_row in terms), slot, p) for j in range(len(B[0]))]
         )

@@ -18,16 +18,28 @@ rows of its component came earlier; it is counted and never built.
 Each Schubert cell gets a scan plan, `_plan`, built once per census: the
 free columns, and for every scheduled row either a unit row at a fixed
 coordinate (a free component i at power m, which no subspace of the cell
-changes) or the pivot row a of W at power m.  Per subspace the scan,
-`_drop_profile`, reads the t^m*e products of a pivot row's free entries
-from the field's table `Field._t_powers`, which fills an entry when a scan
-first asks for it and keeps it for every later scan over the field.  It
-adds each row to one echelon form and stops once the echelon spans the
-quotient kappa^n / W.  At q = 2 the rows are int bit masks and
-`fpoly.insert_mask` reduces them by xor; at odd q they are int lists for
-`fpoly.insert_row`.  The twists at which a row was independent, the drop
-profile, determine the splitting type, so a census counts subspaces per
-profile and finds one type per profile.
+changes) or the pivot row a of W at power m; a pivot row with no free
+entry maps to zero and gets no step.  A scan reads the t^m*e products of
+a pivot row's free entries from the field's table `Field._t_powers`,
+which fills an entry when a scan first asks for it and keeps it for every
+later scan over the field.  It adds each row to one echelon form and
+stops once the echelon spans the quotient kappa^n / W.  At q = 2 the rows
+are int bit masks and `fpoly.insert_mask` reduces them by xor; at odd q
+they are int lists for `fpoly.insert_row`.  The twists at which a row was
+independent, the drop profile, determine the splitting type.
+
+A census walks each cell's plan once, depth first (`_Walk`), instead of
+scanning each subspace on its own.  At the first step that reads pivot
+row a it branches over the |kappa|^(f_a) values of the row's f_a free
+entries, so the steps before that read are scanned once for all of them.
+When the echelon fills or the steps run out, the rows not yet read cannot
+change the profile, and the branch counts |kappa| to the number of their
+free entries at once.  The census counts subspaces per profile and runs
+`splitting_type` once per profile, on a representative subspace whose
+unread rows are zero; `splitting_type` is the same walk over the cell of
+one subspace, with every row's values given, so it scans once.
+`enumerate_subspaces` lists the subspaces one by one; the census does not
+use it, and it stays as the per-subspace reference.
 
 The residue field kappa(x) = F_{q^d} = F_q[t]/(poly) is built only from a
 ClosedPoint with an explicit polynomial, which has already checked that q
@@ -54,7 +66,6 @@ __all__ = [
     "Field",
     "FiberSubspace",
     "check_subspace_budget",
-    "enumerate_subspaces",
     "splitting_type",
     "brute_multiplicity",
     "smith_normal_form",
@@ -245,7 +256,8 @@ def check_subspace_budget(n: int, r: int, q: int, d: int, budget: int | None = N
 
 
 def enumerate_subspaces(n: int, r: int, field: Field, budget: int | None = None):
-    """Yield every codim-r subspace of kappa^n exactly once, cell by cell.
+    """Yield every codim-r subspace of kappa^n exactly once, cell by cell:
+    the per-subspace reference for the census walk, which does not call it.
 
     Cells are indexed by pivot-column sets; free entries sit right of their
     pivot in non-pivot columns.  Each cell's rows are built once and each
@@ -298,12 +310,15 @@ class _Plan(NamedTuple):
     full is the F_q-dimension r*d of kappa^n / W; columns lists each free
     column j with the offset of its d coordinates in a row; each step is
     (k, a, m, row), with row the fixed unit row of a free component, or
-    None for the pivot row a of W at power m.
+    None for the pivot row a of W at power m; leads[a] is the index in
+    columns of the first free column right of pivot row a's pivot, so the
+    row has len(columns) - leads[a] free entries.
     """
 
     full: int
     columns: list
     steps: list
+    leads: list
 
 
 def _plan(schedule: list, pivots: tuple, n: int, field: Field) -> _Plan:
@@ -314,30 +329,37 @@ def _plan(schedule: list, pivots: tuple, n: int, field: Field) -> _Plan:
     vector at i when column i is no pivot.  The sign is dropped: scaling
     all rows of a component by -1 changes none of their dependences.  A
     unit vector times t^m, m < d, is the unit at coordinate m of its
-    column, the same for every subspace of the cell.  Rows are int bit
-    masks at q = 2 and int lists otherwise.
+    column, the same for every subspace of the cell.  A pivot row with no
+    free entry maps to zero and is never independent, so it has no step.
+    Rows are int bit masks at q = 2 and int lists otherwise.
     """
     d = field.d
-    free = [j for j in range(n) if j not in pivots]
-    full = len(free) * d
-    row_of = {i: a for a, i in enumerate(pivots)}
+    offsets = {j: b * d for b, j in enumerate(j for j in range(n) if j not in pivots)}
+    full = len(offsets) * d
+    leads = [i - a for a, i in enumerate(pivots)]  # free columns left of each pivot
+    row_of = {i: a for a, i in enumerate(pivots) if leads[a] < len(offsets)}
     steps = []
-    for k, i, m in schedule if free else ():  # W = kappa^n: no row is independent
+    for k, i, m in schedule if offsets else ():  # W = kappa^n: no row is independent
         if i in row_of:
             steps.append((k, row_of[i], m, None))
-            continue
-        at = free.index(i) * d + m
-        if field.q == 2:
-            steps.append((k, None, m, 1 << at))
-        else:
-            unit = [0] * full
-            unit[at] = 1
-            steps.append((k, None, m, unit))
-    return _Plan(full, [(j, b * d) for b, j in enumerate(free)], steps)
+        elif i in offsets:
+            if field.q == 2:
+                steps.append((k, None, m, 1 << offsets[i] + m))
+            else:
+                unit = [0] * full
+                unit[offsets[i] + m] = 1
+                steps.append((k, None, m, unit))
+    return _Plan(full, list(offsets.items()), steps, leads)
 
 
-def _drop_profile(plan: _Plan, W: FiberSubspace) -> tuple:
-    """The twists of the scheduled rows that are independent modulo W.
+def _row_values(elements: list, f: int):
+    """Every value of a pivot row's f free entries, in counting order."""
+    return product(elements, repeat=f)
+
+
+class _Walk:
+    """The scans of one field: each Schubert cell's scan plan is walked
+    once, depth first, and the subspaces are counted per drop profile.
 
     A section lies in E' when its value at x maps to zero in kappa^n / W,
     and that map is kappa-linear: t^m e_i maps to t^m times the image of
@@ -347,35 +369,100 @@ def _drop_profile(plan: _Plan, W: FiberSubspace) -> tuple:
     them (fpoly.insert_mask); at odd q they are int lists for
     fpoly.insert_row.  Once the echelon holds r*d pivots, the
     F_q-dimension of kappa^n / W, every later row is dependent.
+
+    The walk keeps one echelon, one profile and the values of the pivot
+    rows read so far, and a branch gives all three back as it found them.
+    At the first step that reads pivot row a whose values are not given,
+    the walk branches over the |kappa|^(f_a) values of the row's f_a free
+    entries, so the steps before it are scanned once for all of them.  A
+    branch ends when the echelon spans kappa^n / W or the steps run out.
+    The rows it has not read then cannot change the profile, as the scan
+    of any one subspace never reaches them either, so the branch counts
+    |kappa| to the number of their free entries at once.  The first
+    branch to reach a profile keeps its cell and row values, for a
+    representative subspace whose unread rows are zero.
     """
-    basis = W.basis
-    table = W.field._t_powers
-    full, columns, steps = plan
-    echelon = {}
-    profile = []
-    if W.field.q == 2:
-        insert_mask = fpoly.insert_mask
-        for k, a, m, row in steps:
+
+    __slots__ = (
+        "field", "elements", "plan", "pivots", "values", "echelon", "profile", "counts", "found"
+    )
+
+    def __init__(self, field: Field, elements):
+        self.field = field
+        self.elements = elements
+        self.echelon = {}
+        self.profile = []
+        self.counts: dict[tuple, int] = {}  # drop profile -> subspaces
+        self.found: dict[tuple, tuple] = {}  # drop profile -> (plan, pivots, row values)
+
+    def cell(self, plan: _Plan, pivots: tuple, values: list) -> None:
+        """Count the subspaces of the cell with these pivot columns whose
+        pivot row a has the free entries values[a], every value where that
+        is None."""
+        self.plan, self.pivots, self.values = plan, pivots, values
+        n_free = len(plan.columns)
+        self._scan(0, sum(n_free - lead for lead, v in zip(plan.leads, values) if v is None))
+
+    def _scan(self, start: int, unread: int) -> None:
+        """Scan the plan from step start on; unread counts the free entries
+        of the pivot rows no step has read yet."""
+        field = self.field
+        q, d, table = field.q, field.d, field._t_powers
+        insert_mask, insert_row = fpoly.insert_mask, fpoly.insert_row
+        full, columns, steps, leads = self.plan
+        echelon, profile, values = self.echelon, self.profile, self.values
+        size, depth = len(echelon), len(profile)
+        for i in range(start, len(steps)):
+            k, a, m, row = steps[i]
             if row is None:
-                elems, row = basis[a], 0
-                for j, shift in columns:
-                    row |= table[m, elems[j]] << shift
-            if insert_mask(echelon, row):
+                v = values[a]
+                if v is None:
+                    f = len(columns) - leads[a]
+                    for v in _row_values(self.elements, f):
+                        values[a] = v
+                        self._scan(i, unread - f)
+                    values[a] = None
+                    break
+                if q == 2:
+                    row, shift = 0, leads[a] * d
+                    for e in v:
+                        row |= table[m, e] << shift
+                        shift += d
+                else:
+                    row = [0] * (leads[a] * d)
+                    for e in v:
+                        row += table[m, e]
+            if insert_mask(echelon, row) if q == 2 else insert_row(echelon, row, q):
                 profile.append(k)
                 if len(echelon) == full:
+                    self._count(unread)
                     break
-    else:
-        q, insert_row = W.field.q, fpoly.insert_row
-        for k, a, m, row in steps:
-            if row is None:
-                elems, row = basis[a], []
-                for j, _ in columns:
-                    row += table[m, elems[j]]
-            if insert_row(echelon, row, q):
-                profile.append(k)
-                if len(echelon) == full:
-                    break
-    return tuple(profile)
+        else:
+            self._count(unread)
+        while len(echelon) > size:
+            echelon.popitem()  # the last pivot added first, so the order is kept
+        del profile[depth:]
+
+    def _count(self, unread: int) -> None:
+        key = tuple(self.profile)
+        if key not in self.counts:
+            self.counts[key] = 0
+            self.found[key] = (self.plan, self.pivots, list(self.values))
+        self.counts[key] += self.field.size**unread
+
+    def representative(self, profile: tuple) -> FiberSubspace:
+        """A subspace with this drop profile: the row values of the first
+        branch that reached it, zero in the rows it did not read."""
+        (_, columns, _, leads), pivots, values = self.found[profile]
+        field, n = self.field, len(columns) + len(pivots)
+        basis = []
+        for pivot, lead, v in zip(pivots, leads, values):
+            row = [field.zero] * n
+            row[pivot] = field.one
+            for (j, _), e in zip(columns[lead:], v or ()):
+                row[j] = e
+            basis.append(tuple(row))
+        return FiberSubspace(field, tuple(basis), pivots)
 
 
 def _type_from_profile(E: BundleType, d: int, profile: tuple) -> BundleType:
@@ -398,17 +485,21 @@ def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
     """Splitting type of the kernel subsheaf E' = {s : s(x) in W}, where x
     is the point of W's field.
 
-    One scan over the row schedule of (E, d) gives W's drop profile, the
-    twists at which a section row was independent, and the profile gives
-    the type.  h^0(E'(k)) is the number of section rows up to twist k that
-    were dependent, rows with m >= d included, and each twist k adds the
-    row t^(d_i+k) e_i of every component with d_i + k >= 0.
+    One scan over the row schedule of (E, d), the walk of W's cell with
+    W's entries given, gives W's drop profile, the twists at which a
+    section row was independent, and the profile gives the type.
+    h^0(E'(k)) is the number of section rows up to twist k that were
+    dependent, rows with m >= d included, and each twist k adds the row
+    t^(d_i+k) e_i of every component with d_i + k >= 0.
     """
-    d = W.field.d
-    n = E.rank
-    r = n - W.dim
-    plan = _plan(_schedule(E, d), W.pivots, n, W.field)
-    out = _type_from_profile(E, d, _drop_profile(plan, W))
+    field, n = W.field, E.rank
+    d, r = field.d, n - W.dim
+    plan = _plan(_schedule(E, d), W.pivots, n, field)
+    walk = _Walk(field, ())
+    entries = [[row[j] for j, _ in plan.columns[lead:]] for row, lead in zip(W.basis, plan.leads)]
+    walk.cell(plan, W.pivots, entries)
+    (profile,) = walk.counts
+    out = _type_from_profile(E, d, profile)
     if out.rank != n or out.degree != E.degree - r * d:
         raise OracleIntegrityError(
             f"splitting type {out.pretty()} of {E.pretty()} has rank {out.rank} and "
@@ -425,32 +516,28 @@ def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
 def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
     """Census of splitting types over all codim-r subspaces of the fiber.
 
-    The row schedule is built once, and the scan plan once per Schubert
-    cell.  Each subspace gets its drop profile and the census counts
-    subspaces per profile; `splitting_type` runs on the first subspace of
-    each profile only, as the type is a function of the profile.
+    The subspace count is checked against the budget before any work.  The
+    row schedule is built once, and each Schubert cell's scan plan is
+    walked once (`_Walk`): a pivot row's values are enumerated only at the
+    first step that reads the row, and when the scan stops before a row is
+    read, the subspaces that differ only there are counted at once.  The
+    census counts subspaces per drop profile; `splitting_type` runs once
+    per profile, on a representative subspace, as the type is a function
+    of the profile.  The census mass must be #Gr.
     """
     field = Field(x)
+    n = E.rank
+    check_subspace_budget(n, r, field.q, field.d, budget)
     schedule = _schedule(E, x.d)
-    plans: dict[tuple, _Plan] = {}  # pivot columns -> scan plan of the cell
-    counts: dict[tuple, int] = {}  # drop profile -> subspaces
-    types: dict[tuple, BundleType] = {}  # drop profile -> splitting type
-    for W in enumerate_subspaces(E.rank, r, field, budget=budget):
-        plan = plans.get(W.pivots)
-        if plan is None:
-            plan = plans[W.pivots] = _plan(schedule, W.pivots, E.rank, field)
-        profile = _drop_profile(plan, W)
-        if profile in counts:
-            counts[profile] += 1
-        else:
-            counts[profile] = 1
-            types[profile] = splitting_type(E, W)
+    walk = _Walk(field, list(field.elements()) if 0 < r < n else ())
+    for pivots in combinations(range(n), n - r):
+        walk.cell(_plan(schedule, pivots, n, field), pivots, [None] * (n - r))
     census: dict[BundleType, int] = {}
-    for profile, count in counts.items():
-        t = types[profile]
+    for profile, count in walk.counts.items():
+        t = splitting_type(E, walk.representative(profile))
         census[t] = census.get(t, 0) + count
     total = sum(census.values())
-    expected = gaussian_binomial(E.rank - r, E.rank).evaluate(field.size)
+    expected = gaussian_binomial(n - r, n).evaluate(field.size)
     if total != expected:
         raise OracleIntegrityError(
             f"census mass {total} != #Gr = {expected} for E={E.pretty()}, r={r}, "
