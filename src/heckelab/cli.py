@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -477,9 +478,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dashed_values(argv: list) -> list:
+    """Write `--opt -1,2` as `--opt=-1,2`.
+
+    argparse takes a token that starts with '-' for an option unless it is
+    a plain negative number, so a list such as -1,2 or -3/2 after a space
+    would be refused.  No heckelab option starts with a digit, so a token
+    of '-' and a digit that follows a long option is that option's value.
+    """
+    out = []
+    for arg in argv:
+        if out and re.fullmatch(r"--[a-z][\w-]*", out[-1]) and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dashed_values(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

@@ -34,12 +34,13 @@ row a it branches over the |kappa|^(f_a) values of the row's f_a free
 entries, so the steps before that read are scanned once for all of them.
 When the echelon fills or the steps run out, the rows not yet read cannot
 change the profile, and the branch counts |kappa| to the number of their
-free entries at once.  The census counts subspaces per profile and runs
-`splitting_type` once per profile, on a representative subspace whose
-unread rows are zero; `splitting_type` is the same walk over the cell of
-one subspace, with every row's values given, so it scans once.
-`enumerate_subspaces` lists the subspaces one by one; the census does not
-use it, and it stays as the per-subspace reference.
+free entries at once.  The census counts subspaces per profile and reads
+each profile's type straight off it (`_kernel_type`), which checks the
+type's shape; it builds no subspace.  `splitting_type` runs the same walk
+over the cell of one given subspace, with every row's values given, so
+it scans once.  It and `enumerate_subspaces`, which lists the subspaces
+one by one, are the per-subspace reference that the tests compare the
+census against.
 
 The residue field kappa(x) = F_{q^d} = F_q[t]/(poly) is built only from a
 ClosedPoint with an explicit polynomial, which has already checked that q
@@ -66,7 +67,6 @@ __all__ = [
     "Field",
     "FiberSubspace",
     "check_subspace_budget",
-    "splitting_type",
     "brute_multiplicity",
     "smith_normal_form",
     "brute_aut_order",
@@ -378,14 +378,10 @@ class _Walk:
     branch ends when the echelon spans kappa^n / W or the steps run out.
     The rows it has not read then cannot change the profile, as the scan
     of any one subspace never reaches them either, so the branch counts
-    |kappa| to the number of their free entries at once.  The first
-    branch to reach a profile keeps its cell and row values, for a
-    representative subspace whose unread rows are zero.
+    |kappa| to the number of their free entries at once.
     """
 
-    __slots__ = (
-        "field", "elements", "plan", "pivots", "values", "echelon", "profile", "counts", "found"
-    )
+    __slots__ = ("field", "elements", "plan", "values", "echelon", "profile", "counts")
 
     def __init__(self, field: Field, elements):
         self.field = field
@@ -393,13 +389,11 @@ class _Walk:
         self.echelon = {}
         self.profile = []
         self.counts: dict[tuple, int] = {}  # drop profile -> subspaces
-        self.found: dict[tuple, tuple] = {}  # drop profile -> (plan, pivots, row values)
 
-    def cell(self, plan: _Plan, pivots: tuple, values: list) -> None:
-        """Count the subspaces of the cell with these pivot columns whose
-        pivot row a has the free entries values[a], every value where that
-        is None."""
-        self.plan, self.pivots, self.values = plan, pivots, values
+    def cell(self, plan: _Plan, values: list) -> None:
+        """Count the subspaces of the plan's cell whose pivot row a has the
+        free entries values[a], every value where that is None."""
+        self.plan, self.values = plan, values
         n_free = len(plan.columns)
         self._scan(0, sum(n_free - lead for lead, v in zip(plan.leads, values) if v is None))
 
@@ -445,65 +439,33 @@ class _Walk:
 
     def _count(self, unread: int) -> None:
         key = tuple(self.profile)
-        if key not in self.counts:
-            self.counts[key] = 0
-            self.found[key] = (self.plan, self.pivots, list(self.values))
-        self.counts[key] += self.field.size**unread
-
-    def representative(self, profile: tuple) -> FiberSubspace:
-        """A subspace with this drop profile: the row values of the first
-        branch that reached it, zero in the rows it did not read."""
-        (_, columns, _, leads), pivots, values = self.found[profile]
-        field, n = self.field, len(columns) + len(pivots)
-        basis = []
-        for pivot, lead, v in zip(pivots, leads, values):
-            row = [field.zero] * n
-            row[pivot] = field.one
-            for (j, _), e in zip(columns[lead:], v or ()):
-                row[j] = e
-            basis.append(tuple(row))
-        return FiberSubspace(field, tuple(basis), pivots)
+        self.counts[key] = self.counts.get(key, 0) + self.field.size**unread
 
 
-def _type_from_profile(E: BundleType, d: int, profile: tuple) -> BundleType:
-    """The kernel type whose scan has this drop profile.
+def _kernel_type(E: BundleType, d: int, r: int, profile: tuple) -> BundleType:
+    """The kernel type whose weight-r scan at a degree-d point has this drop
+    profile, with its shape checked.
 
     h^0(E'(k)) - h^0(E'(k-1)) = #{i : d_i' >= -k}, and that difference is
-    c(k) = #{i : d_i + k >= 0} minus the independent rows at twist k, so
-    c(k) - c(k-1) components of E' have degree -k.
+    #{i : d_i + k >= 0} minus the rows independent at twist k.  So each
+    independent row at twist k lowers one component of degree -k by one,
+    and one pass over the profile, in its twist order, gives E'.  A
+    profile that lowers a degree no component has, or a type whose rank,
+    degree or drops in [0, d] are wrong, raises OracleIntegrityError.
     """
-    degrees = []
-    prev_c = 0
-    for k in _twists(E, d):
-        c = sum(di + k >= 0 for di in E.degrees) - profile.count(k)
-        degrees += [-k] * (c - prev_c)
-        prev_c = c
-    return BundleType(degrees)
-
-
-def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
-    """Splitting type of the kernel subsheaf E' = {s : s(x) in W}, where x
-    is the point of W's field.
-
-    One scan over the row schedule of (E, d), the walk of W's cell with
-    W's entries given, gives W's drop profile, the twists at which a
-    section row was independent, and the profile gives the type.
-    h^0(E'(k)) is the number of section rows up to twist k that were
-    dependent, rows with m >= d included, and each twist k adds the row
-    t^(d_i+k) e_i of every component with d_i + k >= 0.
-    """
-    field, n = W.field, E.rank
-    d, r = field.d, n - W.dim
-    plan = _plan(_schedule(E, d), W.pivots, n, field)
-    walk = _Walk(field, ())
-    entries = [[row[j] for j, _ in plan.columns[lead:]] for row, lead in zip(W.basis, plan.leads)]
-    walk.cell(plan, W.pivots, entries)
-    (profile,) = walk.counts
-    out = _type_from_profile(E, d, profile)
-    if out.rank != n or out.degree != E.degree - r * d:
+    degrees = list(E.degrees)
+    for k in profile:
+        if -k not in degrees:
+            raise OracleIntegrityError(
+                f"drop profile {profile} of {E.pretty()} lowers degree {-k}, which no "
+                f"component has"
+            )
+        degrees[degrees.index(-k)] -= 1
+    out = BundleType(degrees)
+    if out.rank != E.rank or out.degree != E.degree - r * d:
         raise OracleIntegrityError(
             f"splitting type {out.pretty()} of {E.pretty()} has rank {out.rank} and "
-            f"degree {out.degree}, not {n} and {E.degree - r * d}"
+            f"degree {out.degree}, not {E.rank} and {E.degree - r * d}"
         )
     if not all(0 <= a - b <= d for a, b in zip(E.degrees, out.degrees)):
         raise OracleIntegrityError(
@@ -511,6 +473,28 @@ def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
             f"less than 0 or more than d={d}"
         )
     return out
+
+
+def splitting_type(E: BundleType, W: FiberSubspace) -> BundleType:
+    """Splitting type of the kernel subsheaf E' = {s : s(x) in W}, where x
+    is the point of W's field.  W must lie in kappa^(rank E): a basis row
+    of any other length raises ValueError.
+
+    One walk of W's cell, with W's entries given, scans once and gives W's
+    drop profile, the twists at which a section row was independent, and
+    `_kernel_type` reads the type off it.  The census reads its types off
+    the profiles without building any W; this is the per-subspace
+    reference that the tests compare it against.
+    """
+    field, n = W.field, E.rank
+    if any(len(row) != n for row in W.basis):
+        raise ValueError(f"subspace does not lie in the fiber kappa^{n} of {E.pretty()}")
+    plan = _plan(_schedule(E, field.d), W.pivots, n, field)
+    walk = _Walk(field, ())
+    entries = [[row[j] for j, _ in plan.columns[lead:]] for row, lead in zip(W.basis, plan.leads)]
+    walk.cell(plan, entries)
+    (profile,) = walk.counts
+    return _kernel_type(E, field.d, n - W.dim, profile)
 
 
 def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
@@ -521,9 +505,9 @@ def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
     walked once (`_Walk`): a pivot row's values are enumerated only at the
     first step that reads the row, and when the scan stops before a row is
     read, the subspaces that differ only there are counted at once.  The
-    census counts subspaces per drop profile; `splitting_type` runs once
-    per profile, on a representative subspace, as the type is a function
-    of the profile.  The census mass must be #Gr.
+    census counts subspaces per drop profile and reads each profile's
+    type off it once (`_kernel_type`), as the type is a function of the
+    profile.  The census mass must be #Gr.
     """
     field = Field(x)
     n = E.rank
@@ -531,10 +515,10 @@ def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
     schedule = _schedule(E, x.d)
     walk = _Walk(field, list(field.elements()) if 0 < r < n else ())
     for pivots in combinations(range(n), n - r):
-        walk.cell(_plan(schedule, pivots, n, field), pivots, [None] * (n - r))
+        walk.cell(_plan(schedule, pivots, n, field), [None] * (n - r))
     census: dict[BundleType, int] = {}
     for profile, count in walk.counts.items():
-        t = splitting_type(E, walk.representative(profile))
+        t = _kernel_type(E, x.d, r, profile)
         census[t] = census.get(t, 0) + count
     total = sum(census.values())
     expected = gaussian_binomial(n - r, n).evaluate(field.size)

@@ -282,6 +282,25 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        ("hecke neighbors --point-degree 1 --weight 1", "--bundle", "-1,2"),  # degrees
+        ("hall mul --g 0", "--f", "-1,0"),  # degrees
+        ("oracle census --bundle 0,0 --q 2 --weight 1", "--point", "-1,1,1"),  # coefficients
+        ("oracle snf --q 2", "--matrix", "-1,1|1;0|1,1"),  # matrix
+        ("forms eigen --n 2 --q 2 --depth 3", "--lambda", "-3/2"),  # rationals
+    ],
+    ids=["bundle", "f", "point", "matrix", "lambda"],
+)
+def test_a_list_that_starts_with_a_minus_sign_follows_its_option_either_way(
+    capsys, argv, option, value
+):
+    spaced = run_cli(capsys, *argv.split(), option, value)
+    assert spaced[0] == 0, spaced[2]
+    assert run_cli(capsys, *argv.split(), f"{option}={value}") == spaced
+
+
+@pytest.mark.parametrize(
     "argv, want",
     [
         ("gr --k 1 --n 2 --q 6", "q must be a prime power, got 6"),

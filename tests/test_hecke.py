@@ -463,3 +463,34 @@ def test_census_identities_on_seeded_instances():
                 assert left == right, (E_prime, E, d, r, q0)
                 evaluations += 1
     assert evaluations == 2556
+
+
+#: pairs of Hecke operators, each (point degree, weight)
+OPERATOR_PAIRS = [((1, 1), (2, 1)), ((1, 2), (2, 2)), ((2, 1), (2, 3)), ((1, 1), (3, 1))]
+
+
+def composed(E, first, second):
+    """E'' -> the sum over E' of m_first(E', E) * m_second(E'', E'), in Z[q]:
+    the first operator, then the second, applied to E."""
+    out = {}
+    for E1, m1 in neighbors(E, *first, cross_check=False).items():
+        for E2, m2 in neighbors(E1, *second, cross_check=False).items():
+            out[E2] = out.get(E2, ZERO) + m1 * m2
+    return out
+
+
+def test_hecke_operators_at_two_point_degrees_commute():
+    """The unramified Hecke algebra is commutative, so applying two
+    operators in either order gives the same sum over the middle bundle,
+    as polynomials in q; the cross-check is off so that each census stands
+    on its own.  E runs over the bundles 0 = d_0 <= ... <= d_(n-1) of rank
+    2-5 with spread at most 6, 4, 3, 2."""
+    compared = 0
+    for n, spread in ((2, 6), (3, 4), (4, 3), (5, 2)):
+        for tail in combinations_with_replacement(range(spread + 1), n - 1):
+            E = B(0, *tail)
+            for a, b in OPERATOR_PAIRS:
+                if max(a[1], b[1]) <= n:
+                    assert composed(E, a, b) == composed(E, b, a), (E, a, b)
+                    compared += 1
+    assert compared == 221

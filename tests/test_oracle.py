@@ -187,6 +187,23 @@ def test_splitting_type_rational_vs_irrational_lines():
     assert splitting_type(E, W_rat) == BundleType([-2, 0])
 
 
+def test_splitting_type_refuses_a_subspace_of_another_fiber():
+    # a plane in F_2^3 lies in the fiber of no rank-2 or rank-4 bundle
+    W = next(enumerate_subspaces(3, 1, Field(X1)))
+    for E in (BundleType([0, 0]), BundleType([0, 0, 0, 0])):
+        with pytest.raises(ValueError, match="fiber"):
+            splitting_type(E, W)
+
+
+def test_a_profile_no_scan_can_give_is_an_integrity_error():
+    # O^2 has no component of degree -1 for a row at twist 1 to lower
+    with pytest.raises(OracleIntegrityError, match="lowers degree -1"):
+        oracle._kernel_type(BundleType([0, 0]), 1, 1, (1,))
+    # one independent row short of r*d: the degree is wrong
+    with pytest.raises(OracleIntegrityError, match="has rank 2 and degree -1"):
+        oracle._kernel_type(BundleType([0, 0]), 2, 1, (0,))
+
+
 def test_brute_multiplicity_trivial_bundle_census():
     census = brute_multiplicity(BundleType([0, 0]), X2, 1)
     assert census == {
@@ -688,8 +705,8 @@ def test_splitting_type_matches_the_from_scratch_scan():
 
 
 def test_census_by_profile_matches_the_per_subspace_tally():
-    """brute_multiplicity runs splitting_type once per drop profile; every
-    subspace on its own must give the same census."""
+    """brute_multiplicity reads each drop profile's type off the profile;
+    splitting_type of every subspace on its own must give the same census."""
     for E, x, r in seeded_grid():
         tally = {}
         for W in enumerate_subspaces(E.rank, r, Field(x)):
@@ -792,9 +809,8 @@ def test_a_census_fills_each_table_entry_once(monkeypatch):
 
 
 #: (E, q, d, r) -> the most fpoly.insert_row and insert_mask calls its
-#: census may make, splitting_type's scans included.  Scanning every
-#: subspace on its own made 1,265 / 472 / 336 / 1,913 / 2,597 calls; the
-#: walk makes 436 / 22 / 62 / 601 / 2,083.
+#: census may make.  Scanning every subspace on its own made 1,265 / 472 /
+#: 336 / 1,913 / 2,597 calls; the walk makes 428 / 18 / 50 / 568 / 2,018.
 CENSUS_INSERTS = {
     ((0, 0, 1, 1), 7, 1, 3): 450,
     ((0, 0, 1, 1), 7, 1, 1): 30,

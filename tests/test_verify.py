@@ -27,11 +27,11 @@ def _bump_census(brute_multiplicity):
     return wrong
 
 
-def _twisted_splitting_type(splitting_type):
+def _twisted_kernel_type(kernel_type):
     """Kernel types one degree too low, outside every candidate list."""
 
     def wrong(*args):
-        return splitting_type(*args).twist(-1)
+        return kernel_type(*args).twist(-1)
 
     return wrong
 
@@ -89,7 +89,7 @@ FAULTS = {
     "worked-example": (verify, "brute_multiplicity", _bump_census),
     "rank2-table": (hecke, "_rank2_table", _plus_one),
     "deg1-classification": (hecke, "_block_multiplicity", _plus_one),
-    "oracle-equivalence": (oracle, "splitting_type", _twisted_splitting_type),
+    "oracle-equivalence": (oracle, "_kernel_type", _twisted_kernel_type),
     "weight-one-criterion": (verify, "exists_modification", _negated),
     "spaced-factorization": (verify, "hall_multiplicity", _plus_one),
     "hall-integrity": (verify, "kx_times", _doubled_closed_kx),
