@@ -155,6 +155,8 @@ class EigenQuery:
     __slots__ = ("lams", "x", "D")
 
     def __init__(self, lams, x: ClosedPoint, D: int):
+        if type(D) is not int:  # the solver's caches key 2.0 and True like 2 and 1
+            raise TypeError(f"depth D must be an int, got {D!r}")
         self.lams = tuple(Fraction(l) for l in lams)
         if x.d != 1:
             raise ValueError("eigen queries use a degree-one point")
@@ -414,8 +416,12 @@ def cusp_defect(f: FormVector, n1: int, n2: int, space: TruncatedPBun, q0: int) 
 
     The extension counts come from a cache keyed by (n1, n2, D, q0).  Each
     sum is exact in integers: with L the lcm of f's denominators it adds
-    count * L*f(B) and divides by L once.
+    count * L*f(B) and divides by L once.  n1, n2 and q0 must be ints,
+    bool refused: TypeError, cold or cached alike.
     """
+    for name, value in (("n1", n1), ("n2", n2), ("q0", q0)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if (space.n, space.D) != (f.space.n, f.space.D):
         raise ValueError(f"space must be the truncation of f, {f.space}, got {space}")
     if n1 + n2 != space.n:

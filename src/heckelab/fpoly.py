@@ -20,7 +20,8 @@ the same echelon rows.  `rank` folds `insert_row` over a matrix.
 
 Products.  mul(a, b) is addmul((), a, b), and addmul(c, a, b) = c + a*b
 is one schoolbook loop that skips the zero coefficients of the shorter
-factor, then reduces mod p and trims once.  mat_mul(A, B, p) is the one
+factor, then reduces mod p and trims once; c + b and c - b are
+addmul(c, (1,), b) and addmul(c, (p - 1,), b).  mat_mul(A, B, p) is the one
 matrix product over F_p[t], which the SNF check and the verify sampler
 share, and it alone knows the packing: by Kronecker substitution each
 entry becomes an int with one coefficient per slot of a fixed width, a
@@ -59,8 +60,6 @@ from math import isqrt
 
 __all__ = [
     "trim",
-    "add",
-    "sub",
     "mul",
     "addmul",
     "byte_form",
@@ -94,23 +93,6 @@ def trim(a):
     while a and a[-1] == 0:
         a.pop()
     return tuple(a)
-
-
-def add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return trim([c % p for c in out])
-
-
-def sub(a, b, p):
-    out = list(a)
-    out += [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return trim([c % p for c in out])
 
 
 def mul(a, b, p):
@@ -333,7 +315,7 @@ def det(M, p):
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in M[1:]]
         term = mul(M[0][j], det(minor, p), p)
-        out = add(out, term, p) if j % 2 == 0 else sub(out, term, p)
+        out = addmul(out, (1,) if j % 2 == 0 else (p - 1,), term, p)
     return out
 
 
@@ -398,7 +380,7 @@ def is_irreducible(f, p) -> bool:
     m = n
     while m > 1:
         ell = smallest_prime_factor(m)
-        if gcd(sub(frobenius[n // ell], frobenius[0], p), f, p) != (1,):
+        if gcd(addmul(frobenius[n // ell], (p - 1,), frobenius[0], p), f, p) != (1,):
             return False
         while m % ell == 0:
             m //= ell

@@ -273,6 +273,9 @@ _KX_TABLES = {"recursive": _kx_recursive_table, "closed": _kx_closed_table}
 
 
 def _check_kx(r: int, d: int, method: str) -> None:
+    # before any cache: lru_cache keys 2.0 and True like 2 and 1
+    if type(r) is not int or type(d) is not int:
+        raise TypeError(f"r and d must be ints, got r={r!r}, d={d!r}")
     if r < 1:
         raise ValueError(f"kx_times needs r >= 1, got {r}")
     if d < 1:
@@ -299,7 +302,8 @@ def _kx_layer(r: int, E: BundleType, d: int, method: str, s: int) -> HallElement
 
 
 def kx_times(r: int, E: BundleType, d: int, method: str = "recursive") -> HallElement:
-    """K_x^{r} * [E] at a point of degree d, torsion terms included."""
+    """K_x^{r} * [E] at a point of degree d, torsion terms included.  r and
+    d must be ints, bool refused: TypeError, cold or cached alike."""
     _check_kx(r, d, method)
     out = {}
     for s in range(max(0, r - E.rank), r + 1):
@@ -312,8 +316,11 @@ def hall_multiplicity(E_prime: BundleType, E: BundleType, d: int, r: int) -> QPo
 
     Zero when the degree bookkeeping deg E - deg E' = r*d fails.  Only the
     torsion-free layer of the product is built; a coefficient of it outside
-    Z[q] raises HallIntegrityError when the layer is normalized.
+    Z[q] raises HallIntegrityError when the layer is normalized.  d and r
+    must be ints, bool refused: TypeError, cold or cached alike.
     """
+    if type(d) is not int or type(r) is not int:
+        raise TypeError(f"d and r must be ints, got d={d!r}, r={r!r}")
     if E_prime.rank != E.rank:
         raise ValueError(f"rank mismatch: {E_prime.pretty()} vs {E.pretty()}")
     if E.degree - E_prime.degree != r * d:

@@ -43,6 +43,8 @@ class ModificationQuery:
                 f"rank mismatch: {E_prime.pretty()} has rank {E_prime.rank}, "
                 f"{E.pretty()} has rank {E.rank}"
             )
+        if type(r) is not int:
+            raise TypeError(f"weight r must be an int, got {r!r}")
         if r < 0:
             raise ValueError(f"weight must be nonnegative, got {r}")
         self.E = E
@@ -245,8 +247,11 @@ def neighbors_detail(E: BundleType, d: int, r: int, cross_check=None) -> dict:
     """All E' with nonzero multiplicity, mapped to (polynomial, method tag).
 
     Candidates come from drop vectors in {0..d}^n with total r*d; the sum
-    of the returned polynomials at q is #Gr(n-r, n) over F_{q^d}.
+    of the returned polynomials at q is #Gr(n-r, n) over F_{q^d}.  d and r
+    must be ints, bool refused: TypeError.
     """
+    if type(d) is not int or type(r) is not int:
+        raise TypeError(f"d and r must be ints, got d={d!r}, r={r!r}")
     n = E.rank
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= rank, got r={r}, rank={n}")

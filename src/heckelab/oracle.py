@@ -507,11 +507,12 @@ def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
     read, the subspaces that differ only there are counted at once.  The
     census counts subspaces per drop profile and reads each profile's
     type off it once (`_kernel_type`), as the type is a function of the
-    profile.  The census mass must be #Gr.
+    profile.  The census mass must be #Gr, the count the budget check
+    returned.
     """
     field = Field(x)
     n = E.rank
-    check_subspace_budget(n, r, field.q, field.d, budget)
+    expected = check_subspace_budget(n, r, field.q, field.d, budget)
     schedule = _schedule(E, x.d)
     walk = _Walk(field, list(field.elements()) if 0 < r < n else ())
     for pivots in combinations(range(n), n - r):
@@ -521,7 +522,6 @@ def brute_multiplicity(E: BundleType, x: ClosedPoint, r: int, budget=None):
         t = _kernel_type(E, x.d, r, profile)
         census[t] = census.get(t, 0) + count
     total = sum(census.values())
-    expected = gaussian_binomial(n - r, n).evaluate(field.size)
     if total != expected:
         raise OracleIntegrityError(
             f"census mass {total} != #Gr = {expected} for E={E.pretty()}, r={r}, "

@@ -2,7 +2,11 @@
 
 Ten checks compare the closed formulas, the Hall engine and the fiber
 oracle, closed against recursive K_x products, Smith normal forms against
-their construction, and the eigenform theorems against the solver.  Each
+their construction, and the eigenform theorems against the solver.
+`rank2-table`, `deg1-classification` and `spaced-factorization` share one
+comparison of a census, `_census_disagreement`: each closed answer
+against the Hall engine's, and the census mass against #Gr(n - r, n) over
+F_{q^d}, so each of the three checks the mass.  Each
 check takes an rng plus its grid as keyword arguments -- plain data: ranks,
 degree ranges, q values, case lists, trial counts -- and returns None when
 everything agrees, else a one-line description of the first disagreement.
@@ -59,50 +63,52 @@ def _worked_example(rng):
     return None
 
 
+def _census_disagreement(E, d, r, methods, cross_check=False):
+    """The first disagreement in E's weight-r census at a degree-d point,
+    as one line, or None.
+
+    Each candidate's closed answer (`multiplicity_detail` with
+    `cross_check`) must equal the Hall engine's, and their sum must be
+    #Gr(n - r, n) over F_{q^d}: the Gaussian binomial with q replaced by
+    q^d, its coefficients spread d apart.  Each answer's method tag is
+    added to `methods`.
+    """
+    x, total = ClosedPoint(2, d), ZERO
+    for E_prime in candidates(E, d, r):
+        got, method = multiplicity_detail(ModificationQuery(E, E_prime, x, r), cross_check)
+        want = hall_multiplicity(E_prime, E, d, r)
+        if got != want:
+            return (
+                f"{E_prime.pretty()} -> {E.pretty()} d={d} r={r}: "
+                f"closed {got.pretty()}, hall {want.pretty()}"
+            )
+        methods.add(method)
+        total = total + got
+    grassmannian = gaussian_binomial(E.rank - r, E.rank).coeffs
+    spread = [0] * (d * len(grassmannian) - d + 1)
+    spread[::d] = grassmannian
+    mass = QPoly(spread)
+    if total != mass:
+        return f"{E.pretty()} d={d} r={r}: census mass {total.pretty()} != {mass.pretty()}"
+    return None
+
+
 def _rank2_table(rng, top, ds):
     methods = set()
     for d1 in range(top + 1):
         for d2 in range(d1, top + 1):
-            E = BundleType((d1, d2))
             for d in ds:
-                x = ClosedPoint(2, d)
-                total = ZERO
-                for E_prime in candidates(E, d, 1):
-                    got, method = multiplicity_detail(
-                        ModificationQuery(E, E_prime, x, 1), cross_check=False
-                    )
-                    want = hall_multiplicity(E_prime, E, d, 1)
-                    if got != want:
-                        return (
-                            f"{E_prime.pretty()} -> {E.pretty()} d={d}: "
-                            f"table {got.pretty()}, hall {want.pretty()}"
-                        )
-                    methods.add(method)
-                    total = total + got
-                mass = QPoly.monomial(d) + 1
-                if total != mass:
-                    return f"{E.pretty()} d={d}: mass {total.pretty()} != {mass.pretty()}"
-    if "rank2-table" not in methods:
-        return "the rank-2 table never answered"
-    return None
+                if bad := _census_disagreement(BundleType((d1, d2)), d, 1, methods):
+                    return bad
+    return None if "rank2-table" in methods else "the rank-2 table never answered"
 
 
 def _deg1_classification(rng, nmax, top):
-    x = ClosedPoint(2, 1, (0, 1))
     for n in range(1, nmax + 1):
         for degrees in combinations_with_replacement(range(top + 1), n):
-            E = BundleType(degrees)
             for r in range(1, n + 1):
-                total = ZERO
-                for E_prime in candidates(E, 1, r):
-                    got = multiplicity_detail(
-                        ModificationQuery(E, E_prime, x, r), cross_check=False
-                    )[0]
-                    if got != hall_multiplicity(E_prime, E, 1, r):
-                        return f"{E_prime.pretty()} -> {E.pretty()} r={r}"
-                    total = total + got
-                if total != gaussian_binomial(n - r, n):
-                    return f"{E.pretty()} r={r}: census sum {total.pretty()}"
+                if bad := _census_disagreement(BundleType(degrees), 1, r, set()):
+                    return bad
     return None
 
 
@@ -152,19 +158,10 @@ def _weight_one_criterion(rng, nmax, dmax, top):
 def _spaced_factorization(rng, cases):
     methods = set()
     for degrees, d in cases:
-        E = BundleType(degrees)
-        x = ClosedPoint(2, d)
-        for r in range(1, E.rank + 1):
-            for E_prime in candidates(E, d, r):
-                got, method = multiplicity_detail(
-                    ModificationQuery(E, E_prime, x, r), cross_check=True
-                )
-                if got != hall_multiplicity(E_prime, E, d, r):
-                    return f"{E_prime.pretty()} -> {E.pretty()} d={d} r={r}"
-                methods.add(method)
-    if "spaced-split" not in methods:
-        return "the gap factorization never answered"
-    return None
+        for r in range(1, len(degrees) + 1):
+            if bad := _census_disagreement(BundleType(degrees), d, r, methods, cross_check=True):
+                return bad
+    return None if "spaced-split" in methods else "the gap factorization never answered"
 
 
 def _element_mul(a, b):
@@ -381,11 +378,13 @@ GRIDS = {
         "triviality-theorems": {"top": 2, "qs": (2,), "cases": _TRIVIAL_CASES},
     },
     "full": _FULL,
-    # the full grid plus what only the acceptance suite runs: rank-3 and
-    # rank-4 gap cases up to d = 3, the denominator-one grid, SNF cases up
-    # to n = 5, depths 4 and 5 with wider eigenvalues, and more eigenforms
+    # the full grid plus what only the acceptance suite runs: the oracle
+    # census at rank 4, rank-3 and rank-4 gap cases up to d = 3, the
+    # denominator-one grid, SNF cases up to n = 5, depths 4 and 5 with
+    # wider eigenvalues, and more eigenforms
     "acceptance": {
         **_FULL,
+        "oracle-equivalence": {"qs": (2, 3), "nmax": 4, "top": 2},
         "spaced-factorization": {
             "cases": _spaced((0, 1, 2))
             + tuple(((0, 1, 1 + d, 1 + d), d) for d in (1, 2, 3))

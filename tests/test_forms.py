@@ -11,7 +11,7 @@ from math import lcm
 
 import pytest
 
-from heckelab import forms
+from heckelab import forms, hall, hecke
 from heckelab.bundles import (
     BundleType,
     ClosedPoint,
@@ -604,6 +604,63 @@ def test_balanced_relation_uses_grassmannian_count():
             assert f[target] != lams[r - 1] / plain
 
 
+def satake_scalars(lams, q0, d):
+    """[None, mu_1, ..., mu_n]: mu_r = q^(-d r(r-1)/2) e_r(alpha^d), where
+    alpha_1..alpha_n are the roots of x^n - e_1 x^(n-1) + ... + (-1)^n e_n
+    with e_k = q^(k(k-1)/2) lambda_k for k < n and e_n = q^(n(n-1)/2).
+
+    Newton's identities give the power sums p_k(alpha) from e, then
+    p_k(alpha^d) = p_(kd)(alpha), and the identities run backwards give
+    e_r(alpha^d); exact in Fractions, no root is formed."""
+    n = len(lams) + 1
+    e = [1] + [q0 ** (k * (k - 1) // 2) * Fraction(l) for k, l in enumerate(lams, 1)]
+    e += [q0 ** (n * (n - 1) // 2)] + [0] * (n * d - n)
+    p = [None]
+    for k in range(1, n * d + 1):
+        p.append(
+            sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, k))
+            + (-1) ** (k - 1) * k * e[k]
+        )
+    e_d = [Fraction(1)]
+    for k in range(1, n + 1):
+        e_d.append(sum((-1) ** (i - 1) * e_d[k - i] * p[i * d] for i in range(1, k + 1)) / k)
+    return [None] + [e_d[r] / q0 ** (d * r * (r - 1) // 2) for r in range(1, n + 1)]
+
+
+#: (n, point, eigenvalues, depth D, degree d of the Hecke point)
+SATAKE_CASES = [
+    (2, X1, (3,), 8, 2),
+    (2, ClosedPoint(5, 1, (0, 1)), (7,), 6, 2),
+    (2, X1_Q4, (5,), 6, 3),
+    (3, X1, (3, 5), 6, 2),
+    (3, X1, (3, 5), 6, 3),
+    (3, X1_Q3, (Fraction(7, 2), 4), 5, 2),
+    (4, X1, (3, 5, 7), 4, 2),
+    (4, X1_Q3, (2, Fraction(-1, 3), 5), 4, 2),
+    (5, X1, (3, 5, 7, 9), 4, 2),
+]
+
+
+def test_eigenform_is_an_eigenvector_of_the_degree_d_operators():
+    """The eigenform solved from the degree-1 operators is an eigenvector
+    of the weight-r census at a degree-d point, with the Satake scalar
+    mu_r: sum_E' m(q) f(E') = mu_r f(c) on every row c whose neighbours
+    all lie in the padded set.  The cross-check is off so that each census
+    stands on its own."""
+    rows = 0
+    for n, x, lams, D, d in SATAKE_CASES:
+        f = eigenform_solve(EigenQuery(lams, x, D))
+        mu = satake_scalars(lams, x.q, d)
+        for c in f.space.classes:
+            for r in range(1, n):
+                census = hecke.neighbors(c.degrees, d, r, cross_check=False)
+                if all(proj_class(E) in f.space for E in census):
+                    total = sum(m.evaluate(x.q) * f[E] for E, m in census.items())
+                    assert total == mu[r] * f[c], (n, x.q, lams, d, c, r)
+                    rows += 1
+    assert rows == 381
+
+
 @pytest.mark.parametrize("lams, r", [((1,), 0), ((1,), 2), ((2, 3), 0), ((2, 3), 3)])
 def test_balanced_relation_needs_r_between_1_and_n_minus_1(lams, r):
     query = EigenQuery([Fraction(l) for l in lams], X1, 3)
@@ -619,6 +676,52 @@ def test_eigen_query_validation():
         EigenQuery([], X1, 3)
     q = EigenQuery([2, Fraction(1, 3)], X1, 3)
     assert q.n == 3 and q.lams == (Fraction(2), Fraction(1, 3))
+
+
+def _cusp_defect(n1, n2, q0):
+    f = eigenform_solve(EigenQuery([3, 5], X1, 2))
+    return cusp_defect(f, n1, n2, f.space, q0)
+
+
+E3, E3_LOWER = B(0, 0, 1), B(-2, 0, 1)
+X2 = ClosedPoint(2, 2)
+
+#: (entry point, argument): the entry point called with a value for the
+#: argument, and the ints it answers there
+INT_ARGUMENTS = {
+    ("kx_times", "r"): (lambda v: hall.kx_times(v, E3, 2), (1, 2)),
+    ("kx_times", "d"): (lambda v: hall.kx_times(2, E3, v), (1, 2)),
+    ("hall_multiplicity", "d"): (lambda v: hall.hall_multiplicity(E3_LOWER, E3, v, 1), (1, 2)),
+    ("hall_multiplicity", "r"): (lambda v: hall.hall_multiplicity(E3_LOWER, E3, 1, v), (0, 1, 2)),
+    ("neighbors_detail", "d"): (lambda v: hecke.neighbors_detail(E3, v, 1), (1, 2)),
+    ("neighbors_detail", "r"): (lambda v: hecke.neighbors_detail(E3, 2, v), (1, 2)),
+    ("ModificationQuery", "r"): (
+        lambda v: hecke.multiplicity(hecke.ModificationQuery(E3, E3_LOWER, X2, v)),
+        (1, 2),
+    ),
+    ("EigenQuery", "D"): (lambda v: eigenform_solve(EigenQuery([3], X1, v)), (1, 2)),
+    ("cusp_defect", "n1"): (lambda v: _cusp_defect(v, 3 - int(v), 2), (1, 2)),
+    ("cusp_defect", "n2"): (lambda v: _cusp_defect(3 - int(v), v, 2), (1, 2)),
+    ("cusp_defect", "q0"): (lambda v: _cusp_defect(1, 2, v), (2,)),
+}
+
+
+@pytest.mark.parametrize("entry, argument", list(INT_ARGUMENTS), ids=map("-".join, INT_ARGUMENTS))
+def test_an_int_argument_refuses_a_float_or_a_bool_cold_and_warm(entry, argument):
+    """lru_cache keys 2.0 and True like 2 and 1: hall_multiplicity with
+    d = 2.0 used to raise cold and answer q+1 once d = 2 was cached, and a
+    bool weight or depth was answered as 1."""
+    call, ints = INT_ARGUMENTS[entry, argument]
+    for twin in (2.0, True):
+        for warm in (False, True):
+            for cache in (hall._straighten, hall._kx_layer):
+                cache.cache_clear()
+            clear_form_caches()
+            if warm:
+                for value in ints:
+                    call(value)
+            with pytest.raises(TypeError, match=rf"\b{argument}\b.*must be"):
+                call(twin)
 
 
 def test_form_vector_lookup_and_json():

@@ -113,6 +113,16 @@ def test_a_perturbed_answer_path_fails_its_check(name, monkeypatch):
     assert isinstance(detail, str) and detail and "\n" not in detail
 
 
+@pytest.mark.parametrize("name", ["rank2-table", "deg1-classification", "spaced-factorization"])
+def test_a_census_that_misses_a_type_fails_on_its_mass(name, monkeypatch):
+    """With the last candidate type dropped every closed answer still equals
+    the Hall engine's, so only the census mass shows the gap."""
+    candidates = verify.candidates
+    monkeypatch.setattr(verify, "candidates", lambda E, d, r: candidates(E, d, r)[:-1])
+    detail = verify.CHECKS[name](random.Random(7), **verify.GRIDS["quick"][name])
+    assert isinstance(detail, str) and "census mass" in detail and "\n" not in detail
+
+
 def test_cli_verify_reports_a_failed_check(capsys, monkeypatch):
     monkeypatch.setattr(verify, "smith_normal_form", _reversed_diag(verify.smith_normal_form))
     code = cli.main(["verify", "--quick"])
